@@ -50,7 +50,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 10*time.Second, "per-request client timeout")
 		rpsList  = flag.String("rps", "100,250,500,1000", "comma-separated offered-RPS ramp schedule")
 		stepDur  = flag.Duration("step", 5*time.Second, "duration of each ramp step")
-		settle   = flag.Duration("settle", 0, "exclude each step's first SETTLE of arrivals from the latency quantiles (outcomes still counted)")
+		settle   = flag.Duration("settle", 0, "exclude each step's first SETTLE of arrivals from the latency and lateness quantiles (outcomes still counted)")
 		outPath  = flag.String("out", "", "write the JSON report here (default stdout)")
 		csvPath  = flag.String("csv", "", "also write a per-step CSV here")
 		p99Bound = flag.Float64("p99-bound", 50, "p99 bound (ms) for the sustained-RPS summary")
@@ -63,7 +63,6 @@ func main() {
 		// pipeline itself under the ramp.
 		inprocModel   = flag.String("inproc-model", "", "run in-process: load this model gob, boot the serving stack internally, dispatch directly (ignores -url)")
 		inprocBatch   = flag.Int("inproc-batch", 32, "in-process server batch size (1 = no coalescing)")
-		inprocWait    = flag.Duration("inproc-batch-wait", 2*time.Millisecond, "in-process server max batch wait")
 		inprocWorkers = flag.Int("inproc-workers", 0, "in-process server worker count (0 = GOMAXPROCS)")
 		inprocQueue   = flag.Int("inproc-queue", 256, "in-process server admission queue depth")
 	)
@@ -124,7 +123,6 @@ func main() {
 			Workers:    *inprocWorkers,
 			QueueDepth: *inprocQueue,
 			BatchSize:  *inprocBatch,
-			MaxWait:    *inprocWait,
 		})
 		if err != nil {
 			run.Fatal(err)
@@ -135,7 +133,7 @@ func main() {
 			Transport: loadgen.HandlerTransport{Handler: srv.Handler()},
 		}
 		run.Log.Info("in-process serving stack up", "fu", model.FU.String(),
-			"batch", *inprocBatch, "batch_wait", *inprocWait)
+			"batch", *inprocBatch)
 	}
 	run.Log.Info("ramp starting", "url", *url, "steps", len(steps),
 		"step_duration", *stepDur, "pairs", *pairs, "inflight_cap", *inflight)
@@ -167,7 +165,8 @@ func main() {
 			"achieved_rps", fmt.Sprintf("%.1f", s.AchievedRPS),
 			"ok", s.OK, "shed", s.Shed, "unavailable", s.Unavailable,
 			"skipped", s.Skipped,
-			"p50_ms", fmt.Sprintf("%.2f", s.P50Ms), "p99_ms", fmt.Sprintf("%.2f", s.P99Ms))
+			"p50_ms", fmt.Sprintf("%.2f", s.P50Ms), "p99_ms", fmt.Sprintf("%.2f", s.P99Ms),
+			"late_p99_ms", fmt.Sprintf("%.2f", s.LateP99Ms))
 	}
 	sustained := rep.MaxSustainedRPS(*p99Bound, 0.01)
 	rep.SustainedRPS, rep.P99BoundMs = sustained, *p99Bound

@@ -53,8 +53,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "total inference worker count, spread across units (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 64, "per-unit admission queue depth; a full unit sheds with 429")
 		batchSize = flag.Int("batch", 32, "coalesce up to this many requests into one inference batch (1 = no coalescing)")
-		batchWait = flag.Duration("batch-wait", 2*time.Millisecond, "max time the first request in a batch waits for riders before flushing")
-		batchRows = flag.Int("batch-rows", 8192, "flush a batch once it holds this many predicted cycles")
+		batchRows = flag.Int("batch-rows", 8192, "cap a batch at this many predicted cycles")
 		reqTO     = flag.Duration("req-timeout", 5*time.Second, "server-side per-request deadline; expiry answers 503")
 		drainTO   = flag.Duration("drain-timeout", 15*time.Second, "graceful-drain deadline on SIGINT/SIGTERM")
 		maxBody   = flag.Int64("max-body", 8<<20, "request body cap in bytes; larger bodies answer 413")
@@ -120,7 +119,6 @@ func main() {
 		QueueDepth:     *queue,
 		BatchSize:      *batchSize,
 		MaxBatchRows:   *batchRows,
-		MaxWait:        *batchWait,
 		RequestTimeout: *reqTO,
 		DrainTimeout:   *drainTO,
 		MaxBodyBytes:   *maxBody,

@@ -6,10 +6,13 @@
 // drawn from the offered rate, NOT in response to completions, so a
 // slowing server faces the same offered load a real client population
 // would present — the coordinated-omission trap a closed loop falls
-// into. The only concession is a bounded in-flight cap (file
-// descriptors are finite); arrivals that would exceed it are counted
-// as skipped, never silently dropped, so the report always states the
-// load that was actually offered.
+// into. Each request's latency runs from its scheduled arrival, not
+// from when the generator got round to firing it, so a generator that
+// falls behind charges the delay to the requests it delayed, and each
+// step reports how late it fired. The only concession is a bounded
+// in-flight cap (file descriptors are finite); arrivals that would
+// exceed it are counted as skipped, never silently dropped, so the
+// report always states the load that was actually offered.
 package loadgen
 
 import (
@@ -60,11 +63,12 @@ type Config struct {
 	MaxInflight int
 	// Timeout is the per-request client timeout (default 10s).
 	Timeout time.Duration
-	// Settle excludes requests fired during the first Settle of each
-	// step from the latency quantiles (outcome counts still include
-	// them). Step transitions pay one-off costs — connection dial
-	// bursts, a GC triggered by the rate change — that would otherwise
-	// pollute the steady-state tail. Default 0: measure everything.
+	// Settle excludes requests scheduled during the first Settle of
+	// each step from the latency and lateness quantiles (outcome counts
+	// still include them). Step transitions pay one-off costs —
+	// connection dial bursts, a GC triggered by the rate change — that
+	// would otherwise pollute the steady-state tail. Default 0: measure
+	// everything.
 	Settle time.Duration
 	// Steps is the ramp schedule. Required.
 	Steps []Step
@@ -109,6 +113,9 @@ type StepReport struct {
 	P95Ms       float64 `json:"p95_ms"`
 	P99Ms       float64 `json:"p99_ms"`
 	MaxMs       float64 `json:"max_ms"`
+	// LateP99Ms is the p99 of fire time minus scheduled arrival: how
+	// far the generator itself fell behind its schedule.
+	LateP99Ms float64 `json:"late_p99_ms"`
 }
 
 // Report is the full saturation run: the schedule as offered and every
@@ -183,7 +190,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		sr := StepReport{OfferedRPS: step.RPS, DurationSec: step.Duration.Seconds()}
 		var (
 			mu        sync.Mutex
-			lats      []float64 // ms, OK completions fired after the settle window
+			lats      []float64 // ms, OK completions scheduled after the settle window
+			lates     []float64 // ms, fired requests scheduled after the settle window
 			wg        sync.WaitGroup
 			stepStart = time.Now()
 			stepEnd   = stepStart.Add(step.Duration)
@@ -202,6 +210,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			}
 			// Schedule the next arrival BEFORE firing: the offered rate
 			// must not depend on how long this request takes.
+			sched := next
 			next = next.Add(time.Duration(rng.ExpFloat64() / step.RPS * float64(time.Second)))
 			if inflight.Load() >= int64(cfg.MaxInflight) {
 				sr.Skipped++
@@ -213,9 +222,15 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			go func() {
 				defer wg.Done()
 				defer inflight.Add(-1)
-				start := time.Now()
+				fired := time.Now()
 				resp, err := client.Post(cfg.URL+path, "application/json", bytes.NewReader(body))
-				lat := float64(time.Since(start).Microseconds()) / 1000.0
+				lat := float64(time.Since(sched).Microseconds()) / 1000.0
+				measured := sched.Sub(stepStart) >= cfg.Settle
+				if measured {
+					mu.Lock()
+					lates = append(lates, float64(fired.Sub(sched).Microseconds())/1000.0)
+					mu.Unlock()
+				}
 				if err != nil {
 					atomic.AddInt64(&sr.NetErr, 1)
 					return
@@ -225,7 +240,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				switch {
 				case resp.StatusCode == http.StatusOK:
 					atomic.AddInt64(&sr.OK, 1)
-					if start.Sub(stepStart) >= cfg.Settle {
+					if measured {
 						mu.Lock()
 						lats = append(lats, lat)
 						mu.Unlock()
@@ -244,6 +259,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		wg.Wait()
 		sr.AchievedRPS = float64(sr.OK) / step.Duration.Seconds()
 		sr.P50Ms, sr.P95Ms, sr.P99Ms, sr.MaxMs = quantiles(lats)
+		_, _, sr.LateP99Ms, _ = quantiles(lates)
 		rep.Steps = append(rep.Steps, sr)
 		if ctx.Err() != nil {
 			break
@@ -299,7 +315,7 @@ func WriteCSV(w io.Writer, r *Report) error {
 	if err := cw.Write([]string{
 		"offered_rps", "achieved_rps", "sent", "skipped", "ok",
 		"shed_429", "unavailable_503", "bad_4xx", "other_http", "net_err",
-		"p50_ms", "p95_ms", "p99_ms", "max_ms",
+		"p50_ms", "p95_ms", "p99_ms", "max_ms", "late_p99_ms",
 	}); err != nil {
 		return err
 	}
@@ -309,7 +325,7 @@ func WriteCSV(w io.Writer, r *Report) error {
 		if err := cw.Write([]string{
 			f(s.OfferedRPS), f(s.AchievedRPS), d(s.Sent), d(s.Skipped), d(s.OK),
 			d(s.Shed), d(s.Unavailable), d(s.BadRequest), d(s.OtherHTTP), d(s.NetErr),
-			f(s.P50Ms), f(s.P95Ms), f(s.P99Ms), f(s.MaxMs),
+			f(s.P50Ms), f(s.P95Ms), f(s.P99Ms), f(s.MaxMs), f(s.LateP99Ms),
 		}); err != nil {
 			return err
 		}

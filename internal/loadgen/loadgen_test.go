@@ -77,8 +77,7 @@ func TestOpenLoopRunAndAccountingIdentity(t *testing.T) {
 			{Model: trainFU(t, circuits.IntAdd32, 201, 7)},
 			{Model: trainFU(t, circuits.IntMul32, 151, 11)},
 		},
-		Workers: 2, QueueDepth: 16, BatchSize: 8,
-		MaxWait: time.Millisecond, RequestTimeout: 2 * time.Second,
+		Workers: 2, QueueDepth: 16, BatchSize: 8, RequestTimeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,6 +155,37 @@ func TestOpenLoopRunAndAccountingIdentity(t *testing.T) {
 	}
 }
 
+// TestLatencyFromScheduledArrival offers a step far faster than the
+// loop can fire, against a handler that answers at once: the generator
+// falls behind its schedule, the step reports that lateness, and every
+// request's latency includes it (coordinated omission would hide it).
+func TestLatencyFromScheduledArrival(t *testing.T) {
+	ok := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})
+	rep, err := Run(context.Background(), Config{
+		URL: "http://inproc", Seed: 3, MaxInflight: 4,
+		Client: &http.Client{Transport: HandlerTransport{Handler: ok}},
+		// One arrival per nanosecond: no loop keeps up, so by the end
+		// of the step it fires tens of milliseconds late.
+		Steps: []Step{{RPS: 1e9, Duration: 100 * time.Millisecond}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := rep.Steps[0]
+	if sr.OK == 0 || sr.OK != sr.Sent {
+		t.Fatalf("sent %d, ok %d: want every fired request answered 200", sr.Sent, sr.OK)
+	}
+	if sr.LateP99Ms < 1 {
+		t.Errorf("late_p99_ms = %v, want ≥ 1 ms for a step the loop cannot keep up with", sr.LateP99Ms)
+	}
+	// Every request's latency is its lateness plus its service time,
+	// over the same set of requests, so each quantile dominates.
+	if sr.P99Ms < sr.LateP99Ms || sr.MaxMs < sr.LateP99Ms {
+		t.Errorf("p99 %v ms / max %v ms below late_p99 %v ms: latency must include lateness",
+			sr.P99Ms, sr.MaxMs, sr.LateP99Ms)
+	}
+}
+
 func TestMaxSustainedRPS(t *testing.T) {
 	r := &Report{Steps: []StepReport{
 		{OfferedRPS: 100, AchievedRPS: 99, OK: 99, P99Ms: 5},
@@ -187,7 +217,7 @@ func TestQuantilesAndCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 2 || !strings.HasPrefix(lines[0], "offered_rps,") {
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "offered_rps,") || !strings.HasSuffix(lines[0], ",late_p99_ms") {
 		t.Fatalf("csv malformed:\n%s", sb.String())
 	}
 	if !strings.Contains(lines[1], "99.500") {

@@ -13,16 +13,18 @@ import (
 )
 
 // The request coalescer. Individual /v1/predict calls enqueue one
-// batchItem each into their functional unit's accumulating batch; the
-// unit's batcher goroutine flushes the batch to an inference worker
-// when it reaches BatchSize requests or MaxBatchRows predicted cycles,
-// when the oldest request has waited MaxWait, or immediately once the
-// server is draining — whichever comes first. One flush runs one
-// forest call over every live item's feature rows (each item keeps its
-// own operating corner; rows are packed contiguously) and scatters the
-// delays back, so the amortized cost per request approaches the SoA
-// batch path's per-row cost instead of paying per-call overhead and a
-// worker round trip per request.
+// batchItem each into their functional unit's pending batch; the unit's
+// batcher goroutine hands the batch to the first idle inference worker.
+// The policy is work-conserving: a batch never waits while a worker is
+// free, so riders accumulate only while every worker is busy, and they
+// all leave together in the next flush. BatchSize requests or
+// MaxBatchRows predicted cycles cap a batch; reaching a cap blocks the
+// batcher until a worker takes the batch. One flush runs one forest
+// call over every live item's feature rows (each item keeps its own
+// operating corner; rows are packed contiguously) and scatters the
+// delays back, so under load the amortized cost per request approaches
+// the SoA batch path's per-row cost instead of paying per-call overhead
+// and a worker round trip per request.
 //
 // Ownership protocol: the handler owns an item until admit() succeeds;
 // from then the coalescer owns it until it signals done (buffered, so
@@ -35,10 +37,9 @@ import (
 type flushReason string
 
 const (
-	flushSizeReason  flushReason = "size"  // BatchSize requests accumulated
-	flushRowsReason  flushReason = "rows"  // MaxBatchRows predicted cycles accumulated
-	flushTimerReason flushReason = "timer" // oldest request waited MaxWait
-	flushDrainReason flushReason = "drain" // server draining: flush what is in flight
+	flushIdleReason flushReason = "idle" // a worker was free
+	flushSizeReason flushReason = "size" // BatchSize requests accumulated
+	flushRowsReason flushReason = "rows" // MaxBatchRows predicted cycles accumulated
 )
 
 func (r flushReason) counter() *obs.Counter {
@@ -47,10 +48,8 @@ func (r flushReason) counter() *obs.Counter {
 		return mFlushSize
 	case flushRowsReason:
 		return mFlushRows
-	case flushTimerReason:
-		return mFlushTimer
 	default:
-		return mFlushDrain
+		return mFlushIdle
 	}
 }
 
@@ -102,12 +101,13 @@ type unit struct {
 	gQueue *obs.Gauge
 	gGen   *obs.Gauge
 
-	queue    chan *batchItem // admission: handlers → batcher
-	queueLen atomic.Int64    // queued-or-accumulating (not yet dispatched) items
-	batches  chan *batch     // batcher → workers, unbuffered handoff
-	free     chan *batch     // recycled batch structs
-	workers  int
-	reloadMu sync.Mutex // serializes this unit's hot-reloads
+	queue     chan *batchItem // admission: handlers → batcher
+	queueLen  atomic.Int64    // queued-or-accumulating (not yet dispatched) items
+	batches   chan *batch     // batcher → workers, unbuffered handoff
+	free      chan *batch     // recycled batch structs
+	workers   int
+	lastFlush atomic.Int64 // duration of the latest completed flush, ns (Retry-After)
+	reloadMu  sync.Mutex   // serializes this unit's hot-reloads
 }
 
 func newUnit(s *Server, st *modelState, workers int) *unit {
@@ -188,40 +188,25 @@ func (u *unit) putBatch(b *batch) {
 	}
 }
 
-// batcher owns the unit's accumulating batch. It is the only goroutine
-// that touches the pending batch, so the flush policy needs no locks:
-// items arrive over the queue channel, the MaxWait timer arms when the
-// first item lands, and a dispatch hands the whole batch to a worker
-// over an unbuffered channel (blocking while every worker is busy —
-// that backpressure is what keeps the admission bound meaningful).
+// batcher owns the unit's pending batch. It is the only goroutine that
+// touches the pending batch, so the flush policy needs no locks: items
+// arrive over the queue channel, and while the batch holds any, the
+// same select offers it on the unbuffered handoff channel, so the
+// first worker to go idle takes it. A batch that reaches a cap is
+// dispatched with a blocking send instead (blocking while every worker
+// is busy — that backpressure is what keeps the admission bound
+// meaningful).
 func (u *unit) batcher() {
 	defer u.srv.wg.Done()
 	cfg := &u.srv.cfg
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	timerLive := false
-	stopTimer := func() {
-		if timerLive && !timer.Stop() {
-			<-timer.C
-		}
-		timerLive = false
-	}
 	var cur *batch
-	drainCh := u.srv.drainCh
-	draining := false
+	pending := 0 // len(cur.items); cur is the worker's once sent
 
 	dispatch := func(reason flushReason) {
-		if cur == nil || len(cur.items) == 0 {
-			return
-		}
-		stopTimer()
 		cur.reason = reason
-		n := len(cur.items)
 		u.batches <- cur
-		u.dequeued(n)
-		cur = nil
+		u.dequeued(pending)
+		cur, pending = nil, 0
 	}
 	add := func(it *batchItem) {
 		if cur == nil {
@@ -229,35 +214,34 @@ func (u *unit) batcher() {
 		}
 		cur.items = append(cur.items, it)
 		cur.rows += it.rows
+		pending++
 		switch {
-		case draining:
-			dispatch(flushDrainReason)
-		case len(cur.items) >= cfg.BatchSize:
+		case pending >= cfg.BatchSize:
 			dispatch(flushSizeReason)
 		case cur.rows >= cfg.MaxBatchRows:
 			dispatch(flushRowsReason)
-		default:
-			if len(cur.items) == 1 {
-				timer.Reset(cfg.MaxWait)
-				timerLive = true
-			}
 		}
 	}
 
 	for {
+		// A nil channel's send case never fires: the idle offer is live
+		// only while there is a batch to offer.
+		var idle chan<- *batch
+		if cur != nil {
+			cur.reason = flushIdleReason
+			idle = u.batches
+		}
 		select {
 		case <-u.srv.stopCh:
-			// Hard stop (Close without a drain): answer everything the
-			// coalescer still holds so handlers respond now, then let
-			// the workers run down the already-dispatched batches.
-			stopTimer()
+			// Hard stop: answer everything the coalescer still holds so
+			// handlers respond now, then let the workers run down the
+			// already-dispatched batches.
 			if cur != nil {
-				u.dequeued(len(cur.items))
+				u.dequeued(pending)
 				for _, it := range cur.items {
 					it.finish(errDraining)
 				}
 				u.putBatch(cur)
-				cur = nil
 			}
 			for {
 				select {
@@ -269,19 +253,15 @@ func (u *unit) batcher() {
 					return
 				}
 			}
-		case <-drainCh:
-			// Graceful drain: flush the in-flight partial batch rather
-			// than holding it for MaxWait, and flush every straggler
-			// immediately from here on.
-			drainCh = nil
-			draining = true
-			dispatch(flushDrainReason)
+		case idle <- cur:
+			u.dequeued(pending)
+			cur, pending = nil, 0
 		case it := <-u.queue:
 			add(it)
 			// Greedy drain: a burst that is already queued is pulled
 			// through cheap non-blocking receives instead of paying the
-			// full 4-way select (and its timer-channel check) per item
-			// — the dominant per-item cost at high offered load.
+			// full select per item — the dominant per-item cost at high
+			// offered load — and joins the batch before it is offered.
 		greedy:
 			for {
 				select {
@@ -291,9 +271,6 @@ func (u *unit) batcher() {
 					break greedy
 				}
 			}
-		case <-timer.C:
-			timerLive = false
-			dispatch(flushTimerReason)
 		}
 	}
 }
@@ -305,7 +282,9 @@ func (u *unit) worker() {
 	defer u.srv.wg.Done()
 	var buf workerBuf
 	for b := range u.batches {
+		t0 := time.Now()
 		u.flush(&buf, b)
+		u.lastFlush.Store(int64(time.Since(t0)))
 		u.putBatch(b)
 	}
 }
@@ -428,15 +407,15 @@ func (b *workerBuf) ensure(dim, n int) {
 }
 
 // retryAfterSecs derives the Retry-After a shed response advises from
-// the coalescer's current flush interval: with `queued` items waiting
-// and batches of up to batchSize leaving every maxWait at worst, the
-// backlog clears in about (queued/batchSize + 1) flush intervals. A
+// the unit's measured flush duration: with `queued` items waiting and
+// batches of up to batchSize leaving at most one flush duration apart,
+// the backlog clears in about (queued/batchSize + 1) flush durations. A
 // constant would either park clients far longer than a
-// millisecond-scale flush cycle needs or invite an instant retry storm
-// when flushes are slow; deriving it ties the advice to the actual
-// drain rate. Clamped to [1, 60] whole seconds (HTTP Retry-After
+// millisecond-scale flush needs or invite an instant retry storm when
+// flushes are slow; deriving it ties the advice to the actual drain
+// rate. Clamped to [1, 60] whole seconds (HTTP Retry-After
 // granularity).
-func retryAfterSecs(maxWait time.Duration, queued int64, batchSize int) int {
+func retryAfterSecs(flush time.Duration, queued int64, batchSize int) int {
 	if batchSize < 1 {
 		batchSize = 1
 	}
@@ -444,7 +423,7 @@ func retryAfterSecs(maxWait time.Duration, queued int64, batchSize int) int {
 		queued = 0
 	}
 	flushes := queued/int64(batchSize) + 1
-	d := time.Duration(flushes) * maxWait
+	d := time.Duration(flushes) * flush
 	secs := int((d + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1

@@ -17,11 +17,16 @@ import (
 	"tevot/internal/workload"
 )
 
-// The coalescer suite: flush policy (size / rows / timer / drain),
-// generation consistency across hot-reloads, per-item deadlines inside
-// a batch, derived Retry-After, the per-FU accounting identity, and the
-// 0-alloc pin on the enqueue→flush→scatter hot path. All run under
-// -race by check.sh.
+// The coalescer suite: flush policy (idle / size / rows), riders
+// accumulating behind busy workers, generation consistency across
+// hot-reloads, per-item deadlines inside a batch, derived Retry-After,
+// the per-FU accounting identity, and the 0-alloc pin on the
+// enqueue→flush→scatter hot path. All run under -race by check.sh.
+//
+// A batch leaves as soon as a worker is idle, so a test that needs
+// riders to share a flush first occupies the worker(s) with a gated
+// request: riders then pile up in the pending batch until the gate
+// opens.
 
 func decodeResponse(t *testing.T, data []byte) predictResponse {
 	t.Helper()
@@ -32,34 +37,159 @@ func decodeResponse(t *testing.T, data []byte) predictResponse {
 	return out
 }
 
-// TestFlushOnSize: with BatchSize=2 and an effectively-infinite
-// MaxWait, two concurrent requests must ride one flush — both served
-// from a 2-item batch with flush_reason "size".
-func TestFlushOnSize(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) {
-		c.BatchSize = 2
-		c.MaxWait = time.Minute
+// workerGate is an inferHook that holds every flush until release.
+// entered receives once per item that reaches a held flush.
+type workerGate struct {
+	entered chan struct{}
+	open    chan struct{}
+	once    sync.Once
+}
+
+func newWorkerGate() *workerGate {
+	// entered is buffered for every item a test pushes through the
+	// gate, so the hook never blocks on a test that stopped counting.
+	return &workerGate{entered: make(chan struct{}, 64), open: make(chan struct{})}
+}
+
+func (g *workerGate) hook(context.Context) error {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.open
+	return nil
+}
+
+// wait blocks until an item has reached a held flush.
+func (g *workerGate) wait(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no flush reached the worker")
+	}
+}
+
+// release lets every held and future flush run. Idempotent; tests defer
+// it so a failing test still lets Close stop the workers.
+func (g *workerGate) release() { g.once.Do(func() { close(g.open) }) }
+
+type postResult struct {
+	status int
+	body   []byte
+}
+
+// postAsync posts a predict request from its own goroutine; the result
+// lands on the returned channel.
+func postAsync(t *testing.T, url, body string) <-chan postResult {
+	out := make(chan postResult, 1)
+	go func() {
+		resp, err := http.Post(url+"/v1/predict", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			out <- postResult{}
+			return
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Error(err)
+		}
+		out <- postResult{resp.StatusCode, data}
+	}()
+	return out
+}
+
+// servedBatch waits for a request's result, requires a 200 with a batch
+// block, and returns the decoded response.
+func servedBatch(t *testing.T, ch <-chan postResult) predictResponse {
+	t.Helper()
+	var r postResult
+	select {
+	case r = <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatal("request never answered")
+	}
+	if r.status != http.StatusOK {
+		t.Fatalf("status %d: %s", r.status, r.body)
+	}
+	out := decodeResponse(t, r.body)
+	if out.Batch == nil {
+		t.Fatal("response carries no batch info")
+	}
+	return out
+}
+
+// TestFlushOnIdle: a lone request under a large BatchSize is taken by
+// the idle worker at once — a 1-item batch with flush_reason "idle",
+// no waiting for riders that never come.
+func TestFlushOnIdle(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) { c.BatchSize = 64 })
+	out := servedBatch(t, postAsync(t, ts.URL, validBody(3)))
+	if out.Batch.Reason != "idle" || out.Batch.Items != 1 || out.Batch.Rows != 2 {
+		t.Errorf("batch = %+v, want a 1-item, 2-row idle flush", out.Batch)
+	}
+	if out.Batch.FlushedAt.Before(out.Batch.QueuedAt) {
+		t.Errorf("flushed_at %v before queued_at %v", out.Batch.FlushedAt, out.Batch.QueuedAt)
+	}
+}
+
+// TestRidersLeaveInNextFlush: requests arriving while every worker is
+// busy wait in one pending batch and all leave together in the next
+// flush, as soon as the worker frees.
+func TestRidersLeaveInNextFlush(t *testing.T) {
+	const riders = 5
+	g := newWorkerGate()
+	defer g.release()
+	s, ts := newTestServer(t, func(c *Config) {
+		c.Workers = 1
+		c.BatchSize = 64
+		c.inferHook = g.hook
 	})
-	type result struct {
-		status int
-		body   []byte
+	holder := postAsync(t, ts.URL, validBody(3))
+	g.wait(t)
+	var chs []<-chan postResult
+	for i := 0; i < riders; i++ {
+		chs = append(chs, postAsync(t, ts.URL, validBody(4)))
 	}
-	results := make(chan result, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			resp, data := postPredict(t, ts.URL, validBody(4))
-			results <- result{resp.StatusCode, data}
-		}()
+	waitFor(t, func() bool { return s.queueLen.Load() == riders })
+	g.release()
+	if out := servedBatch(t, holder); out.Batch.Items != 1 {
+		t.Errorf("holder batch = %+v, want 1 item", out.Batch)
 	}
-	for i := 0; i < 2; i++ {
-		r := <-results
-		if r.status != http.StatusOK {
-			t.Fatalf("status %d: %s", r.status, r.body)
+	var flushedAt time.Time
+	for i, ch := range chs {
+		out := servedBatch(t, ch)
+		if out.Batch.Reason != "idle" || out.Batch.Items != riders || out.Batch.Rows != 3*riders {
+			t.Errorf("rider batch = %+v, want all %d riders in one idle flush", out.Batch, riders)
 		}
-		out := decodeResponse(t, r.body)
-		if out.Batch == nil {
-			t.Fatal("response carries no batch info")
+		if i == 0 {
+			flushedAt = out.Batch.FlushedAt
+		} else if !out.Batch.FlushedAt.Equal(flushedAt) {
+			t.Errorf("riders flushed at %v and %v, want one flush", flushedAt, out.Batch.FlushedAt)
 		}
+	}
+}
+
+// TestFlushOnSize: with BatchSize=2 and the worker busy, two riders
+// fill the pending batch, which leaves on the size cap — both served
+// from one 2-item batch with flush_reason "size".
+func TestFlushOnSize(t *testing.T) {
+	g := newWorkerGate()
+	defer g.release()
+	s, ts := newTestServer(t, func(c *Config) {
+		c.Workers = 1
+		c.BatchSize = 2
+		c.inferHook = g.hook
+	})
+	holder := postAsync(t, ts.URL, validBody(3))
+	g.wait(t)
+	a, b := postAsync(t, ts.URL, validBody(4)), postAsync(t, ts.URL, validBody(4))
+	waitFor(t, func() bool { return s.queueLen.Load() == 2 })
+	g.release()
+	servedBatch(t, holder)
+	for _, ch := range []<-chan postResult{a, b} {
+		out := servedBatch(t, ch)
 		if out.Batch.Reason != "size" {
 			t.Errorf("flush_reason = %q, want size", out.Batch.Reason)
 		}
@@ -75,99 +205,82 @@ func TestFlushOnSize(t *testing.T) {
 	}
 }
 
-// TestFlushOnMaxWait: a lone request under a large BatchSize must not
-// wait for riders that never come — the MaxWait timer flushes a partial
-// batch of one.
-func TestFlushOnMaxWait(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) {
-		c.BatchSize = 64
-		c.MaxWait = 20 * time.Millisecond
-	})
-	start := time.Now()
-	resp, data := postPredict(t, ts.URL, validBody(3))
-	elapsed := time.Since(start)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	out := decodeResponse(t, data)
-	if out.Batch == nil || out.Batch.Reason != "timer" {
-		t.Fatalf("batch = %+v, want flush_reason timer", out.Batch)
-	}
-	if out.Batch.Items != 1 {
-		t.Errorf("batch items = %d, want 1 (partial flush)", out.Batch.Items)
-	}
-	if elapsed < 15*time.Millisecond {
-		t.Errorf("answered in %v, before the 20ms MaxWait elapsed", elapsed)
-	}
-	if elapsed > 2*time.Second {
-		t.Errorf("timer flush took %v", elapsed)
-	}
-}
-
-// TestFlushOnRows: a single request bigger than MaxBatchRows must form
-// its own batch and flush immediately on the row trigger — large
-// requests never stall behind the timer nor blow up a shared flush.
+// TestFlushOnRows: a request bigger than MaxBatchRows closes its batch
+// on the row cap the moment it arrives, even with the worker busy and
+// room left under BatchSize — a huge request never shares a flush past
+// the row bound.
 func TestFlushOnRows(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) {
+	g := newWorkerGate()
+	defer g.release()
+	s, ts := newTestServer(t, func(c *Config) {
+		c.Workers = 1
 		c.BatchSize = 64
 		c.MaxBatchRows = 8
-		c.MaxWait = time.Minute
+		c.inferHook = g.hook
 	})
-	resp, data := postPredict(t, ts.URL, validBody(10)) // 9 rows ≥ 8
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	out := decodeResponse(t, data)
-	if out.Batch == nil || out.Batch.Reason != "rows" {
+	holder := postAsync(t, ts.URL, validBody(3))
+	g.wait(t)
+	big := postAsync(t, ts.URL, validBody(10)) // 9 rows ≥ 8
+	waitFor(t, func() bool { return s.queueLen.Load() == 1 })
+	g.release()
+	servedBatch(t, holder)
+	out := servedBatch(t, big)
+	if out.Batch.Reason != "rows" {
 		t.Fatalf("batch = %+v, want flush_reason rows", out.Batch)
 	}
-	if out.Batch.Rows != 9 {
-		t.Errorf("batch rows = %d, want 9", out.Batch.Rows)
+	if out.Batch.Items != 1 || out.Batch.Rows != 9 {
+		t.Errorf("batch items/rows = %d/%d, want 1/9", out.Batch.Items, out.Batch.Rows)
 	}
 }
 
-// TestDrainFlushesPartialBatch: a request parked in an accumulating
-// batch must flush immediately when the drain begins, not wait out a
-// long MaxWait under a shutdown deadline.
+// TestDrainFlushesPartialBatch: a request parked in a pending batch
+// behind a busy worker when the drain begins is served as soon as the
+// worker frees — the batcher never holds a batch while a worker is
+// idle, so the drain needs no flush mode of its own.
 func TestDrainFlushesPartialBatch(t *testing.T) {
-	s, ts := newTestServer(t, func(c *Config) {
-		c.BatchSize = 64
-		c.MaxWait = time.Minute
+	g := newWorkerGate()
+	defer g.release()
+	s, err := New(Config{
+		Model: trainedModel(t), Addr: "127.0.0.1:0", Workers: 1, QueueDepth: 4,
+		BatchSize: 64, DrainTimeout: 10 * time.Second, inferHook: g.hook,
 	})
-	type result struct {
-		status int
-		body   []byte
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan result, 1)
-	go func() {
-		resp, data := postPredict(t, ts.URL, validBody(3))
-		done <- result{resp.StatusCode, data}
-	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- s.ListenAndServe(ctx) }()
+	waitFor(t, func() bool { return s.Addr() != "" })
+	url := "http://" + s.Addr()
+
+	holder := postAsync(t, url, validBody(3))
+	g.wait(t)
+	parked := postAsync(t, url, validBody(3))
 	waitFor(t, func() bool { return s.queueLen.Load() == 1 })
-	start := time.Now()
-	s.beginDrain()
+	cancel() // SIGTERM in the CLI
+	waitFor(t, s.draining.Load)
+	g.release()
+	servedBatch(t, holder)
+	out := servedBatch(t, parked)
+	if out.Batch.Reason != "idle" || out.Batch.Items != 1 {
+		t.Errorf("parked request batch = %+v, want a 1-item idle flush", out.Batch)
+	}
 	select {
-	case r := <-done:
-		if r.status != http.StatusOK {
-			t.Fatalf("status %d: %s", r.status, r.body)
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("drain returned %v, want nil", err)
 		}
-		out := decodeResponse(t, r.body)
-		if out.Batch == nil || out.Batch.Reason != "drain" {
-			t.Fatalf("batch = %+v, want flush_reason drain", out.Batch)
-		}
-		if el := time.Since(start); el > 2*time.Second {
-			t.Errorf("drain flush took %v", el)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("parked request not flushed by drain")
+	case <-time.After(10 * time.Second):
+		t.Fatal("ListenAndServe did not return after drain")
 	}
 }
 
 // TestReloadMidBatchGeneration is the torn-batch race: a hot-reload
-// lands while a batch is still accumulating. The flush loads the model
-// state exactly once, so every item in the batch — including the one
-// admitted BEFORE the reload — must serve from one coherent model and
-// report the same (new) generation.
+// lands while a batch is still accumulating behind a busy worker. The
+// flush loads the model state exactly once, so every item in the batch
+// — including the one admitted BEFORE the reload — must serve from one
+// coherent model and report the same (new) generation.
 func TestReloadMidBatchGeneration(t *testing.T) {
 	dir := t.TempDir()
 	m2, err := trainModel(41)
@@ -175,35 +288,32 @@ func TestReloadMidBatchGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := writeModelFile(t, dir, "v2.tevot", m2)
+	g := newWorkerGate()
+	defer g.release()
 	s, ts := newTestServer(t, func(c *Config) {
+		c.Workers = 1
 		c.BatchSize = 2
-		c.MaxWait = time.Minute
+		c.inferHook = g.hook
 	})
-	type result struct {
-		status int
-		body   []byte
-	}
-	results := make(chan result, 2)
-	post := func() {
-		resp, data := postPredict(t, ts.URL, validBody(3))
-		results <- result{resp.StatusCode, data}
-	}
-	go post() // parks in the accumulating batch
+	holder := postAsync(t, ts.URL, validBody(3)) // flushes on generation 1
+	g.wait(t)
+	first := postAsync(t, ts.URL, validBody(3)) // parks in the pending batch
 	waitFor(t, func() bool { return s.queueLen.Load() == 1 })
 	if _, err := s.Reload(path); err != nil {
 		t.Fatal(err)
 	}
-	go post() // second rider completes the batch and triggers the flush
-	for i := 0; i < 2; i++ {
-		r := <-results
-		if r.status != http.StatusOK {
-			t.Fatalf("status %d: %s", r.status, r.body)
-		}
-		out := decodeResponse(t, r.body)
+	second := postAsync(t, ts.URL, validBody(3)) // completes the batch
+	waitFor(t, func() bool { return s.queueLen.Load() == 2 })
+	g.release()
+	if out := servedBatch(t, holder); out.ModelGeneration != 1 {
+		t.Errorf("holder generation = %d, want 1 (flushed before the reload)", out.ModelGeneration)
+	}
+	for _, ch := range []<-chan postResult{first, second} {
+		out := servedBatch(t, ch)
 		if out.ModelGeneration != 2 {
 			t.Errorf("generation = %d, want 2 (flush must load the post-reload state once)", out.ModelGeneration)
 		}
-		if out.Batch == nil || out.Batch.Items != 2 {
+		if out.Batch.Items != 2 {
 			t.Errorf("batch = %+v, want 2 items in one flush", out.Batch)
 		}
 	}
@@ -214,9 +324,11 @@ func TestReloadMidBatchGeneration(t *testing.T) {
 // the batch — the surviving rider flushes in a batch of one, and
 // serve.batch_expired moves by exactly one.
 func TestBatchQueuedDeadline(t *testing.T) {
+	g := newWorkerGate()
+	defer g.release()
 	s, err := New(Config{
 		Model: trainedModel(t), Workers: 1, QueueDepth: 8,
-		BatchSize: 2, MaxWait: time.Minute,
+		BatchSize: 2, inferHook: g.hook,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,34 +338,38 @@ func TestBatchQueuedDeadline(t *testing.T) {
 	expiredBefore := mBatchExpired.Value()
 
 	pairs := workload.RandomInt(4, 3).Pairs
+	item := func(ctx context.Context) *batchItem {
+		return &batchItem{ctx: ctx, corner: cells.Corner{V: 0.88, T: 50},
+			pairs: pairs, rows: len(pairs) - 1, done: make(chan struct{}, 1)}
+	}
 	expiredCtx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	dead := &batchItem{ctx: expiredCtx, corner: cells.Corner{V: 0.88, T: 50},
-		pairs: pairs, rows: len(pairs) - 1, done: make(chan struct{}, 1)}
-	live := &batchItem{ctx: context.Background(), corner: cells.Corner{V: 0.88, T: 50},
-		pairs: pairs, rows: len(pairs) - 1, done: make(chan struct{}, 1)}
+	holder, dead, live := item(context.Background()), item(expiredCtx), item(context.Background())
 
+	if !u.admit(holder) {
+		t.Fatal("admission refused with an empty queue")
+	}
+	g.wait(t)
 	if !u.admit(dead) || !u.admit(live) {
 		t.Fatal("admission refused with an empty queue")
 	}
-	select {
-	case <-dead.done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("expired item never answered")
+	g.release()
+	for _, it := range []*batchItem{holder, dead, live} {
+		select {
+		case <-it.done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("item never answered")
+		}
 	}
 	if dead.err != context.DeadlineExceeded {
 		t.Errorf("expired item err = %v, want DeadlineExceeded", dead.err)
 	}
-	select {
-	case <-live.done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("live item never answered")
-	}
 	if live.err != nil {
 		t.Fatalf("live item failed: %v", live.err)
 	}
-	if live.batchItems != 1 {
-		t.Errorf("live item flushed in a %d-item batch, want 1 (expired rider removed)", live.batchItems)
+	if live.reason != flushSizeReason || live.batchItems != 1 {
+		t.Errorf("live item flushed on %q in a %d-item batch, want size and 1 (expired rider removed)",
+			live.reason, live.batchItems)
 	}
 	if len(live.delays) != live.rows {
 		t.Errorf("live item got %d delays, want %d", len(live.delays), live.rows)
@@ -264,68 +380,62 @@ func TestBatchQueuedDeadline(t *testing.T) {
 	waitFor(t, func() bool { return s.queueLen.Load() == 0 })
 }
 
-// TestRetryAfterDerived pins the Retry-After derivation to the flush
-// interval — (backlog/batch + 1) flush cycles, in whole seconds,
+// TestRetryAfterDerived pins the Retry-After derivation to the measured
+// flush duration — (backlog/batch + 1) flushes, in whole seconds,
 // clamped to [1, 60] — and checks a real shed response carries it.
 func TestRetryAfterDerived(t *testing.T) {
 	cases := []struct {
-		maxWait time.Duration
-		queued  int64
-		batch   int
-		want    int
+		flush  time.Duration
+		queued int64
+		batch  int
+		want   int
 	}{
 		{2 * time.Millisecond, 0, 32, 1},    // sub-second clamps up to 1
-		{2 * time.Second, 0, 32, 2},         // one flush interval
+		{2 * time.Second, 0, 32, 2},         // one flush
 		{2 * time.Second, 64, 32, 6},        // 2 backlog flushes + 1
 		{3 * time.Second, 1, 1, 6},          // batch=1: one flush per item
 		{1500 * time.Millisecond, 0, 32, 2}, // rounds up to whole seconds
 		{30 * time.Second, 100, 1, 60},      // clamps at 60
 		{time.Second, -5, 0, 1},             // degenerate inputs stay sane
+		{0, 10, 1, 1},                       // no flush measured yet
 	}
 	for _, tc := range cases {
-		if got := retryAfterSecs(tc.maxWait, tc.queued, tc.batch); got != tc.want {
+		if got := retryAfterSecs(tc.flush, tc.queued, tc.batch); got != tc.want {
 			t.Errorf("retryAfterSecs(%v, %d, %d) = %d, want %d",
-				tc.maxWait, tc.queued, tc.batch, got, tc.want)
+				tc.flush, tc.queued, tc.batch, got, tc.want)
 		}
 	}
 
 	// End to end: one worker gated, one item queued, third request shed.
-	// With MaxWait=3s, batch=1, backlog=1 the header must say 6, not a
-	// constant.
-	entered := make(chan struct{}, 4)
-	gate := make(chan struct{})
-	defer close(gate)
+	// With a 3s last flush, batch=1 and backlog=1 the header must say 6,
+	// not a constant.
+	g := newWorkerGate()
+	defer g.release()
 	s, ts := newTestServer(t, func(c *Config) {
 		c.Workers = 1
 		c.QueueDepth = 1
 		c.BatchSize = 1
-		c.MaxWait = 3 * time.Second
-		c.inferHook = func(ctx context.Context) error {
-			entered <- struct{}{}
-			<-gate
-			return nil
-		}
+		c.inferHook = g.hook
 	})
-	bgPost := func() {
-		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(validBody(3)))
-		if err == nil {
-			readAll(t, resp)
-		}
-	}
-	go bgPost() // occupies the worker
-	select {
-	case <-entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker never picked up the first request")
-	}
-	go bgPost() // queued behind it
+	u := s.units[0]
+	holder := postAsync(t, ts.URL, validBody(3)) // occupies the worker
+	g.wait(t)
+	queued := postAsync(t, ts.URL, validBody(3))
 	waitFor(t, func() bool { return s.queueLen.Load() == 1 })
+	u.lastFlush.Store(int64(3 * time.Second)) // as if the previous flush took 3s
 	resp, data := postPredict(t, ts.URL, validBody(3))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", resp.StatusCode, data)
 	}
 	if got := resp.Header.Get("Retry-After"); got != "6" {
-		t.Errorf("Retry-After = %q, want 6 (derived from 3s flush interval, backlog 1)", got)
+		t.Errorf("Retry-After = %q, want 6 (derived from a 3s flush, backlog 1)", got)
+	}
+	g.release()
+	servedBatch(t, holder)
+	servedBatch(t, queued)
+	// The holder's completed flush stored its own measured duration.
+	if d := time.Duration(u.lastFlush.Load()); d <= 0 || d == 3*time.Second {
+		t.Errorf("last flush duration = %v after real flushes, want a measured positive value", d)
 	}
 }
 
@@ -483,7 +593,7 @@ func TestAccountingIdentityPerFU(t *testing.T) {
 			{Model: trainedModel(t)},
 			{Model: trainedMulModel(t)},
 		},
-		Workers: 2, QueueDepth: 8, BatchSize: 4, MaxWait: time.Millisecond,
+		Workers: 2, QueueDepth: 8, BatchSize: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -548,12 +658,27 @@ func TestAccountingIdentityPerFU(t *testing.T) {
 // TestServeBatchHotPathAllocs pins the coalescer hot path —
 // enqueue → accumulate → flush → scatter — at zero allocations per
 // item in steady state: recycled batch structs, reusable worker
-// buffers, and delay slices reused in place.
+// buffers, and delay slices reused in place. Each run drives all three
+// flush paths: a lone item taken by the idle worker, a full batch that
+// leaves on the size cap while the worker is busy, and the riders
+// queued behind it, which the worker takes as an idle batch next.
 func TestServeBatchHotPathAllocs(t *testing.T) {
-	const items = 8
+	const (
+		size  = 8 // BatchSize
+		extra = 3 // riders queued behind the full batch
+		total = 1 + size + extra
+	)
+	// Buffered for every hook call of one run, so neither side blocks
+	// on the other's bookkeeping.
+	entered := make(chan struct{}, total)
+	proceed := make(chan struct{}, total)
 	s, err := New(Config{
-		Model: trainedModel(t), Workers: 1, QueueDepth: 32,
-		BatchSize: items, MaxWait: time.Minute,
+		Model: trainedModel(t), Workers: 1, QueueDepth: 32, BatchSize: size,
+		inferHook: func(context.Context) error {
+			entered <- struct{}{}
+			<-proceed
+			return nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -562,7 +687,7 @@ func TestServeBatchHotPathAllocs(t *testing.T) {
 	u := s.units[0]
 
 	pairs := workload.RandomInt(4, 9).Pairs
-	its := make([]*batchItem, items)
+	its := make([]*batchItem, total)
 	for i := range its {
 		its[i] = &batchItem{
 			ctx:    context.Background(),
@@ -573,10 +698,20 @@ func TestServeBatchHotPathAllocs(t *testing.T) {
 		}
 	}
 	run := func() {
-		for _, it := range its {
+		if !u.admit(its[0]) {
+			t.Fatal("admission refused")
+		}
+		<-entered // the worker holds the lone item
+		for _, it := range its[1:] {
 			if !u.admit(it) {
 				t.Fatal("admission refused")
 			}
+		}
+		for range its {
+			proceed <- struct{}{}
+		}
+		for range its[1:] {
+			<-entered
 		}
 		for _, it := range its {
 			<-it.done
@@ -586,9 +721,21 @@ func TestServeBatchHotPathAllocs(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(200, run)
-	if perItem := allocs / items; perItem != 0 {
-		t.Errorf("coalescer hot path allocates %.3f allocs/op per item (%.1f per %d-item batch), want 0",
-			perItem, allocs, items)
+	if perItem := allocs / total; perItem != 0 {
+		t.Errorf("coalescer hot path allocates %.3f allocs/op per item (%.1f per %d-item run), want 0",
+			perItem, allocs, total)
+	}
+	for i, it := range its {
+		reason, items := flushIdleReason, 1
+		switch {
+		case i > size:
+			items = extra
+		case i > 0:
+			reason, items = flushSizeReason, size
+		}
+		if it.reason != reason || it.batchItems != items {
+			t.Errorf("item %d flushed on %q in a %d-item batch, want %q and %d", i, it.reason, it.batchItems, reason, items)
+		}
 	}
 }
 

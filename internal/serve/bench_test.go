@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"tevot/internal/cells"
 	"tevot/internal/circuits"
@@ -66,10 +65,7 @@ func BenchmarkServeBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s, err := New(Config{
-				Model: model, Workers: 1, QueueDepth: 2 * bs,
-				BatchSize: bs, MaxWait: 100 * time.Millisecond,
-			})
+			s, err := New(Config{Model: model, Workers: 1, QueueDepth: 2 * bs, BatchSize: bs})
 			if err != nil {
 				b.Fatal(err)
 			}

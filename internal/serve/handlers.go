@@ -84,13 +84,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// shed answers 429 with a Retry-After derived from the unit's current
-// flush interval: enough whole seconds for the present backlog to clear
-// at one batch per MaxWait (see retryAfterSecs).
+// shed answers 429 with a Retry-After derived from the unit's last
+// measured flush duration: enough whole seconds for the present backlog
+// to clear at one batch per flush (see retryAfterSecs).
 func (s *Server) shed(u *unit, w http.ResponseWriter, code, msg string) {
 	u.met.shed.Inc()
 	mShed.Inc()
-	secs := retryAfterSecs(s.cfg.MaxWait, u.queueLen.Load(), s.cfg.BatchSize)
+	secs := retryAfterSecs(time.Duration(u.lastFlush.Load()), u.queueLen.Load(), s.cfg.BatchSize)
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	WriteError(w, http.StatusTooManyRequests, code, msg)
 }

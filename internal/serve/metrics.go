@@ -36,10 +36,9 @@ var (
 	// batch_expired per request answered dead-in-queue (its context
 	// expired before the flush, so it is removed from the batch instead
 	// of paying inference for a gone caller).
+	mFlushIdle    = obs.NewCounter("serve.flush_idle")
 	mFlushSize    = obs.NewCounter("serve.flush_size")
 	mFlushRows    = obs.NewCounter("serve.flush_rows")
-	mFlushTimer   = obs.NewCounter("serve.flush_timer")
-	mFlushDrain   = obs.NewCounter("serve.flush_drain")
 	mBatchExpired = obs.NewCounter("serve.batch_expired")
 
 	gQueueDepth = obs.NewGauge("serve.queue_depth")

@@ -6,19 +6,23 @@
 // decisions online. It is stdlib-only (net/http) and built around the
 // failure modes a production predictor actually meets:
 //
-//   - request coalescing: individual /v1/predict calls accumulate into
-//     a shared batch per functional unit, flushed on size, row, or
-//     MaxWait triggers (whichever first) so one forest call amortizes
-//     over many callers; each response carries its batch's timing
-//     breakdown (queued_at, flushed_at, inference_us, flush_reason);
+//   - request coalescing: individual /v1/predict calls join a shared
+//     batch per functional unit, which the first idle worker takes
+//     (flush reason idle), so a batch never waits while a worker is
+//     free and riders accumulate only while every worker is busy; a
+//     batch that reaches BatchSize requests (size) or MaxBatchRows
+//     predicted cycles (rows) waits for the next free worker, and one
+//     forest call amortizes over every rider; each response carries
+//     its batch's timing breakdown (queued_at, flushed_at,
+//     inference_us, flush_reason);
 //   - per-FU model sharding: each functional unit's model serves from
 //     its own shard (coalescer + worker slice + hot-reload generation)
 //     behind one mux: /v1/predict/{fu} routes by unit, /v1/predict
 //     keeps the legacy single-model contract on the default unit;
 //   - admission control: a bounded per-unit queue; when the unit is
 //     full the request is shed immediately with 429 + a Retry-After
-//     derived from the current flush interval, instead of queueing
-//     unboundedly;
+//     derived from the backlog and the unit's last measured flush
+//     duration, instead of queueing unboundedly;
 //   - per-request deadlines: the request context carries a server-side
 //     timeout into the batch; a request that expires while queued is
 //     answered 503 before the flush and removed from the batch;
@@ -26,10 +30,11 @@
 //     4xx errors for malformed, non-finite, or wrong-dimension inputs;
 //   - panic isolation: recovery middleware (handler goroutines) and
 //     worker-side recovery keep the process serving after a panic;
-//   - graceful drain: readiness flips to draining, in-flight partial
-//     batches flush immediately, in-flight requests complete under a
-//     drain deadline, workers stop, and the process exits through
-//     obs.Run so manifests and profiles survive;
+//   - graceful drain: readiness flips to draining, in-flight requests
+//     complete under a drain deadline (no batch is ever held while a
+//     worker is idle, so none needs a drain flush), workers stop, and
+//     the process exits through obs.Run so manifests and profiles
+//     survive;
 //   - validated hot-reload: a new model gob is decoded into a side
 //     buffer, validated (FU/dimension match, finite predictions on a
 //     probe batch), then swapped atomically per unit; a flush loads the
@@ -90,18 +95,14 @@ type Config struct {
 	// number of requests queued or accumulating but not yet dispatched
 	// to a worker. A full unit sheds with 429.
 	QueueDepth int
-	// BatchSize flushes a unit's accumulating batch when this many
-	// requests have coalesced (default 32). 1 disables coalescing:
-	// every request flushes alone, immediately.
+	// BatchSize caps the requests one batch coalesces (default 32); a
+	// full batch waits for the next free worker. 1 disables coalescing:
+	// every request flushes alone.
 	BatchSize int
-	// MaxBatchRows flushes when the accumulated predicted cycles reach
-	// this bound (default 8192), so a few huge requests cannot hold a
-	// batch open or blow up the flush's working set.
+	// MaxBatchRows caps the predicted cycles one batch holds (default
+	// 8192), so a few huge requests cannot blow up the flush's working
+	// set.
 	MaxBatchRows int
-	// MaxWait bounds how long the first request in a batch waits for
-	// riders before the batch flushes anyway (default 2ms). This is the
-	// latency price of coalescing under light load.
-	MaxWait time.Duration
 	// RequestTimeout is the server-side per-request deadline applied to
 	// /v1/predict (default 5s). Expiry answers 503.
 	RequestTimeout time.Duration
@@ -136,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatchRows <= 0 {
 		c.MaxBatchRows = 8192
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
@@ -178,9 +176,7 @@ type Server struct {
 
 	queueLen atomic.Int64 // aggregate across units (serve.queue_depth)
 	stopCh   chan struct{}
-	drainCh  chan struct{}
 	stopOnce sync.Once
-	drainOnce sync.Once
 	wg       sync.WaitGroup
 
 	itemPool sync.Pool // *batchItem
@@ -205,10 +201,9 @@ func New(cfg Config) (*Server, error) {
 		models = []ModelEntry{{Model: cfg.Model, Path: cfg.ModelPath}}
 	}
 	s := &Server{
-		cfg:     cfg,
-		byFU:    make(map[string]*unit, len(models)),
-		stopCh:  make(chan struct{}),
-		drainCh: make(chan struct{}),
+		cfg:    cfg,
+		byFU:   make(map[string]*unit, len(models)),
+		stopCh: make(chan struct{}),
 	}
 	s.itemPool.New = func() any {
 		return &batchItem{done: make(chan struct{}, 1)}
@@ -245,8 +240,7 @@ func New(cfg Config) (*Server, error) {
 	obs.Logger("serve").Info("prediction server ready",
 		"fus", fus, "units", len(s.units),
 		"workers_per_unit", perUnit, "queue", cfg.QueueDepth,
-		"batch_size", cfg.BatchSize, "max_wait", cfg.MaxWait,
-		"max_batch_rows", cfg.MaxBatchRows,
+		"batch_size", cfg.BatchSize, "max_batch_rows", cfg.MaxBatchRows,
 		"request_timeout", cfg.RequestTimeout)
 	return s, nil
 }
@@ -257,13 +251,6 @@ func (s *Server) Addr() string {
 		return *p
 	}
 	return ""
-}
-
-// beginDrain flips every unit's coalescer into flush-immediately mode:
-// in-flight partial batches dispatch now instead of waiting out
-// MaxWait, and every straggler flushes alone. Idempotent.
-func (s *Server) beginDrain() {
-	s.drainOnce.Do(func() { close(s.drainCh) })
 }
 
 // Close stops the coalescers and worker pools immediately; residual
@@ -277,10 +264,10 @@ func (s *Server) Close() {
 
 // ListenAndServe binds cfg.Addr and serves until ctx is cancelled
 // (SIGINT/SIGTERM in the CLI), then drains gracefully: readiness flips
-// to draining, in-flight partial batches flush, the listener stops
-// accepting, in-flight requests get DrainTimeout to finish, the worker
-// pools stop, and the method returns — nil on a clean drain so the
-// caller can exit 0 through obs.Run with the manifest intact.
+// to draining, the listener stops accepting, in-flight requests get
+// DrainTimeout to finish, the worker pools stop, and the method returns
+// — nil on a clean drain so the caller can exit 0 through obs.Run with
+// the manifest intact.
 func (s *Server) ListenAndServe(ctx context.Context) error {
 	lis, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
@@ -318,9 +305,6 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 func (s *Server) drain(srv *http.Server) error {
 	s.draining.Store(true)
 	gDraining.Set(1)
-	// Flush pending partial batches before the listener closes so no
-	// admitted request waits out MaxWait during shutdown.
-	s.beginDrain()
 	log := obs.Logger("serve")
 	log.Info("draining", "deadline", s.cfg.DrainTimeout, "in_queue", s.queueLen.Load())
 	dctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
@@ -364,7 +348,6 @@ func (s *Server) Progress() any {
 		"queue_depth":    s.queueLen.Load(),
 		"queue_capacity": s.cfg.QueueDepth,
 		"batch_size":     s.cfg.BatchSize,
-		"max_wait":       s.cfg.MaxWait.String(),
 		"served":         mServed.Value(),
 		"shed":           mShed.Value(),
 		"timeouts":       mTimeouts.Value(),

@@ -23,9 +23,9 @@ go test -run 'TestMetricsExpositionSmoke' ./cmd/tevot-sweep
 echo "== serve smoke: boot, predict, shed under tiny queue, corrupt reload, SIGTERM drain"
 go test -run 'TestServeAbuseSmoke' ./cmd/tevot-serve
 
-echo "== coalescer: flush policy, queued deadlines, drain, torn-model guard, 0-alloc hot path (race)"
+echo "== coalescer: flush policy, riders behind busy workers, queued deadlines, drain, torn-model guard, 0-alloc hot path (race)"
 go test -race -run \
-	'TestFlushOn|TestDrainFlushesPartialBatch|TestBatchQueuedDeadline|TestReloadMidBatchGeneration|TestRetryAfterDerived|TestPerFU|TestAccountingIdentityPerFU' \
+	'TestFlushOn|TestRidersLeaveInNextFlush|TestDrainFlushesPartialBatch|TestBatchQueuedDeadline|TestReloadMidBatchGeneration|TestRetryAfterDerived|TestPerFU|TestAccountingIdentityPerFU' \
 	./internal/serve
 go test -run 'TestServeBatchHotPathAllocs' ./internal/serve
 

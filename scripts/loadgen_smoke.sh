@@ -2,7 +2,7 @@
 # Loadgen smoke drill, run as real processes:
 #
 #   1. train a small INT_ADD model and boot tevot-serve with coalescing
-#      on (-batch 8, 1ms max wait);
+#      on (-batch 8);
 #   2. drive it with tevot-loadgen through a short two-step ramp;
 #   3. assert the loadgen exits 0 and its JSON report recorded OK
 #      completions;
@@ -35,9 +35,9 @@ echo "-- training a small INT_ADD model"
 	-run-json "$TMP/train-run.json" >/dev/null 2>"$TMP/train.log" || {
 	echo "FAIL: training"; cat "$TMP/train.log"; exit 1; }
 
-echo "-- booting tevot-serve (batch 8, 1ms wait)"
+echo "-- booting tevot-serve (batch 8)"
 "$TMP/tevot-serve" -model "$TMP/int_add.tevot" -addr 127.0.0.1:0 \
-	-batch 8 -batch-wait 1ms -workers 2 -queue 64 \
+	-batch 8 -workers 2 -queue 64 \
 	-run-json "$TMP/serve-run.json" >/dev/null 2>"$TMP/serve.log" &
 SERVE_PID=$!
 
