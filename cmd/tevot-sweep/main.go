@@ -17,6 +17,8 @@
 //     writing the merged JSONL to -out;
 //   - -join URL turns this process into a worker of that coordinator
 //     (grid flags are ignored — the spec comes from the coordinator);
+//     -id names it stably, so a restarted worker releases its stale
+//     leases at once;
 //   - -cluster N runs coordinator plus N workers in one process (the
 //     drill/test mode).
 //
@@ -27,6 +29,7 @@
 //	tevot-sweep -grid -checkpoint fig3.ckpt -resume   # after a kill
 //	tevot-sweep -grid -coordinator 127.0.0.1:7077 -checkpoint j.jsonl -out fig3.jsonl
 //	tevot-sweep -join http://127.0.0.1:7077
+//	tevot-sweep -join http://10.0.0.5:7077 -id rack3-a -task-timeout 10m
 //	tevot-sweep -cluster 3 -out fig3.jsonl
 //
 // Fault drills (internal/chaos): -chaos-seed N arms a deterministic
@@ -85,6 +88,7 @@ func main() {
 
 		coordAddr = flag.String("coordinator", "", "run as distributed-sweep coordinator on this address (e.g. 127.0.0.1:7077)")
 		joinURL   = flag.String("join", "", "run as a worker of the coordinator at this URL (e.g. http://127.0.0.1:7077)")
+		workerID  = flag.String("id", "", "with -join: stable worker identity (default w-<hostname>-<pid>); reuse after a restart to release stale leases instantly")
 		clusterN  = flag.Int("cluster", 0, "run an in-process local cluster with this many workers")
 		outPath   = flag.String("out", "", "write merged result JSONL (canonical order; byte-identical across all modes)")
 		leaseTTL  = flag.Duration("lease-ttl", 10*time.Second, "coordinator: lease TTL (workers renew at TTL/3)")
@@ -129,7 +133,7 @@ func main() {
 		coordinatorMain(obsFlags, spec, *coordAddr, *leaseTTL, *ckpt, *resume, *outPath, *seed, sched)
 		return
 	case *joinURL != "":
-		workerMain(obsFlags, *joinURL, *taskTO, *retries, *seed, sched)
+		workerMain(obsFlags, *joinURL, *workerID, *taskTO, *retries, *seed, sched)
 		return
 	case *clusterN > 0:
 		clusterMain(obsFlags, spec, *clusterN, *leaseTTL, *ckpt, *resume, *outPath, *taskTO, *retries, *seed, sched)
@@ -360,7 +364,7 @@ func coordinatorMain(obsFlags *obs.Flags, spec dist.Spec, addr string, ttl time.
 }
 
 // workerMain joins a coordinator as one worker process.
-func workerMain(obsFlags *obs.Flags, url string, taskTO time.Duration, retries int, seed int64, sched *chaos.Schedule) {
+func workerMain(obsFlags *obs.Flags, url, id string, taskTO time.Duration, retries int, seed int64, sched *chaos.Schedule) {
 	run, err := obsFlags.Start("tevot-sweep-worker", seed, runner.LiveProgress)
 	if err != nil {
 		log.Fatal(err) // lint:allow-raw-print (before obs.Start; no run manifest yet)
@@ -371,6 +375,7 @@ func workerMain(obsFlags *obs.Flags, url string, taskTO time.Duration, retries i
 	defer stop()
 
 	wcfg := dist.WorkerConfig{
+		ID:          id,
 		Coordinator: url,
 		TaskTimeout: taskTO,
 		Retries:     retries,

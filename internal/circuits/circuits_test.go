@@ -115,18 +115,18 @@ func fpCases() [][2]uint32 {
 	return [][2]uint32{
 		{f(1), f(1)}, {f(1.5), f(-1.5)}, {f(1e30), f(-1e30)},
 		{f(3.14159), f(2.71828)}, {f(1e-38), f(1e-38)},
-		{f(1e38), f(1e38)},                      // overflow
-		{f(1.1754944e-38), f(1.1754944e-38)},    // min normal
+		{f(1e38), f(1e38)},                       // overflow
+		{f(1.1754944e-38), f(1.1754944e-38)},     // min normal
 		{0, 0}, {1 << 31, 0}, {f(-0.5), 1 << 31}, // signed zeros
-		{f(1), 1}, {1, 2},                        // subnormal operands (flushed)
-		{f(8388608), f(1)},                       // 2^23 + 1: alignment edge
-		{f(16777216), f(1)},                      // 2^24 + 1: aligned bit lost
-		{f(1), f(1.0000001)},                     // near-total cancellation (sub)
+		{f(1), 1}, {1, 2}, // subnormal operands (flushed)
+		{f(8388608), f(1)},   // 2^23 + 1: alignment edge
+		{f(16777216), f(1)},  // 2^24 + 1: aligned bit lost
+		{f(1), f(1.0000001)}, // near-total cancellation (sub)
 		{f(-1), f(1.0000001)},
 		{f(65504), f(0.00003051)},
-		{0x7f800000, f(1)},       // +Inf encoding flows through
-		{0x7fc00000, f(1)},       // NaN encoding flows through as a value
-		{f(2), f(-2)},            // exact cancellation
+		{0x7f800000, f(1)}, // +Inf encoding flows through
+		{0x7fc00000, f(1)}, // NaN encoding flows through as a value
+		{f(2), f(-2)},      // exact cancellation
 		{f(0.75), f(0.25)}, {f(-0.75), f(0.25)},
 	}
 }

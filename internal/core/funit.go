@@ -57,13 +57,22 @@ func NewFUnit(fu circuits.FU) (*FUnit, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newFUnit(fu, nl), nil
+}
+
+// newFUnit wraps a built netlist. It builds the netlist's derived views
+// (topological order and CSR) before the unit can be shared: those
+// caches are not synchronized, so concurrent shards would otherwise
+// race to build them in their first NewRunner.
+func newFUnit(fu circuits.FU, nl *netlist.Netlist) *FUnit {
+	nl.CSR()
 	return &FUnit{
 		FU:    fu,
 		NL:    nl,
 		Opts:  sta.DefaultOptions(),
 		cache: make(map[cells.Corner]*sta.Result),
 		base:  make(map[cells.Corner]float64),
-	}, nil
+	}
 }
 
 // Static returns (and caches) the STA result at a corner. Concurrent
@@ -246,13 +255,7 @@ func NewFUnitFromNetlist(fu circuits.FU, nl *netlist.Netlist) (*FUnit, error) {
 	if err := nl.Validate(); err != nil {
 		return nil, err
 	}
-	return &FUnit{
-		FU:    fu,
-		NL:    nl,
-		Opts:  sta.DefaultOptions(),
-		cache: make(map[cells.Corner]*sta.Result),
-		base:  make(map[cells.Corner]float64),
-	}, nil
+	return newFUnit(fu, nl), nil
 }
 
 // NewFUnits builds all four functional units.

@@ -169,27 +169,6 @@ func (m *Model) PredictRowsInto(dst []float64, X [][]float64) error {
 	return nil
 }
 
-// PredictDelaysPairsInto is the zero-allocation serving path: it
-// predicts the dynamic delay of cycle i (pairs[i+1] applied after
-// pairs[i]) for i in [0, len(pairs)-1), writing into dst. X is caller
-// scratch of at least len(pairs)-1 rows, each of width Dim(); row
-// contents are overwritten. Neither dst nor X are retained. The steady
-// state allocates nothing, so a prediction server can hold one buffer
-// set per worker and stay off the garbage collector entirely.
-func (m *Model) PredictDelaysPairsInto(dst []float64, X [][]float64, corner cells.Corner, pairs []workload.OperandPair) error {
-	n := len(pairs) - 1
-	if n < 1 {
-		return fmt.Errorf("core: need at least 2 operand pairs, got %d", len(pairs))
-	}
-	if len(dst) < n {
-		return fmt.Errorf("core: dst holds %d delays, need %d", len(dst), n)
-	}
-	if err := m.FillFeatureRows(X[:n], corner, pairs); err != nil {
-		return err
-	}
-	return m.PredictRowsInto(dst[:n], X[:n])
-}
-
 // PredictDelays estimates the dynamic delay of every cycle of a stream.
 func (m *Model) PredictDelays(corner cells.Corner, s *workload.Stream) ([]float64, error) {
 	if s.Len() < 2 {

@@ -7,9 +7,9 @@ import (
 	"testing/quick"
 )
 
-func f32(bits uint32) float32  { return math.Float32frombits(bits) }
-func b32(f float32) uint32     { return math.Float32bits(f) }
-func isFinite(f float32) bool  { return !math.IsInf(float64(f), 0) && !math.IsNaN(float64(f)) }
+func f32(bits uint32) float32 { return math.Float32frombits(bits) }
+func b32(f float32) uint32    { return math.Float32bits(f) }
+func isFinite(f float32) bool { return !math.IsInf(float64(f), 0) && !math.IsNaN(float64(f)) }
 func isNormal(bits uint32) bool {
 	e := bits >> 23 & 0xff
 	return e != 0 && e != 255

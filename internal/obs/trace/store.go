@@ -21,7 +21,7 @@ type Store struct {
 	capSlow   int
 
 	active      map[TraceID]*traceRec
-	activeOrder []TraceID  // insertion order, for eviction
+	activeOrder []TraceID   // insertion order, for eviction
 	recent      []*traceRec // newest last; len <= capRecent
 	slow        []*traceRec // slowest first; len <= capSlow
 

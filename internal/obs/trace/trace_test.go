@@ -124,12 +124,12 @@ func TestParseHeaderStrict(t *testing.T) {
 		"",
 		good + "x",
 		good[:54],
-		"01" + good[2:],                     // wrong version
-		strings.Replace(good, "-", "_", 1),  // wrong separator
-		strings.ToUpper(good),               // uppercase hex
-		FormatHeader(TraceID{}, SpanID{2}),  // zero trace ID
-		FormatHeader(TraceID{1}, SpanID{}),  // zero span ID
-		good[:53] + "zz",                    // non-hex flags
+		"01" + good[2:],                    // wrong version
+		strings.Replace(good, "-", "_", 1), // wrong separator
+		strings.ToUpper(good),              // uppercase hex
+		FormatHeader(TraceID{}, SpanID{2}), // zero trace ID
+		FormatHeader(TraceID{1}, SpanID{}), // zero span ID
+		good[:53] + "zz",                   // non-hex flags
 	}
 	for _, v := range bad {
 		if _, _, ok := ParseHeader(v); ok {

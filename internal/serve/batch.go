@@ -12,15 +12,17 @@ import (
 	"tevot/internal/workload"
 )
 
-// The request coalescer. Individual /v1/predict calls enqueue one
-// batchItem each into their functional unit's pending batch; the unit's
-// batcher goroutine hands the batch to the first idle inference worker.
-// The policy is work-conserving: a batch never waits while a worker is
-// free, so riders accumulate only while every worker is busy, and they
-// all leave together in the next flush. BatchSize requests or
-// MaxBatchRows predicted cycles cap a batch; reaching a cap blocks the
-// batcher until a worker takes the batch. One flush runs one forest
-// call over every live item's feature rows (each item keeps its own
+// The request coalescer. Each /v1/predict call admits one batchItem
+// into its functional unit's queue, a buffered channel QueueDepth deep,
+// and every worker of the unit blocks on that channel. The first
+// request wakes a worker, which then takes whatever is already queued
+// behind it with non-blocking receives, stopping when the queue is
+// empty (flush reason idle) or a cap is reached (BatchSize requests,
+// size; MaxBatchRows predicted cycles, rows), and flushes. The policy is
+// work-conserving: a request never waits while a worker is free, so
+// riders accumulate only while every worker is busy, and the next
+// worker to free takes them together. One flush runs one forest call
+// over every live item's feature rows (each item keeps its own
 // operating corner; rows are packed contiguously) and scatters the
 // delays back, so under load the amortized cost per request approaches
 // the SoA batch path's per-row cost instead of paying per-call overhead
@@ -37,9 +39,9 @@ import (
 type flushReason string
 
 const (
-	flushIdleReason flushReason = "idle" // a worker was free
-	flushSizeReason flushReason = "size" // BatchSize requests accumulated
-	flushRowsReason flushReason = "rows" // MaxBatchRows predicted cycles accumulated
+	flushIdleReason flushReason = "idle" // the queue emptied before a cap
+	flushSizeReason flushReason = "size" // BatchSize requests taken
+	flushRowsReason flushReason = "rows" // MaxBatchRows predicted cycles taken
 )
 
 func (r flushReason) counter() *obs.Counter {
@@ -53,9 +55,9 @@ func (r flushReason) counter() *obs.Counter {
 	}
 }
 
-// batchItem is one admitted request's slot in an accumulating batch.
-// The result fields are written by the flushing worker before done is
-// signalled and must not be read before then.
+// batchItem is one admitted request's slot in the queue, then in a
+// worker's batch. The result fields are written by the flushing worker
+// before done is signalled and must not be read before then.
 type batchItem struct {
 	ctx      context.Context
 	corner   cells.Corner
@@ -81,9 +83,8 @@ func (it *batchItem) finish(err error) {
 	it.done <- struct{}{}
 }
 
-// batch is one accumulating (then flushing) set of items. Batches are
-// recycled through the unit's free list so the steady state allocates
-// nothing.
+// batch is the set of items one worker takes and flushes. Each worker
+// reuses a single batch, so the steady state allocates nothing.
 type batch struct {
 	items  []*batchItem
 	rows   int
@@ -91,7 +92,7 @@ type batch struct {
 }
 
 // unit is one functional unit's serving shard: its own model state,
-// admission queue, coalescer, and worker slice behind the shared mux.
+// admission queue, and worker slice behind the shared mux.
 type unit struct {
 	srv   *Server
 	fu    string // model FU name; also the /v1/predict/{fu} route key
@@ -101,10 +102,7 @@ type unit struct {
 	gQueue *obs.Gauge
 	gGen   *obs.Gauge
 
-	queue     chan *batchItem // admission: handlers → batcher
-	queueLen  atomic.Int64    // queued-or-accumulating (not yet dispatched) items
-	batches   chan *batch     // batcher → workers, unbuffered handoff
-	free      chan *batch     // recycled batch structs
+	queue     chan *batchItem // admission: handlers → workers, QueueDepth deep
 	workers   int
 	lastFlush atomic.Int64 // duration of the latest completed flush, ns (Retry-After)
 	reloadMu  sync.Mutex   // serializes this unit's hot-reloads
@@ -119,173 +117,104 @@ func newUnit(s *Server, st *modelState, workers int) *unit {
 		gQueue:  obs.NewGauge("serve.fu." + fu + ".queue_depth"),
 		gGen:    obs.NewGauge("serve.fu." + fu + ".model_generation"),
 		queue:   make(chan *batchItem, s.cfg.QueueDepth),
-		batches: make(chan *batch),
-		free:    make(chan *batch, workers+2),
 		workers: workers,
 	}
 	u.state.Store(st)
 	u.gGen.Set(float64(st.generation))
 	u.gQueue.Set(0)
-	// Seed the free list with one batch per worker plus the one the
-	// batcher accumulates into: getBatch never allocates in steady
-	// state, whatever the dispatch/recycle interleaving.
-	for i := 0; i < workers+1; i++ {
-		u.free <- &batch{items: make([]*batchItem, 0, s.cfg.BatchSize+1)}
-	}
 	return u
 }
 
-// admit reserves a queue slot for the item, or reports the unit is full
-// (the caller sheds with 429). The bound counts every item the
-// coalescer holds but has not yet handed to a worker — queued in the
-// channel or accumulating in the batcher's pending batch — so admission
-// stays strictly bounded through batch boundaries.
+// admit queues the item, or reports the unit is full (the caller sheds
+// with 429). The bound is the channel's capacity: it counts the
+// requests waiting for a worker, not those a worker has already taken.
 func (u *unit) admit(it *batchItem) bool {
-	depth := int64(u.srv.cfg.QueueDepth)
-	for {
-		n := u.queueLen.Load()
-		if n >= depth {
-			return false
-		}
-		if u.queueLen.CompareAndSwap(n, n+1) {
-			u.gQueue.Set(float64(n + 1))
-			break
-		}
-	}
-	gQueueDepth.Set(float64(u.srv.queueLen.Add(1)))
 	it.queuedAt = time.Now()
-	// The counter reservation guarantees channel space: the channel
-	// holds at most the reserved count.
-	u.queue <- it
-	return true
-}
-
-// dequeued releases n admission reservations (their batch has been
-// handed to a worker).
-func (u *unit) dequeued(n int) {
-	u.gQueue.Set(float64(u.queueLen.Add(int64(-n))))
-	gQueueDepth.Set(float64(u.srv.queueLen.Add(int64(-n))))
-}
-
-func (u *unit) getBatch() *batch {
 	select {
-	case b := <-u.free:
-		return b
+	case u.queue <- it:
+		u.setDepthGauges()
+		return true
 	default:
-		return &batch{items: make([]*batchItem, 0, u.srv.cfg.BatchSize+1)}
+		return false
 	}
 }
 
-func (u *unit) putBatch(b *batch) {
-	for i := range b.items {
-		b.items[i] = nil
-	}
-	b.items = b.items[:0]
-	b.rows = 0
-	select {
-	case u.free <- b:
-	default:
-	}
+// setDepthGauges publishes the unit's and the server's queue depths.
+func (u *unit) setDepthGauges() {
+	u.gQueue.Set(float64(len(u.queue)))
+	gQueueDepth.Set(float64(u.srv.queued()))
 }
 
-// batcher owns the unit's pending batch. It is the only goroutine that
-// touches the pending batch, so the flush policy needs no locks: items
-// arrive over the queue channel, and while the batch holds any, the
-// same select offers it on the unbuffered handoff channel, so the
-// first worker to go idle takes it. A batch that reaches a cap is
-// dispatched with a blocking send instead (blocking while every worker
-// is busy — that backpressure is what keeps the admission bound
-// meaningful).
-func (u *unit) batcher() {
-	defer u.srv.wg.Done()
-	cfg := &u.srv.cfg
-	var cur *batch
-	pending := 0 // len(cur.items); cur is the worker's once sent
-
-	dispatch := func(reason flushReason) {
-		cur.reason = reason
-		u.batches <- cur
-		u.dequeued(pending)
-		cur, pending = nil, 0
-	}
-	add := func(it *batchItem) {
-		if cur == nil {
-			cur = u.getBatch()
-		}
-		cur.items = append(cur.items, it)
-		cur.rows += it.rows
-		pending++
-		switch {
-		case pending >= cfg.BatchSize:
-			dispatch(flushSizeReason)
-		case cur.rows >= cfg.MaxBatchRows:
-			dispatch(flushRowsReason)
-		}
-	}
-
-	for {
-		// A nil channel's send case never fires: the idle offer is live
-		// only while there is a batch to offer.
-		var idle chan<- *batch
-		if cur != nil {
-			cur.reason = flushIdleReason
-			idle = u.batches
-		}
-		select {
-		case <-u.srv.stopCh:
-			// Hard stop: answer everything the coalescer still holds so
-			// handlers respond now, then let the workers run down the
-			// already-dispatched batches.
-			if cur != nil {
-				u.dequeued(pending)
-				for _, it := range cur.items {
-					it.finish(errDraining)
-				}
-				u.putBatch(cur)
-			}
-			for {
-				select {
-				case it := <-u.queue:
-					u.dequeued(1)
-					it.finish(errDraining)
-				default:
-					close(u.batches)
-					return
-				}
-			}
-		case idle <- cur:
-			u.dequeued(pending)
-			cur, pending = nil, 0
-		case it := <-u.queue:
-			add(it)
-			// Greedy drain: a burst that is already queued is pulled
-			// through cheap non-blocking receives instead of paying the
-			// full select per item — the dominant per-item cost at high
-			// offered load — and joins the batch before it is offered.
-		greedy:
-			for {
-				select {
-				case it := <-u.queue:
-					add(it)
-				default:
-					break greedy
-				}
-			}
-		}
-	}
-}
-
-// worker runs flushes until the batcher closes the handoff channel.
-// Each worker owns one reusable buffer set, so steady-state coalesced
-// inference allocates nothing.
+// worker serves the unit's queue until Close: it blocks for the first
+// request, takes whatever is queued behind it, and flushes the batch.
+// Each worker owns one batch and one buffer set, so steady-state
+// coalesced inference allocates nothing.
 func (u *unit) worker() {
 	defer u.srv.wg.Done()
 	var buf workerBuf
-	for b := range u.batches {
-		t0 := time.Now()
-		u.flush(&buf, b)
-		u.lastFlush.Store(int64(time.Since(t0)))
-		u.putBatch(b)
+	b := &batch{items: make([]*batchItem, 0, u.srv.cfg.BatchSize)}
+	for {
+		select {
+		case <-u.srv.stopCh:
+			u.refuseQueued()
+			return
+		case it := <-u.queue:
+			// The select picks at random among ready cases, so a stop
+			// that raced this receive must still win over queued work.
+			if u.srv.stopped() {
+				it.finish(errDraining)
+				u.refuseQueued()
+				return
+			}
+			u.take(b, it)
+			u.setDepthGauges()
+			t0 := time.Now()
+			u.flush(&buf, b)
+			u.lastFlush.Store(int64(time.Since(t0)))
+			clear(b.items[:cap(b.items)]) // let abandoned items be collected
+			b.items, b.rows = b.items[:0], 0
+		}
+	}
+}
+
+// take fills b with it and whatever is already queued behind it. These
+// receives never block, so a batch never waits for riders: it closes
+// when the queue is empty (idle) or a cap is reached (size, rows), and
+// the rest of the queue is left to the next worker.
+func (u *unit) take(b *batch, it *batchItem) {
+	cfg := &u.srv.cfg
+	for {
+		b.items = append(b.items, it)
+		b.rows += it.rows
+		switch {
+		case len(b.items) >= cfg.BatchSize:
+			b.reason = flushSizeReason
+			return
+		case b.rows >= cfg.MaxBatchRows:
+			b.reason = flushRowsReason
+			return
+		}
+		select {
+		case it = <-u.queue:
+		default:
+			b.reason = flushIdleReason
+			return
+		}
+	}
+}
+
+// refuseQueued answers every request still queued with errDraining
+// (429 draining) without flushing it: after Close, queued work is
+// refused so its handlers respond now.
+func (u *unit) refuseQueued() {
+	for {
+		select {
+		case it := <-u.queue:
+			it.finish(errDraining)
+		default:
+			u.setDepthGauges()
+			return
+		}
 	}
 }
 

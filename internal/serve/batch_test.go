@@ -18,14 +18,14 @@ import (
 )
 
 // The coalescer suite: flush policy (idle / size / rows), riders
-// accumulating behind busy workers, generation consistency across
+// queuing behind busy workers, generation consistency across
 // hot-reloads, per-item deadlines inside a batch, derived Retry-After,
 // the per-FU accounting identity, and the 0-alloc pin on the
 // enqueue→flush→scatter hot path. All run under -race by check.sh.
 //
 // A batch leaves as soon as a worker is idle, so a test that needs
 // riders to share a flush first occupies the worker(s) with a gated
-// request: riders then pile up in the pending batch until the gate
+// request: riders then pile up in the unit's queue until the gate
 // opens.
 
 func decodeResponse(t *testing.T, data []byte) predictResponse {
@@ -135,8 +135,8 @@ func TestFlushOnIdle(t *testing.T) {
 }
 
 // TestRidersLeaveInNextFlush: requests arriving while every worker is
-// busy wait in one pending batch and all leave together in the next
-// flush, as soon as the worker frees.
+// busy wait in the queue and all leave together in the next flush, as
+// soon as the worker frees.
 func TestRidersLeaveInNextFlush(t *testing.T) {
 	const riders = 5
 	g := newWorkerGate()
@@ -152,7 +152,7 @@ func TestRidersLeaveInNextFlush(t *testing.T) {
 	for i := 0; i < riders; i++ {
 		chs = append(chs, postAsync(t, ts.URL, validBody(4)))
 	}
-	waitFor(t, func() bool { return s.queueLen.Load() == riders })
+	waitFor(t, func() bool { return s.queued() == riders })
 	g.release()
 	if out := servedBatch(t, holder); out.Batch.Items != 1 {
 		t.Errorf("holder batch = %+v, want 1 item", out.Batch)
@@ -172,8 +172,8 @@ func TestRidersLeaveInNextFlush(t *testing.T) {
 }
 
 // TestFlushOnSize: with BatchSize=2 and the worker busy, two riders
-// fill the pending batch, which leaves on the size cap — both served
-// from one 2-item batch with flush_reason "size".
+// queue; the freed worker takes both and closes the batch on the size
+// cap — both served from one 2-item batch with flush_reason "size".
 func TestFlushOnSize(t *testing.T) {
 	g := newWorkerGate()
 	defer g.release()
@@ -185,7 +185,7 @@ func TestFlushOnSize(t *testing.T) {
 	holder := postAsync(t, ts.URL, validBody(3))
 	g.wait(t)
 	a, b := postAsync(t, ts.URL, validBody(4)), postAsync(t, ts.URL, validBody(4))
-	waitFor(t, func() bool { return s.queueLen.Load() == 2 })
+	waitFor(t, func() bool { return s.queued() == 2 })
 	g.release()
 	servedBatch(t, holder)
 	for _, ch := range []<-chan postResult{a, b} {
@@ -206,9 +206,8 @@ func TestFlushOnSize(t *testing.T) {
 }
 
 // TestFlushOnRows: a request bigger than MaxBatchRows closes its batch
-// on the row cap the moment it arrives, even with the worker busy and
-// room left under BatchSize — a huge request never shares a flush past
-// the row bound.
+// on the row cap as soon as a worker takes it, with room left under
+// BatchSize — a huge request never shares a flush past the row bound.
 func TestFlushOnRows(t *testing.T) {
 	g := newWorkerGate()
 	defer g.release()
@@ -221,7 +220,7 @@ func TestFlushOnRows(t *testing.T) {
 	holder := postAsync(t, ts.URL, validBody(3))
 	g.wait(t)
 	big := postAsync(t, ts.URL, validBody(10)) // 9 rows ≥ 8
-	waitFor(t, func() bool { return s.queueLen.Load() == 1 })
+	waitFor(t, func() bool { return s.queued() == 1 })
 	g.release()
 	servedBatch(t, holder)
 	out := servedBatch(t, big)
@@ -233,10 +232,10 @@ func TestFlushOnRows(t *testing.T) {
 	}
 }
 
-// TestDrainFlushesPartialBatch: a request parked in a pending batch
-// behind a busy worker when the drain begins is served as soon as the
-// worker frees — the batcher never holds a batch while a worker is
-// idle, so the drain needs no flush mode of its own.
+// TestDrainFlushesPartialBatch: a request queued behind a busy worker
+// when the drain begins is served as soon as the worker frees — no
+// request waits while a worker is idle, so the drain needs no flush
+// mode of its own.
 func TestDrainFlushesPartialBatch(t *testing.T) {
 	g := newWorkerGate()
 	defer g.release()
@@ -257,7 +256,7 @@ func TestDrainFlushesPartialBatch(t *testing.T) {
 	holder := postAsync(t, url, validBody(3))
 	g.wait(t)
 	parked := postAsync(t, url, validBody(3))
-	waitFor(t, func() bool { return s.queueLen.Load() == 1 })
+	waitFor(t, func() bool { return s.queued() == 1 })
 	cancel() // SIGTERM in the CLI
 	waitFor(t, s.draining.Load)
 	g.release()
@@ -276,8 +275,61 @@ func TestDrainFlushesPartialBatch(t *testing.T) {
 	}
 }
 
+// TestCloseAnswersQueuedItems is the hard stop: requests still queued
+// when Close begins are refused with 429 draining, not flushed, while
+// the request the worker already holds finishes normally, and Close
+// returns once the worker is done with it.
+func TestCloseAnswersQueuedItems(t *testing.T) {
+	const queued = 3
+	g := newWorkerGate()
+	defer g.release()
+	s, ts := newTestServer(t, func(c *Config) {
+		c.Workers = 1
+		c.BatchSize = 64
+		c.inferHook = g.hook
+	})
+	shedBefore := mShed.Value()
+	holder := postAsync(t, ts.URL, validBody(3))
+	g.wait(t)
+	var chs []<-chan postResult
+	for i := 0; i < queued; i++ {
+		chs = append(chs, postAsync(t, ts.URL, validBody(3)))
+	}
+	waitFor(t, func() bool { return s.queued() == queued })
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	waitFor(t, s.stopped)
+	g.release()
+	servedBatch(t, holder)
+	for _, ch := range chs {
+		var r postResult
+		select {
+		case r = <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatal("queued request never answered")
+		}
+		if r.status != http.StatusTooManyRequests {
+			t.Fatalf("queued request: status %d, want 429: %s", r.status, r.body)
+		}
+		if e := decodeError(t, r.body); e.Error.Code != "draining" {
+			t.Errorf("code %q, want draining", e.Error.Code)
+		}
+	}
+	if got := mShed.Value() - shedBefore; got != queued {
+		t.Errorf("shed moved by %d, want %d", got, queued)
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return")
+	}
+}
+
 // TestReloadMidBatchGeneration is the torn-batch race: a hot-reload
-// lands while a batch is still accumulating behind a busy worker. The
+// lands while riders are still queuing behind a busy worker. The
 // flush loads the model state exactly once, so every item in the batch
 // — including the one admitted BEFORE the reload — must serve from one
 // coherent model and report the same (new) generation.
@@ -297,13 +349,13 @@ func TestReloadMidBatchGeneration(t *testing.T) {
 	})
 	holder := postAsync(t, ts.URL, validBody(3)) // flushes on generation 1
 	g.wait(t)
-	first := postAsync(t, ts.URL, validBody(3)) // parks in the pending batch
-	waitFor(t, func() bool { return s.queueLen.Load() == 1 })
+	first := postAsync(t, ts.URL, validBody(3)) // parks in the queue
+	waitFor(t, func() bool { return s.queued() == 1 })
 	if _, err := s.Reload(path); err != nil {
 		t.Fatal(err)
 	}
 	second := postAsync(t, ts.URL, validBody(3)) // completes the batch
-	waitFor(t, func() bool { return s.queueLen.Load() == 2 })
+	waitFor(t, func() bool { return s.queued() == 2 })
 	g.release()
 	if out := servedBatch(t, holder); out.ModelGeneration != 1 {
 		t.Errorf("holder generation = %d, want 1 (flushed before the reload)", out.ModelGeneration)
@@ -377,7 +429,7 @@ func TestBatchQueuedDeadline(t *testing.T) {
 	if got := mBatchExpired.Value() - expiredBefore; got != 1 {
 		t.Errorf("batch_expired moved by %d, want 1", got)
 	}
-	waitFor(t, func() bool { return s.queueLen.Load() == 0 })
+	waitFor(t, func() bool { return s.queued() == 0 })
 }
 
 // TestRetryAfterDerived pins the Retry-After derivation to the measured
@@ -421,7 +473,7 @@ func TestRetryAfterDerived(t *testing.T) {
 	holder := postAsync(t, ts.URL, validBody(3)) // occupies the worker
 	g.wait(t)
 	queued := postAsync(t, ts.URL, validBody(3))
-	waitFor(t, func() bool { return s.queueLen.Load() == 1 })
+	waitFor(t, func() bool { return s.queued() == 1 })
 	u.lastFlush.Store(int64(3 * time.Second)) // as if the previous flush took 3s
 	resp, data := postPredict(t, ts.URL, validBody(3))
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -593,7 +645,7 @@ func TestAccountingIdentityPerFU(t *testing.T) {
 			{Model: trainedModel(t)},
 			{Model: trainedMulModel(t)},
 		},
-		Workers: 2, QueueDepth: 8, BatchSize: 4,
+		Workers: 4, QueueDepth: 8, BatchSize: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -656,12 +708,12 @@ func TestAccountingIdentityPerFU(t *testing.T) {
 }
 
 // TestServeBatchHotPathAllocs pins the coalescer hot path —
-// enqueue → accumulate → flush → scatter — at zero allocations per
-// item in steady state: recycled batch structs, reusable worker
-// buffers, and delay slices reused in place. Each run drives all three
-// flush paths: a lone item taken by the idle worker, a full batch that
-// leaves on the size cap while the worker is busy, and the riders
-// queued behind it, which the worker takes as an idle batch next.
+// enqueue → take → flush → scatter — at zero allocations per item in
+// steady state: one reused batch per worker, reusable worker buffers,
+// and delay slices reused in place. Each run drives all three flush
+// paths: a lone item taken by the idle worker, a full batch the freed
+// worker closes on the size cap, and the riders queued behind it,
+// which the worker takes as an idle batch next.
 func TestServeBatchHotPathAllocs(t *testing.T) {
 	const (
 		size  = 8 // BatchSize

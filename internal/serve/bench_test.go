@@ -45,11 +45,11 @@ func benchModel() (*core.Model, error) {
 }
 
 // BenchmarkServeBatch measures coalesced serving throughput at the
-// item level (enqueue → accumulate → flush → scatter, no HTTP): one
-// driver floods 1-row items through one unit while a single worker
-// flushes. batch=1 is the uncoalesced baseline — every item pays its
-// own batcher→worker handoff and flush fixed costs; batch=8/64
-// amortize those over the riders. The items/s delta between batch=1
+// item level (enqueue → take → flush → scatter, no HTTP): one driver
+// floods 1-row items through one unit while a single worker takes them
+// from the queue and flushes. batch=1 is the uncoalesced baseline —
+// every item pays its own queue receive and flush fixed costs;
+// batch=8/64 amortize those over the riders. The items/s delta between batch=1
 // and batch=64 is the coalescer's win (acceptance: ≥3× on 1-row
 // items); ns/op feeds the benchdiff regression gate.
 func BenchmarkServeBatch(b *testing.B) {

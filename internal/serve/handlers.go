@@ -90,13 +90,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) shed(u *unit, w http.ResponseWriter, code, msg string) {
 	u.met.shed.Inc()
 	mShed.Inc()
-	secs := retryAfterSecs(time.Duration(u.lastFlush.Load()), u.queueLen.Load(), s.cfg.BatchSize)
+	secs := retryAfterSecs(time.Duration(u.lastFlush.Load()), int64(len(u.queue)), s.cfg.BatchSize)
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	WriteError(w, http.StatusTooManyRequests, code, msg)
 }
 
 // handlePredict is the serving hot path: validate, admit into the
-// unit's coalescer, wait for the flush under the request deadline.
+// unit's queue, wait for the flush under the request deadline.
 // Every exit increments exactly one outcome counter in the unit's set
 // AND the aggregate set (see the accounting identity in metrics.go).
 func (s *Server) handlePredict(u *unit, w http.ResponseWriter, r *http.Request) {
@@ -144,7 +144,7 @@ func (s *Server) handlePredict(u *unit, w http.ResponseWriter, r *http.Request) 
 		return
 	}
 
-	// Admission: the coalescer either takes the item now or the request
+	// Admission: the queue either takes the item now or the request
 	// is shed now. Nothing ever waits for queue space — that wait is
 	// exactly the unbounded buffering this server refuses to do.
 	it := s.itemPool.Get().(*batchItem)

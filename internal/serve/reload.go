@@ -134,7 +134,12 @@ func probeModel(m *core.Model) (err error) {
 	}
 	delays := make([]float64, n)
 	for _, corner := range []cells.Corner{{V: 0.90, T: 25}, {V: 0.72, T: 75}} {
-		if err := m.PredictDelaysPairsInto(delays, rows, corner, pairs); err != nil {
+		// The same two calls a flush makes.
+		err := m.FillFeatureRows(rows, corner, pairs)
+		if err == nil {
+			err = m.PredictRowsInto(delays, rows)
+		}
+		if err != nil {
 			return fmt.Errorf("serve: model probe at %v failed: %w", corner, err)
 		}
 		for i, d := range delays {

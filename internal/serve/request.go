@@ -24,10 +24,10 @@ import (
 //	  "clocks": [650, 700]
 //	}
 type predictRequest struct {
-	Voltage     float64               `json:"voltage"`
-	Temperature float64               `json:"temperature"`
+	Voltage     float64                `json:"voltage"`
+	Temperature float64                `json:"temperature"`
 	Pairs       []workload.OperandPair `json:"pairs"`
-	Clocks      []float64             `json:"clocks,omitempty"`
+	Clocks      []float64              `json:"clocks,omitempty"`
 }
 
 type predictResponse struct {

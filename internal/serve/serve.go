@@ -6,17 +6,18 @@
 // decisions online. It is stdlib-only (net/http) and built around the
 // failure modes a production predictor actually meets:
 //
-//   - request coalescing: individual /v1/predict calls join a shared
-//     batch per functional unit, which the first idle worker takes
-//     (flush reason idle), so a batch never waits while a worker is
-//     free and riders accumulate only while every worker is busy; a
-//     batch that reaches BatchSize requests (size) or MaxBatchRows
-//     predicted cycles (rows) waits for the next free worker, and one
-//     forest call amortizes over every rider; each response carries
-//     its batch's timing breakdown (queued_at, flushed_at,
-//     inference_us, flush_reason);
+//   - request coalescing: individual /v1/predict calls queue per
+//     functional unit, and the unit's workers pull from that queue
+//     directly: the first request wakes an idle worker, which takes
+//     whatever is queued behind it until the queue is empty (flush
+//     reason idle) or BatchSize requests (size) or MaxBatchRows
+//     predicted cycles (rows) are taken, so a request never waits
+//     while a worker is free and riders accumulate only while every
+//     worker is busy; one forest call amortizes over every rider, and
+//     each response carries its batch's timing breakdown (queued_at,
+//     flushed_at, inference_us, flush_reason);
 //   - per-FU model sharding: each functional unit's model serves from
-//     its own shard (coalescer + worker slice + hot-reload generation)
+//     its own shard (queue + worker slice + hot-reload generation)
 //     behind one mux: /v1/predict/{fu} routes by unit, /v1/predict
 //     keeps the legacy single-model contract on the default unit;
 //   - admission control: a bounded per-unit queue; when the unit is
@@ -31,20 +32,20 @@
 //   - panic isolation: recovery middleware (handler goroutines) and
 //     worker-side recovery keep the process serving after a panic;
 //   - graceful drain: readiness flips to draining, in-flight requests
-//     complete under a drain deadline (no batch is ever held while a
-//     worker is idle, so none needs a drain flush), workers stop, and
-//     the process exits through obs.Run so manifests and profiles
-//     survive;
+//     complete under a drain deadline (no request ever waits while a
+//     worker is idle, so none needs a drain flush), workers stop and
+//     answer anything still queued 429 draining, and the process exits
+//     through obs.Run so manifests and profiles survive;
 //   - validated hot-reload: a new model gob is decoded into a side
 //     buffer, validated (FU/dimension match, finite predictions on a
 //     probe batch), then swapped atomically per unit; a flush loads the
 //     unit's model state exactly once, so a reload racing a batch never
 //     serves a torn model.
 //
-// The inference hot path reuses per-worker feature/delay buffers and
-// recycled batch/item structs, so steady-state coalesced prediction
-// does not touch the garbage collector (pinned at 0 allocs/op by
-// TestServeBatchHotPathAllocs).
+// The inference hot path reuses pooled items and each worker's batch
+// struct and feature/delay buffers, so steady-state coalesced
+// prediction does not touch the garbage collector (pinned at 0
+// allocs/op by TestServeBatchHotPathAllocs).
 package serve
 
 import (
@@ -76,15 +77,11 @@ type ModelEntry struct {
 type Config struct {
 	// Addr is the listen address for ListenAndServe (":0" picks a port).
 	Addr string
-	// Model is the initial trained model for single-unit serving.
-	// Ignored when Models is set.
+	// Model is the initial trained model for single-unit serving, with
+	// no reload path (reloads must name one). Ignored when Models is set.
 	Model *core.Model
-	// ModelPath is the gob file reloads re-read when a reload request
-	// names no path (and the file SIGHUP reloads from). Single-unit
-	// companion of Model.
-	ModelPath string
 	// Models serves several functional units from one process, each
-	// behind /v1/predict/{fu} with its own coalescer, worker slice, and
+	// behind /v1/predict/{fu} with its own queue, worker slice, and
 	// reload generation. The first entry is the default unit answering
 	// the legacy /v1/predict route. FUs must be distinct.
 	Models []ModelEntry
@@ -92,12 +89,12 @@ type Config struct {
 	// (default GOMAXPROCS, at least one per unit).
 	Workers int
 	// QueueDepth bounds each unit's admission queue (default 64): the
-	// number of requests queued or accumulating but not yet dispatched
-	// to a worker. A full unit sheds with 429.
+	// number of requests waiting for a worker. A full unit sheds with
+	// 429.
 	QueueDepth int
-	// BatchSize caps the requests one batch coalesces (default 32); a
-	// full batch waits for the next free worker. 1 disables coalescing:
-	// every request flushes alone.
+	// BatchSize caps the requests one worker takes into a batch
+	// (default 32); the rest stay queued for the next worker. 1
+	// disables coalescing: every request flushes alone.
 	BatchSize int
 	// MaxBatchRows caps the predicted cycles one batch holds (default
 	// 8192), so a few huge requests cannot blow up the flush's working
@@ -113,7 +110,7 @@ type Config struct {
 	// answer 413.
 	MaxBodyBytes int64
 	// MaxPairs caps operand pairs per request (default 4097, i.e. 4096
-	// predicted cycles); larger batches answer 400.
+	// predicted cycles); larger requests answer 400.
 	MaxPairs int
 	// MaxClocks caps clock periods per request (default 32).
 	MaxClocks int
@@ -174,7 +171,6 @@ type Server struct {
 	units []*unit          // units[0] answers the legacy /v1/predict route
 	byFU  map[string]*unit // /v1/predict/{fu} routing, keyed by FU name
 
-	queueLen atomic.Int64 // aggregate across units (serve.queue_depth)
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -188,9 +184,9 @@ type Server struct {
 // errDraining fails residual queued items when the pool stops mid-drain.
 var errDraining = fmt.Errorf("serve: draining")
 
-// New validates cfg, installs the initial model(s), and starts one
-// coalescer plus a worker slice per functional unit. Pair with Close
-// (or run the full lifecycle via ListenAndServe).
+// New validates cfg, installs the initial model(s), and starts a
+// worker slice per functional unit. Pair with Close (or run the full
+// lifecycle via ListenAndServe).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	models := cfg.Models
@@ -198,7 +194,7 @@ func New(cfg Config) (*Server, error) {
 		if cfg.Model == nil {
 			return nil, fmt.Errorf("serve: config needs a model")
 		}
-		models = []ModelEntry{{Model: cfg.Model, Path: cfg.ModelPath}}
+		models = []ModelEntry{{Model: cfg.Model}}
 	}
 	s := &Server{
 		cfg:    cfg,
@@ -227,8 +223,7 @@ func New(cfg Config) (*Server, error) {
 	gGeneration.Set(1)
 	gDraining.Set(0)
 	for _, u := range s.units {
-		s.wg.Add(1 + u.workers)
-		go u.batcher()
+		s.wg.Add(u.workers)
 		for i := 0; i < u.workers; i++ {
 			go u.worker()
 		}
@@ -253,13 +248,33 @@ func (s *Server) Addr() string {
 	return ""
 }
 
-// Close stops the coalescers and worker pools immediately; residual
-// queued items fail with 503. Idempotent. ListenAndServe calls it as
-// part of draining; tests that drive Handler directly call it
-// themselves.
+// Close stops the worker pools immediately; requests still queued are
+// answered 429 draining instead of being flushed. Idempotent.
+// ListenAndServe calls it as part of draining; tests that drive Handler
+// directly call it themselves.
 func (s *Server) Close() {
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	s.wg.Wait()
+}
+
+// stopped reports whether Close has begun.
+func (s *Server) stopped() bool {
+	select {
+	case <-s.stopCh:
+		return true
+	default:
+		return false
+	}
+}
+
+// queued reports the requests waiting in every unit's admission queue
+// (serve.queue_depth).
+func (s *Server) queued() int {
+	n := 0
+	for _, u := range s.units {
+		n += len(u.queue)
+	}
+	return n
 }
 
 // ListenAndServe binds cfg.Addr and serves until ctx is cancelled
@@ -306,7 +321,7 @@ func (s *Server) drain(srv *http.Server) error {
 	s.draining.Store(true)
 	gDraining.Set(1)
 	log := obs.Logger("serve")
-	log.Info("draining", "deadline", s.cfg.DrainTimeout, "in_queue", s.queueLen.Load())
+	log.Info("draining", "deadline", s.cfg.DrainTimeout, "in_queue", s.queued())
 	dctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
 	defer cancel()
 	err := srv.Shutdown(dctx)
@@ -338,14 +353,14 @@ func (s *Server) Progress() any {
 			"model_generation": st.generation,
 			"model_path":       st.path,
 			"model_loaded":     st.loaded,
-			"queue_depth":      u.queueLen.Load(),
+			"queue_depth":      len(u.queue),
 			"workers":          u.workers,
 		}
 	}
 	return map[string]any{
 		"status":         status,
 		"units":          units,
-		"queue_depth":    s.queueLen.Load(),
+		"queue_depth":    s.queued(),
 		"queue_capacity": s.cfg.QueueDepth,
 		"batch_size":     s.cfg.BatchSize,
 		"served":         mServed.Value(),

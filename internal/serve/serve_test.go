@@ -219,7 +219,7 @@ func TestQueueFullSheds429(t *testing.T) {
 		t.Fatal("worker never picked up the first request")
 	}
 	go post() // sits in the queue
-	waitFor(t, func() bool { return s.queueLen.Load() == 1 })
+	waitFor(t, func() bool { return s.queued() == 1 })
 
 	// Queue full: this one must shed, now.
 	resp, data := postPredict(t, ts.URL, validBody(3))

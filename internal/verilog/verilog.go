@@ -46,8 +46,8 @@ var busRef = regexp.MustCompile(`^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$`)
 // port is a reconstructed module port: a scalar or a contiguous vector.
 type port struct {
 	name  string
-	width int              // 1 for scalar
-	nets  []netlist.NetID  // LSB first
+	width int             // 1 for scalar
+	nets  []netlist.NetID // LSB first
 }
 
 // groupPorts reconstructs vector ports from per-bit net names.

@@ -11,6 +11,9 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt: every Go file formatted"
+test -z "$(gofmt -l .)"
+
 echo "== lint: no raw print/log in library packages"
 sh scripts/lintobs.sh
 
@@ -23,9 +26,9 @@ go test -run 'TestMetricsExpositionSmoke' ./cmd/tevot-sweep
 echo "== serve smoke: boot, predict, shed under tiny queue, corrupt reload, SIGTERM drain"
 go test -run 'TestServeAbuseSmoke' ./cmd/tevot-serve
 
-echo "== coalescer: flush policy, riders behind busy workers, queued deadlines, drain, torn-model guard, 0-alloc hot path (race)"
+echo "== coalescer: flush policy, riders behind busy workers, queued deadlines, drain, hard stop, torn-model guard, 0-alloc hot path (race)"
 go test -race -run \
-	'TestFlushOn|TestRidersLeaveInNextFlush|TestDrainFlushesPartialBatch|TestBatchQueuedDeadline|TestReloadMidBatchGeneration|TestRetryAfterDerived|TestPerFU|TestAccountingIdentityPerFU' \
+	'TestFlushOn|TestRidersLeaveInNextFlush|TestDrainFlushesPartialBatch|TestCloseAnswersQueuedItems|TestBatchQueuedDeadline|TestReloadMidBatchGeneration|TestRetryAfterDerived|TestPerFU|TestAccountingIdentityPerFU' \
 	./internal/serve
 go test -run 'TestServeBatchHotPathAllocs' ./internal/serve
 

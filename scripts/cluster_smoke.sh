@@ -45,7 +45,6 @@ SWEEP_FLAGS="-cycles 3000 -fu INT_ADD -images 1 -imgsize 16 -seed 1"
 
 echo "-- building binaries"
 go build -o "$TMP/tevot-sweep" ./cmd/tevot-sweep
-go build -o "$TMP/tevot-worker" ./cmd/tevot-worker
 
 echo "-- single-process reference sweep"
 "$TMP/tevot-sweep" $SWEEP_FLAGS -out "$TMP/ref.jsonl" \
@@ -72,10 +71,10 @@ done
 # Manifests go into $TMP too: the workers' cwd is the repo root, and
 # the default -run-json run.json would litter (and race over) a
 # run.json in the checkout.
-"$TMP/tevot-worker" -coordinator "$ADDR" -id smoke-a \
+"$TMP/tevot-sweep" -join "$ADDR" -id smoke-a \
 	-run-json "$TMP/w1-run.json" >/dev/null 2>"$TMP/w1.log" &
 W1_PID=$!
-"$TMP/tevot-worker" -coordinator "$ADDR" -id smoke-b \
+"$TMP/tevot-sweep" -join "$ADDR" -id smoke-b \
 	-run-json "$TMP/w2-run.json" >/dev/null 2>"$TMP/w2.log" &
 W2_PID=$!
 
