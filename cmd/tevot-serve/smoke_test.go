@@ -20,6 +20,7 @@ import (
 	"tevot/internal/cells"
 	"tevot/internal/circuits"
 	"tevot/internal/core"
+	"tevot/internal/obs"
 	"tevot/internal/workload"
 )
 
@@ -287,25 +288,20 @@ func TestServeAbuseSmoke(t *testing.T) {
 }
 
 // serveRequests reads the serve.requests counter off the live debug
-// endpoint's expvar page.
+// endpoint's /metrics exposition.
 func serveRequests(t *testing.T, debugBase string) int64 {
 	t.Helper()
-	resp, err := http.Get(debugBase + "/debug/vars")
+	resp, err := http.Get(debugBase + "/metrics")
 	if err != nil {
-		t.Fatalf("GET /debug/vars: %v", err)
+		t.Fatalf("GET /metrics: %v", err)
 	}
 	defer resp.Body.Close()
-	var vars struct {
-		Tevot struct {
-			Metrics struct {
-				Counters map[string]int64 `json:"counters"`
-			} `json:"metrics"`
-		} `json:"tevot"`
+	fams, err := obs.ParseProm(resp.Body)
+	if err != nil {
+		t.Fatalf("parsing /metrics: %v", err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatalf("decoding /debug/vars: %v", err)
-	}
-	return vars.Tevot.Metrics.Counters["serve.requests"]
+	n, _ := obs.PromCounterTotal(fams, "tevot_serve_requests_total")
+	return int64(n)
 }
 
 // post fires one POST with a JSON body and returns (status, body);

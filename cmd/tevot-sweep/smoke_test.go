@@ -13,13 +13,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tevot/internal/obs"
 )
 
 // TestDebugEndpointSmoke is the end-to-end observability check: it
 // builds this command, starts a small sweep with -debug-addr :0, reads
 // the advertised address off the structured log, queries /progress and
-// /debug/vars while the sweep runs, and then verifies the run manifest
-// the exiting process wrote.
+// /metrics while the sweep runs, and then verifies the run manifest the
+// exiting process wrote.
 func TestDebugEndpointSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI")
@@ -90,12 +92,17 @@ func TestDebugEndpointSmoke(t *testing.T) {
 	if progress["status"] == nil || progress["total"] == nil {
 		t.Errorf("/progress missing status/total: %v", progress)
 	}
-	var vars map[string]json.RawMessage
-	if err := queryJSON("/debug/vars", &vars); err != nil {
-		t.Fatalf("/debug/vars: %v", err)
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatalf("/metrics: %v", err)
 	}
-	if _, ok := vars["tevot"]; !ok {
-		t.Errorf("/debug/vars has no tevot metrics var")
+	fams, err := obs.ParseProm(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("/metrics rejected by the strict exposition parser: %v", err)
+	}
+	if _, ok := fams["tevot_runner_retries_total"]; !ok {
+		t.Errorf("/metrics missing tevot_runner_retries_total (%d families)", len(fams))
 	}
 
 	done := make(chan error, 1)
@@ -118,11 +125,11 @@ func TestDebugEndpointSmoke(t *testing.T) {
 		Seed    int64             `json:"seed"`
 		Config  map[string]string `json:"config"`
 		Metrics struct {
-			Counters map[string]int64 `json:"counters"`
+			Counters   map[string]int64 `json:"counters"`
+			Histograms map[string]struct {
+				Count int64 `json:"count"`
+			} `json:"histograms"`
 		} `json:"metrics"`
-		Stages []struct {
-			Name string `json:"name"`
-		} `json:"stages"`
 	}
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatalf("manifest not JSON: %v\n%s", err, data)
@@ -139,19 +146,10 @@ func TestDebugEndpointSmoke(t *testing.T) {
 	if m.Metrics.Counters["core.cycles_simulated"] == 0 {
 		t.Errorf("manifest counters missing core.cycles_simulated: %v", m.Metrics.Counters)
 	}
-	names := make([]string, 0, len(m.Stages))
-	for _, s := range m.Stages {
-		names = append(names, s.Name)
-	}
-	for _, want := range []string{"dta.simulate", "sta.analyze", "experiments.fig3"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("manifest stages missing %q: %v", want, names)
+	for _, stage := range []string{"dta.simulate", "sta.analyze", "experiments.fig3"} {
+		name := "stage." + stage + ".seconds"
+		if m.Metrics.Histograms[name].Count == 0 {
+			t.Errorf("manifest histograms have no %s observations", name)
 		}
 	}
 }

@@ -174,9 +174,9 @@ func (c *FS) Crash() map[string]int64 {
 		cf.mu.Lock()
 		keep := cf.synced
 		if tail := cf.written - cf.synced; tail > 0 {
-			// A seeded fraction of the unsynced tail survives — including
-			// possibly zero bytes and possibly a mid-record cut.
-			keep += pick(c.seed, -1, path, cf.crashN, tail+1)
+			// A seeded fraction of the unsynced tail survives — possibly
+			// zero bytes and possibly a mid-record cut, never all of it.
+			keep += pick(c.seed, -1, path, cf.crashN, tail)
 			cf.crashN++
 		}
 		cf.f.Truncate(keep)

@@ -18,7 +18,7 @@ import (
 // Observability: the cycle loop counts simulated cycles (one atomic add
 // per cycle — TestMetricsHotPathAllocs pins the primitive at 0 allocs,
 // and BenchmarkCharacterizeParallel gates the cost); events merge once
-// per shard. The simulate/merge spans feed the per-run stage table.
+// per shard. The simulate/merge spans feed the stage.dta.* histograms.
 var (
 	mCyclesSimulated = obs.NewCounter("core.cycles_simulated")
 	mSimEvents       = obs.NewCounter("core.sim_events")

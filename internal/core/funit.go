@@ -17,7 +17,7 @@ import (
 
 // STA cache observability: a paper-scale sweep asks for the same
 // corner's timing thousands of times; hit/miss counters make a cold (or
-// epoch-invalidated) cache visible at /debug/vars instead of showing up
+// epoch-invalidated) cache visible at /metrics instead of showing up
 // only as mysteriously slow cells. Singleflight waiters count as hits:
 // they pay a wait, not an analysis.
 var (

@@ -12,9 +12,9 @@ import (
 	"tevot/internal/obs/trace"
 )
 
-// DebugServer is the live window into a running CLI: expvar, pprof,
-// Prometheus exposition, traces, and a JSON progress view, served on
-// the -debug-addr listener. It is read-only and intended for
+// DebugServer is the live window into a running CLI: Prometheus
+// exposition, traces, pprof, runtime vars, and a JSON progress view,
+// served on the -debug-addr listener. It is read-only and intended for
 // localhost / trusted-network use, exactly like net/http/pprof's
 // default wiring.
 //
@@ -22,11 +22,11 @@ import (
 //
 //	/             — route index
 //	/progress     — live progress JSON (runner counters + ETA + rates)
-//	/stages       — per-stage latency aggregates (Stages())
 //	/rates        — live counter rates (1s/10s/60s windows)
-//	/metrics      — Prometheus exposition format 0.0.4
+//	/metrics      — Prometheus exposition format 0.0.4 (every registry
+//	                metric, stage latencies included)
 //	/debug/traces — trace store (list; ?id=<hex> renders one trace)
-//	/debug/vars   — expvar (includes the "tevot" metrics registry)
+//	/debug/vars   — Go runtime vars (memstats, cmdline)
 //	/debug/pprof  — CPU/heap/goroutine profiles for `go tool pprof`
 type DebugServer struct {
 	lis         net.Listener
@@ -37,18 +37,17 @@ type DebugServer struct {
 
 // ServeDebug starts the debug endpoint on addr (":0" picks a free
 // port; the chosen address is DebugServer.Addr). progress supplies the
-// /progress payload and may be nil, in which case /progress serves the
-// stage-latency aggregates only. While the server is up, a 1 Hz
+// /progress payload and may be nil, in which case /progress serves a
+// placeholder status plus the rates. While the server is up, a 1 Hz
 // sampler feeds the default rate rings.
 func ServeDebug(addr string, progress func() any) (*DebugServer, error) {
-	publishExpvar()
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: debug listener on %s: %w", addr, err)
 	}
 	if progress == nil {
 		progress = func() any {
-			return map[string]any{"status": "no-progress-source", "stages": Stages()}
+			return map[string]any{"status": "no-progress-source"}
 		}
 	}
 	mux := http.NewServeMux()
@@ -57,13 +56,10 @@ func ServeDebug(addr string, progress func() any) (*DebugServer, error) {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintf(w, "tevot debug endpoint\n\n/progress\n/stages\n/rates\n/metrics\n/debug/traces\n/debug/vars\n/debug/pprof/\n")
+		fmt.Fprintf(w, "tevot debug endpoint\n\n/progress\n/rates\n/metrics\n/debug/traces\n/debug/vars\n/debug/pprof/\n")
 	})
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, withRates(progress()))
-	})
-	mux.HandleFunc("/stages", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, Stages())
 	})
 	mux.HandleFunc("/rates", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, defaultRates.Snapshot())

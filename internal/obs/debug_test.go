@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -24,6 +25,7 @@ func get(t *testing.T, url string) (int, []byte) {
 
 func TestServeDebug(t *testing.T) {
 	NewCounter("debug_test_counter").Inc()
+	Time("test.debug")()
 	progress := func() any { return map[string]any{"status": "running", "done": 3} }
 	ds, err := ServeDebug("127.0.0.1:0", progress)
 	if err != nil {
@@ -52,17 +54,26 @@ func TestServeDebug(t *testing.T) {
 	if err := json.Unmarshal(body, &vars); err != nil {
 		t.Fatalf("/debug/vars not JSON: %v", err)
 	}
-	if _, ok := vars["tevot"]; !ok {
-		t.Error("/debug/vars has no tevot var")
+	if _, ok := vars["memstats"]; !ok {
+		t.Error("/debug/vars has no memstats var")
 	}
 
-	code, body = get(t, base+"/stages")
+	code, body = get(t, base+"/metrics")
 	if code != http.StatusOK {
-		t.Fatalf("/stages status = %d", code)
+		t.Fatalf("/metrics status = %d", code)
 	}
-	var stages []StageStat
-	if err := json.Unmarshal(body, &stages); err != nil {
-		t.Fatalf("/stages not JSON: %v", err)
+	fams, err := ParseProm(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("/metrics rejected by the strict parser: %v", err)
+	}
+	stage := false
+	for name, f := range fams {
+		if strings.HasPrefix(name, "tevot_stage_") && f.Type == "histogram" {
+			stage = true
+		}
+	}
+	if !stage {
+		t.Errorf("/metrics has no tevot_stage_* histogram family (%d families)", len(fams))
 	}
 
 	code, body = get(t, base+"/")

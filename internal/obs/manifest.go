@@ -66,10 +66,11 @@ func SetManifestFS(fsys ManifestFS) (restore func()) {
 
 // Manifest is the auditable record of one CLI run, written as run.json
 // next to the run's outputs: what was run (command, args, resolved flag
-// values, seed, Go version), when, how it ended, and the final metric
-// and stage-latency snapshots. An operator can reconstruct — days later
-// — which corner grid a sweep covered, how many retries it burned, and
-// where its hours went, without having kept the terminal output.
+// values, seed, Go version), when, how it ended, and the final metrics
+// snapshot, whose stage.<name>.seconds histograms carry the per-stage
+// latencies. An operator can reconstruct — days later — which corner
+// grid a sweep covered, how many retries it burned, and where its
+// hours went, without having kept the terminal output.
 type Manifest struct {
 	Command     string            `json:"command"`
 	Args        []string          `json:"args"`
@@ -89,7 +90,6 @@ type Manifest struct {
 	// Notes carries per-command extras (e.g. the final sweep report).
 	Notes   map[string]any   `json:"notes,omitempty"`
 	Metrics RegistrySnapshot `json:"metrics"`
-	Stages  []StageStat      `json:"stages"`
 	// Traces is the trace store's final flush: every retained trace,
 	// including partial ones from an interrupted run — a run killed
 	// mid-stage still records which spans were open and for how long.
@@ -103,7 +103,6 @@ func (m *Manifest) write(path string) error {
 	m.End = time.Now()
 	m.DurationSec = m.End.Sub(m.Start).Seconds()
 	m.Metrics = DefaultSnapshot()
-	m.Stages = Stages()
 	if st := trace.Default().Store(); st != nil {
 		m.Traces = st.Summaries()
 	}

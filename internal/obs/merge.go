@@ -39,18 +39,24 @@ func MergeHistogramSnapshots(a, b HistogramSnapshot) (HistogramSnapshot, error) 
 		}
 		out.Buckets[i] = BucketSnaphot{Le: a.Buckets[i].Le, N: a.Buckets[i].N + b.Buckets[i].N}
 	}
-	if out.Count > 0 {
-		out.Mean = out.Sum / float64(out.Count)
-	}
-	out.P50 = out.Quantile(0.50)
-	out.P95 = out.Quantile(0.95)
-	out.P99 = out.Quantile(0.99)
+	out.summarize()
 	return out, nil
 }
 
-// Quantile estimates the q-quantile from the snapshot's cumulative
-// buckets, with the same linear interpolation as Histogram.Quantile
-// (overflow mass is attributed to Max).
+// summarize derives Mean, P50, P95 and P99 from Count, Sum, Max and
+// Buckets.
+func (h *HistogramSnapshot) summarize() {
+	if h.Count > 0 {
+		h.Mean = h.Sum / float64(h.Count)
+	}
+	h.P50 = h.Quantile(0.50)
+	h.P95 = h.Quantile(0.95)
+	h.P99 = h.Quantile(0.99)
+}
+
+// Quantile estimates the q-quantile (q in [0,1]) from the snapshot's
+// cumulative buckets by linear interpolation inside the bucket that
+// holds it. Observations in the overflow bucket are attributed to Max.
 func (h HistogramSnapshot) Quantile(q float64) float64 {
 	if h.Count == 0 {
 		return 0

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"math"
 	"sort"
@@ -11,9 +10,10 @@ import (
 )
 
 // The metrics model is deliberately small: named counters, gauges, and
-// fixed-bucket histograms in a process-wide registry, exported through
-// expvar (so `/debug/vars` and `go tool pprof`-style tooling see them
-// for free) and snapshot-able as plain JSON for the run manifest.
+// fixed-bucket histograms in a process-wide registry, exported as
+// Prometheus text on /metrics (prom.go) and snapshot-able as plain
+// JSON for the run manifest. Pipeline stage latencies are histograms
+// in this registry too (span.go).
 //
 // Hot-path contract: Inc, Add, Set, and Observe are single atomic
 // operations (Observe adds one CAS loop for the running sum) and never
@@ -117,52 +117,9 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()
 // Max returns the largest observation (0 before any Observe).
 func (h *Histogram) Max() float64 { return math.Float64frombits(h.maxBits.Load()) }
 
-// Mean returns the average observation (0 before any Observe).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) by linear
-// interpolation inside the bucket that holds it. Observations in the
-// overflow bucket are attributed to the max observed value.
-func (h *Histogram) Quantile(q float64) float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(n)
-	cum := 0.0
-	for i := range h.buckets {
-		bn := float64(h.buckets[i].Load())
-		if cum+bn >= rank && bn > 0 {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.Max()
-			if i < len(h.bounds) {
-				hi = h.bounds[i]
-			}
-			if hi < lo {
-				hi = lo
-			}
-			frac := (rank - cum) / bn
-			return lo + frac*(hi-lo)
-		}
-		cum += bn
-	}
-	return h.Max()
-}
+// Quantile estimates the q-quantile (q in [0,1]); see
+// HistogramSnapshot.Quantile.
+func (h *Histogram) Quantile(q float64) float64 { return h.snapshot().Quantile(q) }
 
 // BucketCounts returns the per-bucket (non-cumulative) counts; the last
 // entry is the overflow bucket.
@@ -173,9 +130,6 @@ func (h *Histogram) BucketCounts() []int64 {
 	}
 	return out
 }
-
-// Bounds returns the histogram's upper bucket bounds.
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
 
 // DurationBuckets are the default bounds (seconds) for per-cell and
 // per-stage latencies: 1 ms .. 10 min, roughly ×2.5 apart. Cells in a
@@ -204,24 +158,9 @@ func NewRegistry() *Registry {
 	}
 }
 
-// defaultRegistry is the process-wide registry, published to expvar as
-// "tevot" (see debug.go for the HTTP side).
+// defaultRegistry is the process-wide registry behind /metrics and
+// the run manifest.
 var defaultRegistry = NewRegistry()
-
-var publishOnce sync.Once
-
-// publishExpvar exposes the default registry (metrics + stage spans)
-// under the expvar name "tevot", once per process.
-func publishExpvar() {
-	publishOnce.Do(func() {
-		expvar.Publish("tevot", expvar.Func(func() any {
-			return map[string]any{
-				"metrics": defaultRegistry.Snapshot(),
-				"stages":  Stages(),
-			}
-		}))
-	})
-}
 
 func (r *Registry) register(name string) {
 	if _, c := r.counts[name]; c {
@@ -350,13 +289,10 @@ func (f *JSONFloat) UnmarshalJSON(b []byte) error {
 
 func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
-		Count: h.Count(),
-		Sum:   h.Sum(),
-		Mean:  h.Mean(),
-		Max:   h.Max(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
+		Count:   h.Count(),
+		Sum:     h.Sum(),
+		Max:     h.Max(),
+		Buckets: make([]BucketSnaphot, len(h.buckets)),
 	}
 	cum := int64(0)
 	for i := range h.buckets {
@@ -365,8 +301,9 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 		if i < len(h.bounds) {
 			le = h.bounds[i]
 		}
-		s.Buckets = append(s.Buckets, BucketSnaphot{Le: JSONFloat(le), N: cum})
+		s.Buckets[i] = BucketSnaphot{Le: JSONFloat(le), N: cum}
 	}
+	s.summarize()
 	return s
 }
 
@@ -378,7 +315,7 @@ type RegistrySnapshot struct {
 }
 
 // Snapshot captures every metric's current value. The result is
-// JSON-marshalable and feeds both /debug/vars and the run manifest.
+// JSON-marshalable and feeds both /metrics and the run manifest.
 func (r *Registry) Snapshot() RegistrySnapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -415,19 +352,16 @@ func (r *Registry) Names() []string {
 
 // NewCounter returns the named counter from the default registry.
 func NewCounter(name string) *Counter {
-	publishExpvar()
 	return defaultRegistry.Counter(name)
 }
 
 // NewGauge returns the named gauge from the default registry.
 func NewGauge(name string) *Gauge {
-	publishExpvar()
 	return defaultRegistry.Gauge(name)
 }
 
 // NewHistogram returns the named histogram from the default registry.
 func NewHistogram(name string, bounds []float64) *Histogram {
-	publishExpvar()
 	return defaultRegistry.Histogram(name, bounds)
 }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"math"
 	"sync"
 	"testing"
@@ -216,8 +215,8 @@ func TestMetricsConcurrent(t *testing.T) {
 }
 
 // TestSnapshotJSONRoundTrip marshals a registry snapshot — including
-// the +Inf overflow bucket — and decodes it back, proving /debug/vars
-// and run.json consumers get valid JSON with cumulative buckets.
+// the +Inf overflow bucket — and decodes it back, proving run.json and
+// dist snapshot consumers get valid JSON with cumulative buckets.
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("cells").Add(7)
@@ -287,26 +286,6 @@ func TestJSONFloat(t *testing.T) {
 		if string(got) != want {
 			t.Errorf("Marshal(%v) = %s, want %s", float64(in), got, want)
 		}
-	}
-}
-
-// TestExpvarPublished checks the default registry is visible through
-// the expvar interface under the "tevot" name, and renders as JSON.
-func TestExpvarPublished(t *testing.T) {
-	NewCounter("expvar_test_counter").Inc()
-	v := expvar.Get("tevot")
-	if v == nil {
-		t.Fatal("expvar.Get(\"tevot\") = nil; registry not published")
-	}
-	var decoded struct {
-		Metrics RegistrySnapshot `json:"metrics"`
-		Stages  []StageStat      `json:"stages"`
-	}
-	if err := json.Unmarshal([]byte(v.String()), &decoded); err != nil {
-		t.Fatalf("expvar payload is not valid JSON: %v", err)
-	}
-	if decoded.Metrics.Counters["expvar_test_counter"] < 1 {
-		t.Errorf("published counter missing from expvar snapshot: %+v", decoded.Metrics.Counters)
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package obs is the observability layer for hours-long
 // characterization sweeps: structured logging, a zero-allocation
-// metrics registry, pipeline tracing spans, a live debug HTTP endpoint,
-// and an auditable per-run manifest. It is stdlib-only (log/slog,
-// expvar, net/http/pprof) and is safe to import from any library
-// package — the hot-path primitives (Counter.Inc, Gauge.Set,
-// Histogram.Observe) are single atomic operations that never allocate,
-// so instrumentation inside the cycle loop does not move the
-// performance gate.
+// metrics registry, pipeline stage spans recorded as registry
+// histograms, a live debug HTTP endpoint, and an auditable per-run
+// manifest. It is stdlib-only (log/slog, expvar, net/http/pprof) and
+// is safe to import from any library package — the hot-path primitives
+// (Counter.Inc, Gauge.Set, Histogram.Observe) are single atomic
+// operations that never allocate, so instrumentation inside the cycle
+// loop does not move the performance gate.
 //
 // The paper-scale evaluation is a 100-corner × 4-FU × multi-dataset DTA
 // grid (PAPER.md §V) that runs for hours; without this layer the only

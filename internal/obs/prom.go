@@ -11,7 +11,7 @@ import (
 )
 
 // Prometheus text exposition (format version 0.0.4), written with the
-// standard library only. The existing expvar JSON stays; /metrics adds
+// standard library only: /metrics is the live view of the registry, in
 // the format every scraper, alertmanager, and dashboard already
 // speaks. Naming follows the Prometheus conventions: the registry's
 // dotted names ("core.cycles_simulated") become underscore names under

@@ -40,7 +40,7 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{fs: fs}
 	fs.StringVar(&f.LogLevel, "log-level", "info", "log threshold: debug, info, warn, error")
 	fs.StringVar(&f.LogFormat, "log-format", "text", "log encoding: text or json")
-	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve /progress, /debug/vars and /debug/pprof on this address (\":0\" picks a port)")
+	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve /metrics, /progress, /debug/traces and /debug/pprof on this address (\":0\" picks a port)")
 	fs.StringVar(&f.RunJSON, "run-json", "run.json", "write the run manifest to this file (\"\" disables)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file")

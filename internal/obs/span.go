@@ -2,56 +2,28 @@ package obs
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tevot/internal/obs/trace"
 )
 
-// Stage spans are aggregate: a Span records the wall time of one
-// pipeline stage execution (netlist build → STA → SDF → gate-sim
-// shards → feature extraction → forest fit/predict) into a per-name
-// accumulator, and Stages() renders the per-run stage-latency table.
-// That is the question an operator asks of an hours-long sweep —
-// "where is the time going?" — without the storage of an event trace.
+// Stage spans record the wall time of one pipeline stage execution
+// (netlist build → STA → SDF → gate-sim shards → feature extraction →
+// forest fit/predict) into the default registry's histogram
+// stage.<name>.seconds, exported on /metrics as
+// tevot_stage_<name>_seconds and in run.json under
+// metrics.histograms. That is the question an operator asks of an
+// hours-long sweep — "where is the time going?" — answered with
+// count, sum, max and quantiles, without the storage of an event trace.
 //
-// Since the trace package landed, Span is additionally trace-aware:
-// when the context carries a request-scoped trace span (serve request,
-// dist cell), Span opens a child span under it and returns the derived
-// context, so per-request traces get dta.simulate/dta.merge children
-// for free at the same call sites. With no span in the context —
-// every benchmark, every untraced run — the trace side is a nil no-op
-// and the cost stays one map lookup plus two atomics.
-
-// spanStat accumulates one stage's executions.
-type spanStat struct {
-	count   atomic.Int64
-	totalNs atomic.Int64
-	maxNs   atomic.Int64
-}
-
-var (
-	spanMu sync.Mutex
-	spans  = make(map[string]*spanStat)
-)
-
-func spanFor(name string) *spanStat {
-	spanMu.Lock()
-	defer spanMu.Unlock()
-	s, ok := spans[name]
-	if !ok {
-		s = &spanStat{}
-		spans[name] = s
-	}
-	return s
-}
+// Span is also trace-aware: when the context carries a request-scoped
+// trace span (serve request, dist cell), Span opens a child span under
+// it and returns the derived context, so per-request traces get
+// dta.simulate/dta.merge children for free at the same call sites.
+// With no span in the context the trace side is a nil no-op.
 
 // Span starts a pipeline-stage span. The returned func ends it and
-// folds the elapsed wall time into the stage's aggregate:
+// observes the elapsed seconds into the stage's histogram:
 //
 //	ctx, end := obs.Span(ctx, "sta.analyze")
 //	defer end()
@@ -61,23 +33,12 @@ func spanFor(name string) *spanStat {
 // the same end func. Cancellation is the caller's business. End funcs
 // are single-use.
 func Span(ctx context.Context, name string) (context.Context, func()) {
-	s := spanFor(name)
+	h := NewHistogram("stage."+name+".seconds", DurationBuckets)
 	ctx, tsp := trace.Child(ctx, name)
 	start := time.Now()
 	return ctx, func() {
 		tsp.End()
-		d := time.Since(start).Nanoseconds()
-		s.count.Add(1)
-		s.totalNs.Add(d)
-		for {
-			old := s.maxNs.Load()
-			if d <= old {
-				break
-			}
-			if s.maxNs.CompareAndSwap(old, d) {
-				break
-			}
-		}
+		h.Observe(time.Since(start).Seconds())
 	}
 }
 
@@ -85,69 +46,4 @@ func Span(ctx context.Context, name string) (context.Context, func()) {
 func Time(name string) func() {
 	_, end := Span(context.Background(), name)
 	return end
-}
-
-// StageStat is one row of the stage-latency table.
-type StageStat struct {
-	Name    string  `json:"name"`
-	Count   int64   `json:"count"`
-	TotalMS float64 `json:"total_ms"`
-	MeanMS  float64 `json:"mean_ms"`
-	MaxMS   float64 `json:"max_ms"`
-}
-
-// Stages snapshots every stage accumulator, sorted by total time
-// descending (ties by name) — the order an operator scans.
-func Stages() []StageStat {
-	spanMu.Lock()
-	defer spanMu.Unlock()
-	out := make([]StageStat, 0, len(spans))
-	for name, s := range spans {
-		n := s.count.Load()
-		if n == 0 {
-			continue
-		}
-		total := float64(s.totalNs.Load()) / 1e6
-		out = append(out, StageStat{
-			Name:    name,
-			Count:   n,
-			TotalMS: total,
-			MeanMS:  total / float64(n),
-			MaxMS:   float64(s.maxNs.Load()) / 1e6,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TotalMS != out[j].TotalMS {
-			return out[i].TotalMS > out[j].TotalMS
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// StageTable renders Stages() as an aligned text table ("" when no
-// span has completed).
-func StageTable() string {
-	stages := Stages()
-	if len(stages) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %8s %12s %12s %12s\n", "stage", "count", "total", "mean", "max")
-	for _, s := range stages {
-		fmt.Fprintf(&b, "%-28s %8d %12s %12s %12s\n", s.Name, s.Count,
-			fmtMS(s.TotalMS), fmtMS(s.MeanMS), fmtMS(s.MaxMS))
-	}
-	return b.String()
-}
-
-func fmtMS(ms float64) string {
-	return time.Duration(ms * float64(time.Millisecond)).Round(10 * time.Microsecond).String()
-}
-
-// resetStagesForTest clears the accumulators (tests only).
-func resetStagesForTest() {
-	spanMu.Lock()
-	defer spanMu.Unlock()
-	spans = make(map[string]*spanStat)
 }

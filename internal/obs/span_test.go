@@ -2,37 +2,39 @@ package obs
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"tevot/internal/obs/trace"
 )
 
+// The default registry has no reset hook, so every span test reads a
+// stage histogram before and after and checks the delta.
+
+func stageHist(name string) *Histogram {
+	return NewHistogram("stage."+name+".seconds", DurationBuckets)
+}
+
 func TestSpanAggregates(t *testing.T) {
-	resetStagesForTest()
+	h := stageHist("test.stage")
+	n0, sum0 := h.Count(), h.Sum()
 	for i := 0; i < 3; i++ {
 		_, end := Span(context.Background(), "test.stage")
 		time.Sleep(time.Millisecond)
 		end()
 	}
-	stages := Stages()
-	var st *StageStat
-	for i := range stages {
-		if stages[i].Name == "test.stage" {
-			st = &stages[i]
-		}
+	if got := h.Count() - n0; got != 3 {
+		t.Errorf("Count delta = %d, want 3", got)
 	}
-	if st == nil {
-		t.Fatalf("test.stage missing from Stages(): %+v", stages)
+	total := h.Sum() - sum0
+	if total < 0.003 {
+		t.Errorf("Sum delta = %vs, want >= 0.003 (3 × 1ms sleeps)", total)
 	}
-	if st.Count != 3 {
-		t.Errorf("Count = %d, want 3", st.Count)
-	}
-	if st.TotalMS < 3 {
-		t.Errorf("TotalMS = %v, want >= 3 (3 × 1ms sleeps)", st.TotalMS)
-	}
-	if st.MaxMS > st.TotalMS || st.MeanMS > st.MaxMS {
-		t.Errorf("inconsistent aggregates: mean %v, max %v, total %v", st.MeanMS, st.MaxMS, st.TotalMS)
+	if h.Max() < 0.001 || h.Max() > h.Sum() {
+		t.Errorf("inconsistent aggregates: max %v, sum %v", h.Max(), h.Sum())
 	}
 }
 
@@ -47,52 +49,56 @@ func TestSpanContextUnchanged(t *testing.T) {
 }
 
 func TestTime(t *testing.T) {
-	resetStagesForTest()
+	h := stageHist("test.time")
+	n0 := h.Count()
 	end := Time("test.time")
 	end()
-	found := false
-	for _, s := range Stages() {
-		if s.Name == "test.time" && s.Count == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Time() did not record a stage: %+v", Stages())
+	if got := h.Count() - n0; got != 1 {
+		t.Fatalf("Time() recorded %d observations, want 1", got)
 	}
 }
 
-func TestStagesSortedByTotal(t *testing.T) {
-	resetStagesForTest()
-	slow := Time("test.slow")
-	time.Sleep(5 * time.Millisecond)
-	slow()
-	fast := Time("test.fast")
-	fast()
-	stages := Stages()
-	if len(stages) != 2 {
-		t.Fatalf("Stages len = %d, want 2", len(stages))
-	}
-	if stages[0].Name != "test.slow" {
-		t.Errorf("Stages not sorted by total desc: %+v", stages)
-	}
-}
-
+// TestStageTable checks a completed stage reaches /metrics as a
+// histogram family that survives the strict parser.
 func TestStageTable(t *testing.T) {
-	resetStagesForTest()
-	if got := StageTable(); got != "" {
-		t.Fatalf("empty StageTable = %q, want \"\"", got)
+	const fam = "tevot_stage_test_tbl_seconds"
+	count := func() float64 {
+		t.Helper()
+		var b strings.Builder
+		if err := defaultRegistry.WriteProm(&b); err != nil {
+			t.Fatal(err)
+		}
+		fams, err := ParseProm(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatalf("exposition rejected by the strict parser: %v", err)
+		}
+		f, ok := fams[fam]
+		if !ok {
+			return 0
+		}
+		if f.Type != "histogram" {
+			t.Fatalf("%s has type %q, want histogram", fam, f.Type)
+		}
+		for _, s := range f.Samples {
+			if s.Name == fam+"_count" {
+				return s.Value
+			}
+		}
+		t.Fatalf("%s has no _count sample", fam)
+		return 0
 	}
+	before := count()
 	Time("test.tbl")()
-	tbl := StageTable()
-	if !strings.Contains(tbl, "test.tbl") || !strings.Contains(tbl, "stage") {
-		t.Fatalf("StageTable missing content:\n%s", tbl)
+	if got := count() - before; got != 1 {
+		t.Fatalf("%s_count rose by %v, want 1", fam, got)
 	}
 }
 
 // TestSpanConcurrent overlaps spans of the same name from many
 // goroutines; meaningful under -race.
 func TestSpanConcurrent(t *testing.T) {
-	resetStagesForTest()
+	h := stageHist("test.conc")
+	n0 := h.Count()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -105,13 +111,40 @@ func TestSpanConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	for _, s := range Stages() {
-		if s.Name == "test.conc" {
-			if s.Count != 8*200 {
-				t.Fatalf("Count = %d, want %d", s.Count, 8*200)
-			}
-			return
-		}
+	if got := h.Count() - n0; got != 8*200 {
+		t.Fatalf("Count delta = %d, want %d", got, 8*200)
 	}
-	t.Fatal("test.conc missing from Stages()")
+}
+
+// TestSpanTraceAndHistogramAgree pins that one Span call feeds the
+// trace tree and the stage histogram the same wall time.
+func TestSpanTraceAndHistogramAgree(t *testing.T) {
+	prev := trace.Default()
+	defer trace.SetDefault(prev)
+	store := trace.NewStore(0, 0)
+	trace.SetDefault(trace.New(1, store))
+
+	h := stageHist("test.traced")
+	sum0 := h.Sum()
+	ctx, root := trace.Root(context.Background(), "test.root")
+	_, end := Span(ctx, "test.traced")
+	time.Sleep(20 * time.Millisecond)
+	end()
+	root.End()
+	histMS := (h.Sum() - sum0) * 1e3
+
+	rec, ok := store.Get(root.TraceID().String())
+	if !ok {
+		t.Fatal("trace not in store")
+	}
+	if len(rec.Roots) != 1 || len(rec.Roots[0].Children) != 1 {
+		t.Fatalf("trace shape = %+v, want one root with one child", rec)
+	}
+	child := rec.Roots[0].Children[0]
+	if child.Name != "test.traced" || !child.Ended {
+		t.Fatalf("child span = %+v, want an ended test.traced", child)
+	}
+	if math.Abs(child.DurationMS-histMS) > 1 {
+		t.Errorf("trace child %.3f ms, histogram sum delta %.3f ms: differ by more than 1 ms", child.DurationMS, histMS)
+	}
 }

@@ -1,6 +1,6 @@
 // Package trace is request-scoped distributed tracing for the TEVoT
 // pipeline: real span trees (parent/child, start/end, attributes)
-// rather than the aggregate per-stage accumulators in internal/obs.
+// rather than the aggregate per-stage histograms in internal/obs.
 // One sweep cell or one /v1/predict call becomes a single trace that
 // crosses process boundaries — coordinator→worker over the dist lease
 // protocol, edge→worker→kernel on the serve path — stitched together

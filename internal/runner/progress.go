@@ -8,7 +8,7 @@ import (
 )
 
 // Observability: the runner maintains cumulative metrics in the obs
-// registry (visible at /debug/vars and in the run manifest) plus a live
+// registry (visible at /metrics and in the run manifest) plus a live
 // per-sweep progress view served by the CLIs' -debug-addr /progress
 // route — which corner cells are done, how much retry budget is burned,
 // and an ETA extrapolated from the trailing cell-latency histogram.
@@ -76,8 +76,6 @@ type Progress struct {
 	// ETASec extrapolates the remaining cells from the trailing mean
 	// cell latency across the worker pool (0 when unknown or done).
 	ETASec float64 `json:"eta_sec"`
-
-	Stages []obs.StageStat `json:"stages,omitempty"`
 }
 
 // LiveProgress snapshots the most recent sweep for the /progress
@@ -85,7 +83,7 @@ type Progress struct {
 func LiveProgress() any {
 	st := liveSweep.Load()
 	if st == nil {
-		return Progress{Status: "idle", Stages: obs.Stages()}
+		return Progress{Status: "idle"}
 	}
 	done := int(st.done.Load())
 	failed := int(st.failed.Load())
@@ -104,7 +102,6 @@ func LiveProgress() any {
 		ElapsedSec:  time.Since(st.start).Seconds(),
 		P50CellSec:  hCellSeconds.Quantile(0.50),
 		P95CellSec:  hCellSeconds.Quantile(0.95),
-		Stages:      obs.Stages(),
 	}
 	if st.finished.Load() {
 		p.Status = "done"

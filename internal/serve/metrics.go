@@ -2,11 +2,11 @@ package serve
 
 import "tevot/internal/obs"
 
-// Serving metrics, published through the obs default registry (expvar
-// "tevot", /metrics Prometheus exposition, the run manifest, and
-// -debug-addr /debug/vars). The accounting identity the smoke harness
-// asserts: every /v1/predict request lands in exactly one outcome
-// counter, so
+// Serving metrics, published through the obs default registry (the
+// /metrics Prometheus exposition on the serve and -debug-addr
+// listeners, and the run manifest). The accounting identity the smoke
+// harness asserts: every /v1/predict request lands in exactly one
+// outcome counter, so
 //
 //	requests == served + shed + timeouts + canceled + bad_requests
 //	            + internal_errors

@@ -14,6 +14,9 @@ go vet ./...
 echo "== gofmt: every Go file formatted"
 test -z "$(gofmt -l .)"
 
+echo "== benchmark module: perfbench/ (a separate module) vets and tests against this tree"
+(cd perfbench && GOFLAGS=-mod=mod go vet . && GOFLAGS=-mod=mod go test .)
+
 echo "== lint: no raw print/log in library packages"
 sh scripts/lintobs.sh
 
