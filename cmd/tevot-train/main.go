@@ -53,7 +53,7 @@ func main() {
 		saveDir = flag.String("savemodels", "", "train one TEVoT model per FU on random data and save to this directory (skips evaluation)")
 
 		workers = flag.Int("workers", 0, "concurrent per-FU pipelines (0 = GOMAXPROCS)")
-		shards  = flag.Int("shards", 0, "simulation shards per characterization (0 = auto: GOMAXPROCS/workers)")
+		shards  = flag.Int("shards", 0, "simulation shards per characterization (0 = auto: GOMAXPROCS)")
 		memoSet = flag.String("memo", "on", "transition memo cache: on, off, or an entry cap (bit-identical either way)")
 		taskTO  = flag.Duration("task-timeout", 0, "per-pipeline deadline (0 = none), e.g. 30m")
 		retries = flag.Int("retries", 1, "retries per pipeline for transient failures")
@@ -216,13 +216,14 @@ type savedModel struct {
 }
 
 // saveModels trains one TEVoT model per FU on random data and saves it,
-// with each per-FU pipeline as one runner cell.
+// with each per-FU pipeline as one runner cell. Like Table3Run's lanes,
+// the few unequal cells each get the whole machine's shards.
 func saveModels(ctx context.Context, lab *experiments.Lab, cfg runner.Config, dir string) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		run.Fatal(err)
 	}
 	scale := lab.Scale
-	opts := lab.CharOpts(cfg.Workers)
+	opts := lab.CharOpts(1)
 	var tasks []runner.Task[savedModel]
 	for fu, u := range lab.Units {
 		fu, u := fu, u

@@ -122,8 +122,11 @@ type CharacterizeOptions struct {
 	// evaluation, independent of event history).
 	//
 	// When characterizations already run on a cell-level worker pool
-	// (internal/runner), pick Workers ≈ GOMAXPROCS / pool-workers so the
-	// two levels compose without oversubscription.
+	// (internal/runner), experiments.Lab.CharOpts picks Workers: about
+	// GOMAXPROCS / pool-workers for many-cell grids, so the two levels
+	// compose without oversubscription, and GOMAXPROCS for sweeps of a
+	// few unequal cells, so the cores an early-finishing cell frees go
+	// to the others' shards.
 	Workers int
 
 	// RefKernel simulates on the reference heap kernel instead of the

@@ -38,10 +38,11 @@ type Scale struct {
 	// FUs restricts the functional units (nil = all four).
 	FUs []circuits.FU
 	// ShardWorkers is the per-characterization shard parallelism
-	// (core.CharacterizeOptions.Workers). 0 = auto: GOMAXPROCS divided
-	// by the sweep's cell-level worker count, so the two levels — cells
-	// across the pool, shards inside a cell — compose without
-	// oversubscribing the machine.
+	// (core.CharacterizeOptions.Workers). 0 = auto, resolved by
+	// Lab.CharOpts: GOMAXPROCS divided by the cell-level worker count a
+	// sweep passes it — the pool size for many-cell grids (Fig. 3), 1
+	// for the few-cell sweeps (Tables II and III, model saving), whose
+	// cells each get the whole machine.
 	ShardWorkers int
 	// MemoOff disables the simulator's transition memo cache; MemoSize
 	// caps its entries (0 = sim default). See core.CharacterizeOptions.
@@ -53,6 +54,11 @@ type Scale struct {
 // workers already running characterizations concurrently, each cell gets
 // GOMAXPROCS/W simulation shards (at least 1). An explicit
 // Scale.ShardWorkers overrides the division.
+//
+// Many-cell grids pass their pool size, so cells × shards fill the
+// machine without oversubscribing it. Sweeps with a few unequal cells
+// pass 1: each cell may then use every core, and the cores a finished
+// cell frees go to the cells still simulating instead of idling.
 func (l *Lab) CharOpts(cellWorkers int) core.CharacterizeOptions {
 	w := l.Scale.ShardWorkers
 	if w == 0 {

@@ -123,13 +123,21 @@ func table3SweepName(lab *Lab) string {
 // a model must see every corner's training traces before it can be
 // evaluated. A panic or failure while training one FU no longer aborts
 // the other three.
+//
+// Every characterization gets the whole machine's shards (CharOpts(1)),
+// not its share of it. The per-FU lanes are few and unequal (at the
+// benchmark's reduced scale the FP_ADD lane runs about three times as
+// long as INT_ADD's), so a lane that finishes early would otherwise
+// leave its cores idle; with whole-machine shards the scheduler hands
+// them to the lanes still simulating. Sharding is bit-identical, so the
+// cells do not change.
 func Table3Run(ctx context.Context, lab *Lab, cfg runner.Config) ([]Table3Cell, *runner.Report, error) {
 	ctx, end := obs.Span(ctx, "experiments.table3")
 	defer end()
 	if cfg.Name == "" {
 		cfg.Name = table3SweepName(lab)
 	}
-	opts := lab.CharOpts(cfg.Workers)
+	opts := lab.CharOpts(1)
 	var tasks []runner.Task[[]Table3Cell]
 	for _, fu := range lab.Scale.fus() {
 		fu := fu
@@ -230,7 +238,8 @@ func table3ForFU(ctx context.Context, lab *Lab, fu circuits.FU, opts core.Charac
 
 // Table2Run is Table2 on the fault-tolerant runner: one cell (one FU at
 // one corner), gaining panic isolation, deadline, retry, and resume
-// semantics for the learning-method comparison.
+// semantics for the learning-method comparison. The lone cell gets the
+// whole machine's shards.
 func Table2Run(ctx context.Context, lab *Lab, cfg runner.Config) ([]core.MethodResult, *runner.Report, error) {
 	ctx, end := obs.Span(ctx, "experiments.table2")
 	defer end()
@@ -245,7 +254,7 @@ func Table2Run(ctx context.Context, lab *Lab, cfg runner.Config) ([]core.MethodR
 		cfg.Name = fmt.Sprintf("table2 fu=%s cycles=%d seed=%d", fu, lab.Scale.TrainCycles, lab.Scale.Seed)
 	}
 	key := "table2/" + fu.String()
-	opts := lab.CharOpts(cfg.Workers)
+	opts := lab.CharOpts(1)
 	tasks := []runner.Task[[]core.MethodResult]{{
 		Key: key,
 		Run: func(ctx context.Context) ([]core.MethodResult, error) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -194,6 +195,45 @@ func TestTable3RunReportAccounting(t *testing.T) {
 	}
 	if len(results) != 4 {
 		t.Fatalf("table2 methods = %d, want 4", len(results))
+	}
+}
+
+// TestTable3RunShardingInvariant: Table3Run gives each per-FU lane the
+// whole machine's shards, and the cells must not depend on it. Auto
+// resolves to GOMAXPROCS shards, raised here so a one-core host shards
+// too.
+func TestTable3RunShardingInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	scale := tinyScale()
+	scale.TrainCycles, scale.TestCycles, scale.AppStreamCap = 300, 200, 300
+	scale.FUs = []circuits.FU{circuits.IntAdd32, circuits.FPAdd32}
+	run := func(shards int) []Table3Cell {
+		s := scale
+		s.ShardWorkers = shards
+		lab, err := NewLab(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shards == 0 {
+			if w := lab.CharOpts(1).Workers; w != runtime.GOMAXPROCS(0) {
+				t.Fatalf("auto shards = %d, want GOMAXPROCS %d", w, runtime.GOMAXPROCS(0))
+			}
+		}
+		cells3, rep, err := Table3Run(context.Background(), lab, runner.Config{})
+		if err == nil {
+			err = rep.Err()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cells3
+	}
+	one, auto := run(1), run(0)
+	if len(one) != 2*len(Datasets)*4 {
+		t.Fatalf("cells = %d, want %d", len(one), 2*len(Datasets)*4)
+	}
+	if !reflect.DeepEqual(one, auto) {
+		t.Fatalf("cells differ between 1 shard and auto:\n%v\n%v", one, auto)
 	}
 }
 

@@ -33,6 +33,7 @@ func benchData(n int, seed int64) ([][]float64, []float64) {
 func BenchmarkForestFit(b *testing.B) {
 	X, y := benchData(5000, 1)
 	cfg := DefaultForestConfig(Regression)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := NewRandomForest(cfg)

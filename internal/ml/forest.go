@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tevot/internal/obs"
@@ -65,7 +66,8 @@ func NewRandomForest(cfg ForestConfig) *RandomForest {
 }
 
 // Fit trains every member tree, in parallel, each on its own bootstrap
-// sample. Deterministic for a fixed Seed regardless of worker count.
+// sample. Deterministic for a fixed Seed regardless of worker count: a
+// tree's seed and bootstrap depend only on its index.
 func (f *RandomForest) Fit(X [][]float64, y []float64) error {
 	if len(X) == 0 {
 		return fmt.Errorf("ml: empty training set")
@@ -82,34 +84,39 @@ func (f *RandomForest) Fit(X [][]float64, y []float64) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Acquire the semaphore before spawning: a 500-tree forest with 8
-	// workers runs at most 8 goroutines at a time, instead of parking 500
-	// (each with its own stack) on the channel.
-	sem := make(chan struct{}, workers)
+	workers = min(workers, f.cfg.Trees)
+	// Each worker pulls tree indices and keeps one bootstrap buffer and
+	// one fitScratch (bin matrix, histograms) for all the trees it fits.
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for ti := 0; ti < f.cfg.Trees; ti++ {
-		sem <- struct{}{}
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(ti int) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			cfg := f.cfg.Tree
-			cfg.Seed = f.cfg.Seed + int64(ti)*7919
-			tree := NewDecisionTree(cfg)
+			s := new(fitScratch)
 			idx := make([]int, n)
-			if f.cfg.Bootstrap {
-				rng := rand.New(rand.NewSource(cfg.Seed))
-				for i := range idx {
-					idx[i] = rng.Intn(n)
+			for {
+				ti := int(next.Add(1)) - 1
+				if ti >= f.cfg.Trees {
+					return
 				}
-			} else {
-				for i := range idx {
-					idx[i] = i
+				cfg := f.cfg.Tree
+				cfg.Seed = f.cfg.Seed + int64(ti)*7919
+				tree := NewDecisionTree(cfg)
+				if f.cfg.Bootstrap {
+					rng := rand.New(rand.NewSource(cfg.Seed))
+					for i := range idx {
+						idx[i] = rng.Intn(n)
+					}
+				} else {
+					for i := range idx {
+						idx[i] = i
+					}
 				}
+				errs[ti] = tree.fitIndices(X, y, idx, s)
+				f.trees[ti] = tree
 			}
-			errs[ti] = tree.FitIndices(X, y, idx)
-			f.trees[ti] = tree
-		}(ti)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -37,20 +37,19 @@ type TreeConfig struct {
 	// MaxFeatures is the number of features examined per split; 0 means
 	// all features (the paper's stated scikit-learn default).
 	MaxFeatures int
-	// Quantiles caps the number of candidate thresholds per feature
-	// (default 8). Features with fewer distinct values use exact
-	// midpoints; binary features always get their single midpoint.
-	Quantiles int
 	// Seed drives the per-split feature subsampling when MaxFeatures > 0.
 	Seed int64
 }
 
+// quantiles caps the number of candidate thresholds per feature.
+// Features with fewer distinct values use exact midpoints; binary
+// features always get their single midpoint. A row's bin among at most
+// quantiles thresholds is at most quantiles, so it fits a uint8.
+const quantiles = 8
+
 func (c TreeConfig) withDefaults() TreeConfig {
 	if c.MinLeaf <= 0 {
 		c.MinLeaf = 1
-	}
-	if c.Quantiles <= 0 {
-		c.Quantiles = 8
 	}
 	return c
 }
@@ -64,9 +63,12 @@ type node struct {
 	value     float64 // leaf prediction
 }
 
-// DecisionTree is a CART tree with histogram-style split search: split
-// candidates are fixed per feature over the whole training set, and each
-// node evaluates all of a feature's candidates in one pass.
+// DecisionTree is a CART tree with binned split search. Split
+// candidates are fixed per feature once per fit (globalThresholds), and
+// every training row is binned once among them into a uint8 matrix.
+// Each node then builds the bin histograms of all the features it
+// examines in one pass over its rows and sweeps each feature's
+// candidates from its histogram.
 type DecisionTree struct {
 	cfg        TreeConfig
 	nodes      []node
@@ -92,6 +94,12 @@ func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
 // FitIndices builds the tree on a subset of rows (indices may repeat, as
 // in a bootstrap sample). The idx slice is consumed.
 func (t *DecisionTree) FitIndices(X [][]float64, y []float64, idx []int) error {
+	return t.fitIndices(X, y, idx, new(fitScratch))
+}
+
+// fitIndices is FitIndices with its working buffers taken from s, which
+// a forest worker reuses across the trees it fits.
+func (t *DecisionTree) fitIndices(X [][]float64, y []float64, idx []int, s *fitScratch) error {
 	if len(idx) == 0 || len(X) == 0 {
 		return fmt.Errorf("ml: empty training set")
 	}
@@ -110,30 +118,18 @@ func (t *DecisionTree) FitIndices(X [][]float64, y []float64, idx []int) error {
 			}
 		}
 	}
+	nf := len(X[0])
 	t.nodes = t.nodes[:0]
-	t.importance = make([]float64, len(X[0]))
+	t.importance = make([]float64, nf)
 	b := &treeBuilder{
 		t:   t,
-		X:   X,
 		y:   y,
+		nf:  nf,
 		rng: rand.New(rand.NewSource(t.cfg.Seed)),
-		ths: globalThresholds(X, idx, t.cfg.Quantiles),
+		ths: globalThresholds(X, idx),
+		s:   s,
 	}
-	nb := 0
-	for _, f := range b.ths {
-		if len(f)+1 > nb {
-			nb = len(f) + 1
-		}
-	}
-	b.bCount = make([]int, nb)
-	b.bSum = make([]float64, nb)
-	b.bSq = make([]float64, nb)
-	if t.cfg.Mode == Classification {
-		b.bClass = make([][]int, nb)
-		for i := range b.bClass {
-			b.bClass[i] = make([]int, t.classes)
-		}
-	}
+	s.reset(X, idx, b.ths, t.classes)
 	b.grow(idx, 0)
 	return nil
 }
@@ -143,27 +139,28 @@ func (t *DecisionTree) FitIndices(X [][]float64, y []float64, idx []int) error {
 // quantile midpoints. One scratch buffer serves every feature — raw
 // values, distinct values, and midpoints all share its storage — and
 // only the final candidate list is copied out, exactly sized, because
-// ths outlives this call. (The old per-feature mids allocation sized a
-// slice to the distinct-value count and then usually discarded it for a
-// quantile-strided copy: per-feature garbage proportional to the
-// training set.)
-func globalThresholds(X [][]float64, idx []int, quantiles int) [][]float64 {
+// ths outlives this call. Each feature's candidates are non-decreasing.
+func globalThresholds(X [][]float64, idx []int) [][]float64 {
 	nf := len(X[0])
 	ths := make([][]float64, nf)
 	scratch := make([]float64, 0, len(idx))
+	var few [quantiles + 1]float64
 	for f := 0; f < nf; f++ {
 		vals := scratch[:0]
 		for _, i := range idx {
 			vals = append(vals, X[i][f])
 		}
-		sort.Float64s(vals)
-		// Distinct values, in place.
-		distinct := vals[:0:len(vals)]
-		prev := math.NaN()
-		for _, v := range vals {
-			if v != prev {
-				distinct = append(distinct, v)
-				prev = v
+		distinct, ok := fewDistinct(vals, few[:0])
+		if !ok {
+			sort.Float64s(vals)
+			// Distinct values, in place.
+			distinct = vals[:0:len(vals)]
+			prev := math.NaN()
+			for _, v := range vals {
+				if v != prev {
+					distinct = append(distinct, v)
+					prev = v
+				}
 			}
 		}
 		if len(distinct) < 2 {
@@ -186,6 +183,30 @@ func globalThresholds(X [][]float64, idx []int, quantiles int) [][]float64 {
 		}
 	}
 	return ths
+}
+
+// fewDistinct returns the distinct values in vals in ascending order,
+// collected by insertion into buf, as long as there are at most cap(buf)
+// of them. Binary and other low-cardinality features thus skip
+// globalThresholds' sort. It reports false, leaving vals to the sort, on
+// overflow or on a NaN, which only the sort orders.
+func fewDistinct(vals, buf []float64) ([]float64, bool) {
+	for _, v := range vals {
+		j := 0
+		for j < len(buf) && buf[j] < v {
+			j++
+		}
+		if j < len(buf) && buf[j] == v {
+			continue
+		}
+		if v != v || len(buf) == cap(buf) {
+			return nil, false
+		}
+		buf = append(buf, 0)
+		copy(buf[j+1:], buf[j:])
+		buf[j] = v
+	}
+	return buf, true
 }
 
 // Predict returns the tree's output for one feature vector.
@@ -234,17 +255,82 @@ func (t *DecisionTree) Depth() int {
 	return walk(0)
 }
 
+// binStats is one regression histogram slot: the count, sum and sum of
+// squares of the labels whose row falls in one bucket of one feature.
+type binStats struct {
+	n       int
+	sum, sq float64
+}
+
+// fitScratch holds a tree fit's working buffers. RandomForest.Fit gives
+// each of its workers one and reuses it for every tree the worker fits.
+type fitScratch struct {
+	// bins is the row-major bin matrix: bins[i*nf+f] is the bucket of
+	// X[i][f] among the tree's candidates for feature f. Only the rows
+	// the tree trains on are filled.
+	bins []uint8
+	// off[f] is the first histogram slot of feature f, which owns
+	// len(ths[f])+1 consecutive slots, one per bucket.
+	off []int
+	// all lists every feature, in order.
+	all []int
+	// hist is the regression histogram, one binStats per slot; cls is
+	// the classification histogram, one class-count row per slot.
+	hist []binStats
+	cls  []int
+	// totClass and classL are a Gini sweep's running class counts.
+	totClass, classL []int
+}
+
+// reset lays out the histograms for thresholds ths and bins the rows in
+// idx. A row's bucket is the number of candidates strictly below its
+// value, so bucket <= k exactly when the value is <= ths[k] (the
+// candidates are non-decreasing).
+func (s *fitScratch) reset(X [][]float64, idx []int, ths [][]float64, classes int) {
+	nf := len(ths)
+	s.off = resize(s.off, nf)
+	s.all = resize(s.all, nf)
+	slots := 0
+	for f, th := range ths {
+		s.off[f] = slots
+		s.all[f] = f
+		slots += len(th) + 1
+	}
+	s.hist = resize(s.hist, slots)
+	s.cls = resize(s.cls, slots*classes)
+	s.totClass = resize(s.totClass, classes)
+	s.classL = resize(s.classL, classes)
+	s.bins = resize(s.bins, len(X)*nf)
+	for _, i := range idx {
+		row := s.bins[i*nf : i*nf+nf]
+		x := X[i]
+		for f, th := range ths {
+			v := x[f]
+			k := 0
+			for k < len(th) && v > th[k] {
+				k++
+			}
+			row[f] = uint8(k)
+		}
+	}
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 type treeBuilder struct {
 	t   *DecisionTree
-	X   [][]float64
 	y   []float64
+	nf  int
 	rng *rand.Rand
 	ths [][]float64 // global per-feature candidates
-
-	bCount []int
-	bSum   []float64
-	bSq    []float64
-	bClass [][]int
+	s   *fitScratch
 }
 
 // grow recursively builds the subtree over idx and returns its node index.
@@ -261,16 +347,17 @@ func (b *treeBuilder) grow(idx []int, depth int) int32 {
 		return self
 	}
 
-	feat, thr, gain := b.bestSplit(idx, impurity)
+	feat, bin, gain := b.bestSplit(idx, impurity)
 	if feat < 0 || gain <= 1e-12 {
 		return self
 	}
 	t.importance[feat] += gain
 
-	// Partition in place.
+	// Partition in place: bin <= k is exactly X <= ths[k].
+	bins, nf, k := b.s.bins, b.nf, uint8(bin)
 	lo, hi := 0, len(idx)
 	for lo < hi {
-		if b.X[idx[lo]][feat] <= thr {
+		if bins[idx[lo]*nf+feat] <= k {
 			lo++
 		} else {
 			hi--
@@ -283,7 +370,7 @@ func (b *treeBuilder) grow(idx []int, depth int) int32 {
 
 	left := b.grow(idx[:lo], depth+1)
 	right := b.grow(idx[lo:], depth+1)
-	t.nodes[self] = node{feature: int32(feat), threshold: thr, left: left, right: right, value: leafValue}
+	t.nodes[self] = node{feature: int32(feat), threshold: b.ths[feat][bin], left: left, right: right, value: leafValue}
 	return self
 }
 
@@ -322,84 +409,101 @@ func (b *treeBuilder) leafStats(idx []int) (value, impurity float64) {
 	return float64(best), (1 - sumSq) * n
 }
 
-// bestSplit scans (a subset of) features for the split with the largest
-// impurity decrease, evaluating all of a feature's candidate thresholds
-// in one bucketing pass.
-func (b *treeBuilder) bestSplit(idx []int, parent float64) (feat int, thr, gain float64) {
+// bestSplit finds the split of (a subset of) features with the largest
+// impurity decrease: one pass over idx fills every examined feature's
+// histogram, then the features are swept in featureOrder order, ties
+// going to the first. It returns the feature and the bucket k of its
+// threshold ths[k].
+func (b *treeBuilder) bestSplit(idx []int, parent float64) (feat, bin int, gain float64) {
+	feats := b.featureOrder()
+	if b.t.cfg.Mode == Regression {
+		b.fillRegression(idx, feats)
+	} else {
+		b.fillGini(idx, feats)
+	}
 	feat = -1
-	for _, f := range b.featureOrder(len(b.X[0])) {
-		ths := b.ths[f]
-		if len(ths) == 0 {
+	for _, f := range feats {
+		if len(b.ths[f]) == 0 {
 			continue
 		}
-		var g, tv float64
+		var g float64
+		var k int
 		var ok bool
 		if b.t.cfg.Mode == Regression {
-			g, tv, ok = b.scanRegression(idx, f, ths, parent)
+			g, k, ok = b.sweepRegression(f, parent)
 		} else {
-			g, tv, ok = b.scanGini(idx, f, ths, parent)
+			g, k, ok = b.sweepGini(f, parent)
 		}
 		if ok && g > gain {
-			feat, thr, gain = f, tv, g
+			feat, bin, gain = f, k, g
 		}
 	}
-	return feat, thr, gain
+	return feat, bin, gain
 }
 
 // featureOrder returns all features, or a random subset of MaxFeatures.
-func (b *treeBuilder) featureOrder(nf int) []int {
+func (b *treeBuilder) featureOrder() []int {
 	mf := b.t.cfg.MaxFeatures
-	if mf <= 0 || mf >= nf {
-		all := make([]int, nf)
-		for i := range all {
-			all[i] = i
+	if mf <= 0 || mf >= b.nf {
+		return b.s.all
+	}
+	return b.rng.Perm(b.nf)[:mf]
+}
+
+// fillRegression builds the count, sum and sum-of-squares histograms of
+// the features in feats in one pass over idx. Every (feature, bucket)
+// slot adds the same labels in the same idx order as a scan of that
+// feature alone would. A feature without candidates owns one slot,
+// filled and never read.
+func (b *treeBuilder) fillRegression(idx, feats []int) {
+	hist, off, bins, y, nf := b.s.hist, b.s.off, b.s.bins, b.y, b.nf
+	for _, f := range feats {
+		clear(hist[off[f] : off[f]+len(b.ths[f])+1])
+	}
+	if len(feats) == nf { // every feature, in order: walk the row directly
+		for _, i := range idx {
+			row := bins[i*nf : i*nf+nf]
+			v := y[i]
+			for f, k := range row {
+				h := &hist[off[f]+int(k)]
+				h.n++
+				h.sum += v
+				h.sq += v * v
+			}
 		}
-		return all
-	}
-	return b.rng.Perm(nf)[:mf]
-}
-
-// bucketOf locates the bucket of v among thresholds ths: the number of
-// thresholds strictly below v... bucket k holds values in
-// (ths[k-1], ths[k]].
-func bucketOf(v float64, ths []float64) int {
-	k := 0
-	for k < len(ths) && v > ths[k] {
-		k++
-	}
-	return k
-}
-
-// scanRegression buckets the node's samples once and sweeps the buckets
-// to find the best SSE-decreasing threshold of feature f.
-func (b *treeBuilder) scanRegression(idx []int, f int, ths []float64, parent float64) (gain, thr float64, ok bool) {
-	nb := len(ths) + 1
-	for k := 0; k < nb; k++ {
-		b.bCount[k] = 0
-		b.bSum[k] = 0
-		b.bSq[k] = 0
+		return
 	}
 	for _, i := range idx {
-		k := bucketOf(b.X[i][f], ths)
-		v := b.y[i]
-		b.bCount[k]++
-		b.bSum[k] += v
-		b.bSq[k] += v * v
+		row := bins[i*nf : i*nf+nf]
+		v := y[i]
+		for _, f := range feats {
+			h := &hist[off[f]+int(row[f])]
+			h.n++
+			h.sum += v
+			h.sq += v * v
+		}
 	}
+}
+
+// sweepRegression sweeps feature f's histogram for its best
+// SSE-decreasing threshold and returns that threshold's bucket.
+func (b *treeBuilder) sweepRegression(f int, parent float64) (gain float64, bin int, ok bool) {
+	ths := b.ths[f]
+	h := b.s.hist[b.s.off[f] : b.s.off[f]+len(ths)+1]
 	var totSum, totSq float64
 	tot := 0
-	for k := 0; k < nb; k++ {
-		tot += b.bCount[k]
-		totSum += b.bSum[k]
-		totSq += b.bSq[k]
+	for k := range h {
+		tot += h[k].n
+		totSum += h[k].sum
+		totSq += h[k].sq
 	}
 	var nL int
 	var sumL, sqL float64
 	minLeaf := b.t.cfg.MinLeaf
 	for k := 0; k < len(ths); k++ {
-		nL += b.bCount[k]
-		sumL += b.bSum[k]
-		sqL += b.bSq[k]
+		nL += h[k].n
+		sumL += h[k].sum
+		sqL += h[k].sq
 		nR := tot - nL
 		if nL < minLeaf || nR < minLeaf {
 			continue
@@ -409,58 +513,49 @@ func (b *treeBuilder) scanRegression(idx []int, f int, ths []float64, parent flo
 		sseL := sqL - sumL*sumL/float64(nL)
 		sseR := sqR - sumR*sumR/float64(nR)
 		if g := parent - sseL - sseR; g > gain {
-			gain, thr, ok = g, ths[k], true
+			gain, bin, ok = g, k, true
 		}
 	}
-	return gain, thr, ok
+	return gain, bin, ok
 }
 
-// scanGini is scanRegression's classification counterpart.
-func (b *treeBuilder) scanGini(idx []int, f int, ths []float64, parent float64) (gain, thr float64, ok bool) {
-	nb := len(ths) + 1
-	kcls := b.t.classes
-	for k := 0; k < nb; k++ {
-		b.bCount[k] = 0
-		cl := b.bClass[k]
-		for c := range cl {
-			cl[c] = 0
-		}
+// fillGini is fillRegression's classification counterpart: per-bucket
+// class counts.
+func (b *treeBuilder) fillGini(idx, feats []int) {
+	cls, off, bins, y, nf, kcls := b.s.cls, b.s.off, b.s.bins, b.y, b.nf, b.t.classes
+	for _, f := range feats {
+		clear(cls[off[f]*kcls : (off[f]+len(b.ths[f])+1)*kcls])
 	}
 	for _, i := range idx {
-		k := bucketOf(b.X[i][f], ths)
-		b.bCount[k]++
-		b.bClass[k][int(b.y[i])]++
+		row := bins[i*nf : i*nf+nf]
+		c := int(y[i])
+		for _, f := range feats {
+			cls[(off[f]+int(row[f]))*kcls+c]++
+		}
 	}
+}
+
+// sweepGini is sweepRegression's classification counterpart.
+func (b *treeBuilder) sweepGini(f int, parent float64) (gain float64, bin int, ok bool) {
+	ths := b.ths[f]
+	kcls := b.t.classes
+	h := b.s.cls[b.s.off[f]*kcls : (b.s.off[f]+len(ths)+1)*kcls]
+	totClass, classL := b.s.totClass, b.s.classL
+	clear(totClass)
+	clear(classL)
 	tot := 0
-	totClass := make([]int, kcls)
-	for k := 0; k < nb; k++ {
-		tot += b.bCount[k]
+	for k := 0; k <= len(ths); k++ {
 		for c := 0; c < kcls; c++ {
-			totClass[c] += b.bClass[k][c]
+			tot += h[k*kcls+c]
+			totClass[c] += h[k*kcls+c]
 		}
 	}
 	nL := 0
-	classL := make([]int, kcls)
 	minLeaf := b.t.cfg.MinLeaf
-	gini := func(counts []int, n int, sub []int) float64 {
-		s := 0.0
-		fn := float64(n)
-		for c := range counts {
-			var k int
-			if sub == nil {
-				k = counts[c]
-			} else {
-				k = counts[c] - sub[c]
-			}
-			p := float64(k) / fn
-			s += p * p
-		}
-		return (1 - s) * fn
-	}
 	for k := 0; k < len(ths); k++ {
-		nL += b.bCount[k]
 		for c := 0; c < kcls; c++ {
-			classL[c] += b.bClass[k][c]
+			nL += h[k*kcls+c]
+			classL[c] += h[k*kcls+c]
 		}
 		nR := tot - nL
 		if nL < minLeaf || nR < minLeaf {
@@ -468,8 +563,26 @@ func (b *treeBuilder) scanGini(idx []int, f int, ths []float64, parent float64) 
 		}
 		g := parent - gini(classL, nL, nil) - gini(totClass, nR, classL)
 		if g > gain {
-			gain, thr, ok = g, ths[k], true
+			gain, bin, ok = g, k, true
 		}
 	}
-	return gain, thr, ok
+	return gain, bin, ok
+}
+
+// gini is the count-scaled Gini impurity of n samples with class counts
+// counts, or counts minus sub when sub is non-nil.
+func gini(counts []int, n int, sub []int) float64 {
+	s := 0.0
+	fn := float64(n)
+	for c := range counts {
+		var k int
+		if sub == nil {
+			k = counts[c]
+		} else {
+			k = counts[c] - sub[c]
+		}
+		p := float64(k) / fn
+		s += p * p
+	}
+	return (1 - s) * fn
 }

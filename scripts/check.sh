@@ -48,6 +48,9 @@ echo "== memo equivalence: transition memo + bitslice windows vs uncached kernel
 go test -run 'TestKernelDiffRandom|TestMemo|TestBeginWindowErrors' ./internal/sim
 go test -run 'TestMemoHitRateImagingStreams' ./internal/core
 
+echo "== forest fit: binned split search reproduces the pinned forests, per-worker scratch (race)"
+go test -race -run 'TestForestFitDigests|TestForestDeterministicAcrossWorkerCounts' ./internal/ml
+
 echo "== determinism: sharded DTA bit-identity + singleflight (race)"
 go test -race -short -run \
 	'TestCharacterizeShardingDeterminism|TestCharacterizeConcurrentSharedFUnit|TestStaticSingleflight' \
