@@ -6,7 +6,6 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -199,11 +198,9 @@ func TestTable3RunReportAccounting(t *testing.T) {
 }
 
 // TestTable3RunShardingInvariant: Table3Run gives each per-FU lane the
-// whole machine's shards, and the cells must not depend on it. Auto
-// resolves to GOMAXPROCS shards, raised here so a one-core host shards
-// too.
+// whole machine's shards, and the cells must not depend on the shard
+// count. An explicit 4 shards every characterization on any host.
 func TestTable3RunShardingInvariant(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
 	scale := tinyScale()
 	scale.TrainCycles, scale.TestCycles, scale.AppStreamCap = 300, 200, 300
 	scale.FUs = []circuits.FU{circuits.IntAdd32, circuits.FPAdd32}
@@ -214,11 +211,6 @@ func TestTable3RunShardingInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shards == 0 {
-			if w := lab.CharOpts(1).Workers; w != runtime.GOMAXPROCS(0) {
-				t.Fatalf("auto shards = %d, want GOMAXPROCS %d", w, runtime.GOMAXPROCS(0))
-			}
-		}
 		cells3, rep, err := Table3Run(context.Background(), lab, runner.Config{})
 		if err == nil {
 			err = rep.Err()
@@ -228,12 +220,12 @@ func TestTable3RunShardingInvariant(t *testing.T) {
 		}
 		return cells3
 	}
-	one, auto := run(1), run(0)
+	one, four := run(1), run(4)
 	if len(one) != 2*len(Datasets)*4 {
 		t.Fatalf("cells = %d, want %d", len(one), 2*len(Datasets)*4)
 	}
-	if !reflect.DeepEqual(one, auto) {
-		t.Fatalf("cells differ between 1 shard and auto:\n%v\n%v", one, auto)
+	if !reflect.DeepEqual(one, four) {
+		t.Fatalf("cells differ between 1 and 4 shards:\n%v\n%v", one, four)
 	}
 }
 

@@ -65,10 +65,10 @@ type node struct {
 
 // DecisionTree is a CART tree with binned split search. Split
 // candidates are fixed per feature once per fit (globalThresholds), and
-// every training row is binned once among them into a uint8 matrix.
-// Each node then builds the bin histograms of all the features it
-// examines in one pass over its rows and sweeps each feature's
-// candidates from its histogram.
+// every distinct training row is binned once among them into a uint8
+// matrix. Each node then builds the bin histograms of every feature in
+// one pass over its rows and sweeps the candidates of each feature it
+// examines from its histogram.
 type DecisionTree struct {
 	cfg        TreeConfig
 	nodes      []node
@@ -88,17 +88,13 @@ func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
 	for i := range idx {
 		idx[i] = i
 	}
-	return t.FitIndices(X, y, idx)
-}
-
-// FitIndices builds the tree on a subset of rows (indices may repeat, as
-// in a bootstrap sample). The idx slice is consumed.
-func (t *DecisionTree) FitIndices(X [][]float64, y []float64, idx []int) error {
 	return t.fitIndices(X, y, idx, new(fitScratch))
 }
 
-// fitIndices is FitIndices with its working buffers taken from s, which
-// a forest worker reuses across the trees it fits.
+// fitIndices builds the tree on the rows in idx (indices may repeat, as
+// in a bootstrap sample), with its working buffers taken from s, which
+// a forest worker reuses across the trees it fits. The idx slice is
+// consumed.
 func (t *DecisionTree) fitIndices(X [][]float64, y []float64, idx []int, s *fitScratch) error {
 	if len(idx) == 0 || len(X) == 0 {
 		return fmt.Errorf("ml: empty training set")
@@ -121,46 +117,44 @@ func (t *DecisionTree) fitIndices(X [][]float64, y []float64, idx []int, s *fitS
 	nf := len(X[0])
 	t.nodes = t.nodes[:0]
 	t.importance = make([]float64, nf)
+	s.compact(idx, y)
 	b := &treeBuilder{
 		t:   t,
-		y:   y,
+		y:   s.y,
 		nf:  nf,
 		rng: rand.New(rand.NewSource(t.cfg.Seed)),
-		ths: globalThresholds(X, idx),
+		ths: globalThresholds(X, s.rows),
 		s:   s,
 	}
-	s.reset(X, idx, b.ths, t.classes)
+	s.reset(X, b.ths, t.classes)
 	b.grow(idx, 0)
 	return nil
 }
 
-// globalThresholds computes the per-feature split candidates once:
+// globalThresholds computes the per-feature split candidates once from
+// the training rows (each listed once: only the distinct values count):
 // midpoints between consecutive distinct values when there are few, else
 // quantile midpoints. One scratch buffer serves every feature — raw
 // values, distinct values, and midpoints all share its storage — and
 // only the final candidate list is copied out, exactly sized, because
 // ths outlives this call. Each feature's candidates are non-decreasing.
-func globalThresholds(X [][]float64, idx []int) [][]float64 {
+func globalThresholds(X [][]float64, rows []int) [][]float64 {
 	nf := len(X[0])
 	ths := make([][]float64, nf)
-	scratch := make([]float64, 0, len(idx))
-	var few [quantiles + 1]float64
+	scratch := make([]float64, 0, len(rows))
 	for f := 0; f < nf; f++ {
 		vals := scratch[:0]
-		for _, i := range idx {
+		for _, i := range rows {
 			vals = append(vals, X[i][f])
 		}
-		distinct, ok := fewDistinct(vals, few[:0])
-		if !ok {
-			sort.Float64s(vals)
-			// Distinct values, in place.
-			distinct = vals[:0:len(vals)]
-			prev := math.NaN()
-			for _, v := range vals {
-				if v != prev {
-					distinct = append(distinct, v)
-					prev = v
-				}
+		sort.Float64s(vals)
+		// Distinct values, in place.
+		distinct := vals[:0:len(vals)]
+		prev := math.NaN()
+		for _, v := range vals {
+			if v != prev {
+				distinct = append(distinct, v)
+				prev = v
 			}
 		}
 		if len(distinct) < 2 {
@@ -183,30 +177,6 @@ func globalThresholds(X [][]float64, idx []int) [][]float64 {
 		}
 	}
 	return ths
-}
-
-// fewDistinct returns the distinct values in vals in ascending order,
-// collected by insertion into buf, as long as there are at most cap(buf)
-// of them. Binary and other low-cardinality features thus skip
-// globalThresholds' sort. It reports false, leaving vals to the sort, on
-// overflow or on a NaN, which only the sort orders.
-func fewDistinct(vals, buf []float64) ([]float64, bool) {
-	for _, v := range vals {
-		j := 0
-		for j < len(buf) && buf[j] < v {
-			j++
-		}
-		if j < len(buf) && buf[j] == v {
-			continue
-		}
-		if v != v || len(buf) == cap(buf) {
-			return nil, false
-		}
-		buf = append(buf, 0)
-		copy(buf[j+1:], buf[j:])
-		buf[j] = v
-	}
-	return buf, true
 }
 
 // Predict returns the tree's output for one feature vector.
@@ -265,9 +235,14 @@ type binStats struct {
 // fitScratch holds a tree fit's working buffers. RandomForest.Fit gives
 // each of its workers one and reuses it for every tree the worker fits.
 type fitScratch struct {
-	// bins is the row-major bin matrix: bins[i*nf+f] is the bucket of
-	// X[i][f] among the tree's candidates for feature f. Only the rows
-	// the tree trains on are filled.
+	// pos maps a row of X to its compact id; rows maps back, and y
+	// holds the compact rows' labels. Only rows the tree trains on get
+	// an id: a bootstrap of n draws holds about 0.63n distinct rows.
+	pos  []int
+	rows []int
+	y    []float64
+	// bins is the row-major bin matrix over the compact rows: bins[c*nf+f]
+	// is the bucket of X[rows[c]][f] among the tree's candidates for f.
 	bins []uint8
 	// off[f] is the first histogram slot of feature f, which owns
 	// len(ths[f])+1 consecutive slots, one per bucket.
@@ -282,11 +257,39 @@ type fitScratch struct {
 	totClass, classL []int
 }
 
-// reset lays out the histograms for thresholds ths and bins the rows in
-// idx. A row's bucket is the number of candidates strictly below its
+// compact numbers the d distinct rows in idx 0..d-1, in ascending row
+// order, rewrites idx in place to those ids, and gathers their labels.
+// The tree then bins, and reads labels from, only those d rows; idx
+// keeps its order, so every sum adds the same labels in the same order.
+func (s *fitScratch) compact(idx []int, y []float64) {
+	s.pos = resize(s.pos, len(y))
+	clear(s.pos)
+	d := 0
+	for _, i := range idx {
+		if s.pos[i] == 0 {
+			s.pos[i] = 1
+			d++
+		}
+	}
+	s.rows, s.y = resize(s.rows, d), resize(s.y, d)
+	c := 0
+	for r, seen := range s.pos {
+		if seen != 0 {
+			s.pos[r] = c
+			s.rows[c], s.y[c] = r, y[r]
+			c++
+		}
+	}
+	for j, i := range idx {
+		idx[j] = s.pos[i]
+	}
+}
+
+// reset lays out the histograms for thresholds ths and bins the compact
+// rows. A row's bucket is the number of candidates strictly below its
 // value, so bucket <= k exactly when the value is <= ths[k] (the
 // candidates are non-decreasing).
-func (s *fitScratch) reset(X [][]float64, idx []int, ths [][]float64, classes int) {
+func (s *fitScratch) reset(X [][]float64, ths [][]float64, classes int) {
 	nf := len(ths)
 	s.off = resize(s.off, nf)
 	s.all = resize(s.all, nf)
@@ -300,10 +303,10 @@ func (s *fitScratch) reset(X [][]float64, idx []int, ths [][]float64, classes in
 	s.cls = resize(s.cls, slots*classes)
 	s.totClass = resize(s.totClass, classes)
 	s.classL = resize(s.classL, classes)
-	s.bins = resize(s.bins, len(X)*nf)
-	for _, i := range idx {
-		row := s.bins[i*nf : i*nf+nf]
-		x := X[i]
+	s.bins = resize(s.bins, len(s.rows)*nf)
+	for c, r := range s.rows {
+		row := s.bins[c*nf : c*nf+nf]
+		x := X[r]
 		for f, th := range ths {
 			v := x[f]
 			k := 0
@@ -324,9 +327,10 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// treeBuilder grows one tree over compact row ids (fitScratch.compact).
 type treeBuilder struct {
 	t   *DecisionTree
-	y   []float64
+	y   []float64 // labels by compact id
 	nf  int
 	rng *rand.Rand
 	ths [][]float64 // global per-feature candidates
@@ -410,19 +414,18 @@ func (b *treeBuilder) leafStats(idx []int) (value, impurity float64) {
 }
 
 // bestSplit finds the split of (a subset of) features with the largest
-// impurity decrease: one pass over idx fills every examined feature's
-// histogram, then the features are swept in featureOrder order, ties
+// impurity decrease: one pass over idx fills every feature's histogram,
+// then the examined features are swept in featureOrder order, ties
 // going to the first. It returns the feature and the bucket k of its
 // threshold ths[k].
 func (b *treeBuilder) bestSplit(idx []int, parent float64) (feat, bin int, gain float64) {
-	feats := b.featureOrder()
 	if b.t.cfg.Mode == Regression {
-		b.fillRegression(idx, feats)
+		b.fillRegression(idx)
 	} else {
-		b.fillGini(idx, feats)
+		b.fillGini(idx)
 	}
 	feat = -1
-	for _, f := range feats {
+	for _, f := range b.featureOrder() {
 		if len(b.ths[f]) == 0 {
 			continue
 		}
@@ -451,33 +454,19 @@ func (b *treeBuilder) featureOrder() []int {
 }
 
 // fillRegression builds the count, sum and sum-of-squares histograms of
-// the features in feats in one pass over idx. Every (feature, bucket)
-// slot adds the same labels in the same idx order as a scan of that
-// feature alone would. A feature without candidates owns one slot,
-// filled and never read.
-func (b *treeBuilder) fillRegression(idx, feats []int) {
+// every feature in one pass over idx, walking each row's bins in order.
+// Every (feature, bucket) slot adds the same labels in the same idx
+// order as a scan of that feature alone would. Slots of features the
+// node does not examine, and the one slot of a feature without
+// candidates, are filled and never read.
+func (b *treeBuilder) fillRegression(idx []int) {
 	hist, off, bins, y, nf := b.s.hist, b.s.off, b.s.bins, b.y, b.nf
-	for _, f := range feats {
-		clear(hist[off[f] : off[f]+len(b.ths[f])+1])
-	}
-	if len(feats) == nf { // every feature, in order: walk the row directly
-		for _, i := range idx {
-			row := bins[i*nf : i*nf+nf]
-			v := y[i]
-			for f, k := range row {
-				h := &hist[off[f]+int(k)]
-				h.n++
-				h.sum += v
-				h.sq += v * v
-			}
-		}
-		return
-	}
+	clear(hist)
 	for _, i := range idx {
 		row := bins[i*nf : i*nf+nf]
 		v := y[i]
-		for _, f := range feats {
-			h := &hist[off[f]+int(row[f])]
+		for f, k := range row {
+			h := &hist[off[f]+int(k)]
 			h.n++
 			h.sum += v
 			h.sq += v * v
@@ -521,16 +510,14 @@ func (b *treeBuilder) sweepRegression(f int, parent float64) (gain float64, bin 
 
 // fillGini is fillRegression's classification counterpart: per-bucket
 // class counts.
-func (b *treeBuilder) fillGini(idx, feats []int) {
+func (b *treeBuilder) fillGini(idx []int) {
 	cls, off, bins, y, nf, kcls := b.s.cls, b.s.off, b.s.bins, b.y, b.nf, b.t.classes
-	for _, f := range feats {
-		clear(cls[off[f]*kcls : (off[f]+len(b.ths[f])+1)*kcls])
-	}
+	clear(cls)
 	for _, i := range idx {
 		row := bins[i*nf : i*nf+nf]
 		c := int(y[i])
-		for _, f := range feats {
-			cls[(off[f]+int(row[f]))*kcls+c]++
+		for f, k := range row {
+			cls[(off[f]+int(k))*kcls+c]++
 		}
 	}
 }
