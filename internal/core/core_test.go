@@ -6,6 +6,7 @@ import (
 
 	"tevot/internal/cells"
 	"tevot/internal/circuits"
+	"tevot/internal/features"
 	"tevot/internal/workload"
 )
 
@@ -377,6 +378,59 @@ func TestPredictDelaysConsistency(t *testing.T) {
 	for i := range errs {
 		if errs[i] != (delays[i] > 0) {
 			t.Fatal("PredictErrors inconsistent with PredictDelays")
+		}
+	}
+}
+
+// TestPredictDelaysMatchPointerTrees: the packed walk behind
+// PredictDelays and PredictDelay reproduces the pointer trees on the
+// float features — the mean of every tree's Predict, added in tree
+// order — on every row of a random stream at an untrained corner, with
+// and without history.
+func TestPredictDelaysMatchPointerTrees(t *testing.T) {
+	u, err := NewFUnit(circuits.IntAdd32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traces []*Trace
+	for k, c := range []cells.Corner{{V: 0.9, T: 25}, {V: 0.8, T: 75}} {
+		tr, err := Characterize(u, c, workload.RandomInt(301, int64(20+k)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, tr)
+	}
+	c := cells.Corner{V: 0.85, T: 50}
+	s := workload.RandomInt(600, 33)
+	for _, history := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.History = history
+		m, err := Train(circuits.IntAdd32, traces, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delays, err := m.PredictDelays(c, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees := m.forest.Trees()
+		for i, got := range delays {
+			cur, prev := s.Pairs[i+1], s.Pairs[i]
+			x := features.VectorNH(c, cur)
+			if history {
+				x = features.Vector(c, cur, prev)
+			}
+			want := 0.0
+			for _, tree := range trees {
+				want += tree.Predict(x)
+			}
+			want /= float64(len(trees))
+			if got != want {
+				t.Fatalf("history %v cycle %d: PredictDelays %v != pointer trees %v", history, i, got, want)
+			}
+			if d := m.PredictDelay(c, cur, prev); d != want {
+				t.Fatalf("history %v cycle %d: PredictDelay %v != pointer trees %v", history, i, d, want)
+			}
 		}
 	}
 }

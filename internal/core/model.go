@@ -32,13 +32,28 @@ func DefaultConfig() Config {
 // predicts the dynamic delay D[t] from {V, T, x[t], x[t-1]} and derives
 // timing errors by comparing the prediction with any clock period — the
 // paper's Eq. 2 formulation, reusable across clock speeds without
-// retraining.
+// retraining. Its predictions walk packed rows (features.PackInto):
+// newModel checks once that the forest walks them exactly.
 type Model struct {
 	FU      circuits.FU
 	History bool
 
 	forest *ml.RandomForest
 	dim    int
+	nbits  int // bit features of the packed layout
+}
+
+// newModel wraps a fitted or loaded forest, refusing one that the
+// packed walk would not predict exactly.
+func newModel(fu circuits.FU, history bool, forest *ml.RandomForest) (*Model, error) {
+	m := &Model{FU: fu, History: history, forest: forest, dim: features.Dim, nbits: features.PackedBits}
+	if !history {
+		m.dim, m.nbits = features.DimNH, features.PackedBitsNH
+	}
+	if err := forest.CheckPacked(m.nbits); err != nil {
+		return nil, fmt.Errorf("core: forest cannot walk packed rows: %w", err)
+	}
+	return m, nil
 }
 
 // Train fits a TEVoT model from one or more characterization traces
@@ -89,19 +104,24 @@ func Train(fu circuits.FU, traces []*Trace, cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Model{FU: fu, History: cfg.History, forest: forest, dim: dim}, nil
+	return newModel(fu, cfg.History, forest)
+}
+
+// pack writes the packed row of applying cur after prev at corner.
+func (m *Model) pack(dst *ml.PackedRow, corner cells.Corner, cur, prev workload.OperandPair) {
+	if m.History {
+		features.PackInto(dst, corner, cur, prev)
+	} else {
+		features.PackNHInto(dst, corner, cur)
+	}
 }
 
 // PredictDelay estimates the dynamic delay (ps) of applying cur after
 // prev at the given corner. For history-free models prev is ignored.
 func (m *Model) PredictDelay(corner cells.Corner, cur, prev workload.OperandPair) float64 {
-	var x []float64
-	if m.History {
-		x = features.Vector(corner, cur, prev)
-	} else {
-		x = features.VectorNH(corner, cur)
-	}
-	return m.forest.Predict(x)
+	var row ml.PackedRow
+	m.pack(&row, corner, cur, prev)
+	return m.forest.PredictPacked(row, m.nbits)
 }
 
 // PredictError classifies one cycle at clock period tclk (ps): erroneous
@@ -125,18 +145,19 @@ func (m *Model) PredictErrors(corner cells.Corner, s *workload.Stream, tclk floa
 	return out, nil
 }
 
-// Dim returns the model's feature-vector width (features.Dim with
-// history, features.DimNH without). Callers that manage their own
-// scratch buffers — the serving worker pool — size rows with it.
+// Dim returns the model's float feature-vector width (features.Dim
+// with history, features.DimNH without): the row width FillFeatureRows
+// fills, and what a hot-reload compares so a model with history never
+// replaces one without.
 func (m *Model) Dim() int { return m.dim }
 
-// FillFeatureRows fills one feature row per predicted cycle — cycle i
-// applies pairs[i+1] after pairs[i] — at the given corner, without
-// predicting. X must hold at least len(pairs)-1 rows of width Dim();
-// row contents are overwritten and nothing is retained or allocated.
-// Splitting the fill from the forest call lets a serving coalescer pack
-// rows from requests at *different* corners into one contiguous batch
-// and amortize a single PredictRowsInto over all of them.
+// FillFeatureRows fills one float feature row per predicted cycle —
+// cycle i applies pairs[i+1] after pairs[i] — at the given corner,
+// without predicting. X must hold at least len(pairs)-1 rows of width
+// Dim(); row contents are overwritten and nothing is retained or
+// allocated. Serving fills packed rows instead (FillPackedRows); this
+// float form and PredictRowsInto remain for callers that time the two
+// steps over float rows.
 func (m *Model) FillFeatureRows(X [][]float64, corner cells.Corner, pairs []workload.OperandPair) error {
 	n := len(pairs) - 1
 	if n < 1 {
@@ -158,14 +179,48 @@ func (m *Model) FillFeatureRows(X [][]float64, corner cells.Corner, pairs []work
 	return nil
 }
 
-// PredictRowsInto runs the forest over pre-filled feature rows (see
-// FillFeatureRows), writing len(X) delays into dst. It allocates
+// PredictRowsInto runs the forest over pre-filled float feature rows
+// (see FillFeatureRows), writing len(X) delays into dst. It allocates
 // nothing; large batches fan out across the forest's internal workers.
+// Serving predicts from packed rows instead (PredictPackedInto), with
+// identical delays.
 func (m *Model) PredictRowsInto(dst []float64, X [][]float64) error {
 	if len(dst) < len(X) {
 		return fmt.Errorf("core: dst holds %d delays, need %d", len(dst), len(X))
 	}
 	m.forest.PredictBatchInto(dst[:len(X)], X)
+	return nil
+}
+
+// FillPackedRows fills one packed row per predicted cycle — cycle i
+// applies pairs[i+1] after pairs[i] — at the given corner, without
+// predicting. rows must hold at least len(pairs)-1 entries; nothing is
+// retained or allocated. Splitting the fill from the forest call lets a
+// serving coalescer pack rows from requests at *different* corners into
+// one contiguous batch and amortize a single PredictPackedInto over all
+// of them.
+func (m *Model) FillPackedRows(rows []ml.PackedRow, corner cells.Corner, pairs []workload.OperandPair) error {
+	n := len(pairs) - 1
+	if n < 1 {
+		return fmt.Errorf("core: need at least 2 operand pairs, got %d", len(pairs))
+	}
+	if len(rows) < n {
+		return fmt.Errorf("core: scratch holds %d rows, need %d", len(rows), n)
+	}
+	for i := range rows[:n] {
+		m.pack(&rows[i], corner, pairs[i+1], pairs[i])
+	}
+	return nil
+}
+
+// PredictPackedInto runs the forest over pre-filled packed rows (see
+// FillPackedRows), writing len(rows) delays into dst. It allocates
+// nothing; large batches fan out across the forest's internal workers.
+func (m *Model) PredictPackedInto(dst []float64, rows []ml.PackedRow) error {
+	if len(dst) < len(rows) {
+		return fmt.Errorf("core: dst holds %d delays, need %d", len(dst), len(rows))
+	}
+	m.forest.PredictPackedInto(dst[:len(rows)], rows, m.nbits)
 	return nil
 }
 
@@ -175,17 +230,14 @@ func (m *Model) PredictDelays(corner cells.Corner, s *workload.Stream) ([]float6
 		return nil, fmt.Errorf("core: stream %q too short", s.Name)
 	}
 	endFeat := obs.Time("features.extract")
-	X := featureRows(s.Len()-1, m.dim)
-	for i := 0; i < s.Len()-1; i++ {
-		if m.History {
-			features.VectorInto(X[i], corner, s.Pairs[i+1], s.Pairs[i])
-		} else {
-			features.VectorNHInto(X[i], corner, s.Pairs[i+1])
-		}
+	rows := make([]ml.PackedRow, s.Len()-1)
+	for i := range rows {
+		m.pack(&rows[i], corner, s.Pairs[i+1], s.Pairs[i])
 	}
 	endFeat()
 	endPred := obs.Time("forest.predict")
-	out := m.forest.PredictBatch(X)
+	out := make([]float64, len(rows))
+	m.forest.PredictPackedInto(out, rows, m.nbits)
 	endPred()
 	return out, nil
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"tevot/internal/circuits"
-	"tevot/internal/features"
 	"tevot/internal/ml"
 )
 
@@ -118,9 +117,5 @@ func LoadModel(r io.Reader) (m *Model, err error) {
 	if err != nil {
 		return nil, err
 	}
-	dim := features.Dim
-	if !hdr.History {
-		dim = features.DimNH
-	}
-	return &Model{FU: fu, History: hdr.History, forest: forest, dim: dim}, nil
+	return newModel(fu, hdr.History, forest)
 }

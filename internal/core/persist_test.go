@@ -2,13 +2,17 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tevot/internal/cells"
 	"tevot/internal/circuits"
+	"tevot/internal/features"
+	"tevot/internal/ml"
 	"tevot/internal/workload"
 )
 
@@ -172,5 +176,67 @@ func TestLoadModelGarbagePrefix(t *testing.T) {
 		if m, err := LoadModel(bytes.NewReader(junk)); err == nil && m != nil {
 			t.Fatalf("trial %d: %d random bytes decoded as a model", trial, n)
 		}
+	}
+}
+
+// oneSplitModelGob is a saved model whose one-tree forest splits
+// feature 3, a bit feature, at thr. It mirrors the gob DTOs field by
+// field, which is all gob matches on.
+func oneSplitModelGob(t *testing.T, thr float64) []byte {
+	t.Helper()
+	type nodeDTO struct {
+		Feature   int32
+		Threshold float64
+		Left      int32
+		Right     int32
+		Value     float64
+	}
+	type treeDTO struct {
+		Cfg        ml.TreeConfig
+		Classes    int
+		Nodes      []nodeDTO
+		Importance []float64
+	}
+	type forestDTO struct {
+		Version int
+		Cfg     ml.ForestConfig
+		Trees   []treeDTO
+	}
+	// Save writes the header and the forest as two gob streams.
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(modelHeader{Version: modelFormatVersion, FU: int(circuits.IntAdd32), History: true}); err != nil {
+		t.Fatal(err)
+	}
+	forest := forestDTO{Version: 1, Cfg: ml.DefaultForestConfig(ml.Regression), Trees: []treeDTO{{
+		Nodes: []nodeDTO{
+			{Feature: 3, Threshold: thr, Left: 1, Right: 2},
+			{Feature: -1, Value: 100},
+			{Feature: -1, Value: 200},
+		},
+		Importance: make([]float64, features.Dim),
+	}}}
+	if err := gob.NewEncoder(&buf).Encode(forest); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadModelRefusesInexactBitSplit: a bit feature split at 1.5 sends
+// a set bit left over float rows and right over packed rows, so
+// LoadModel refuses the model; the same forest split at 0.5 loads.
+func TestLoadModelRefusesInexactBitSplit(t *testing.T) {
+	for _, thr := range []float64{1.5, -0.25, 1} {
+		_, err := LoadModel(bytes.NewReader(oneSplitModelGob(t, thr)))
+		if err == nil || !strings.Contains(err.Error(), "outside [0, 1)") {
+			t.Errorf("threshold %v: LoadModel error %v, want a refusal of the bit split", thr, err)
+		}
+	}
+	m, err := LoadModel(bytes.NewReader(oneSplitModelGob(t, 0.5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := workload.OperandPair{A: 1 << 3}
+	if d := m.PredictDelay(cells.Corner{V: 0.9, T: 25}, cur, cur); d != 200 {
+		t.Errorf("bit 3 set predicts %v, want the right leaf's 200", d)
 	}
 }

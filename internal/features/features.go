@@ -3,13 +3,16 @@
 // 64-bit operand pair, the previous operand pair (path sensitization
 // depends on the state the previous vector left behind), and the
 // operating condition. For a 2×32-bit functional unit the vector has
-// 64 + 64 + 2 = 130 dimensions.
+// 64 + 64 + 2 = 130 dimensions. Training and Table II's baselines take
+// it as 130 float64s (Vector); prediction takes the same row packed
+// into 32 bytes (PackInto), which the compiled forest walks directly.
 package features
 
 import (
 	"fmt"
 
 	"tevot/internal/cells"
+	"tevot/internal/ml"
 	"tevot/internal/workload"
 )
 
@@ -51,6 +54,38 @@ func VectorNHInto(dst []float64, corner cells.Corner, cur workload.OperandPair) 
 	fillBits(dst[0:64], cur)
 	dst[64] = corner.V
 	dst[65] = corner.T
+}
+
+// PackedBits and PackedBitsNH are the bit-feature counts of the packed
+// layouts (the nbits of ml.RandomForest.PredictPackedInto): with
+// history, and without.
+const (
+	PackedBits   = 128
+	PackedBitsNH = 64
+)
+
+// PackInto writes Vector's feature row in the packed layout: bit f of
+// dst.Bits is VectorInto's feature f for f < PackedBits (x[t] in word
+// 0, x[t-1] in word 1), and dst.Tail holds V and T.
+func PackInto(dst *ml.PackedRow, corner cells.Corner, cur, prev workload.OperandPair) {
+	*dst = ml.PackedRow{
+		Bits: [2]uint64{packBits(cur), packBits(prev)},
+		Tail: [2]float64{corner.V, corner.T},
+	}
+}
+
+// PackNHInto is PackInto for the history-free layout: VectorNHInto's
+// bit features in word 0, V and T in the tail.
+func PackNHInto(dst *ml.PackedRow, corner cells.Corner, cur workload.OperandPair) {
+	*dst = ml.PackedRow{
+		Bits: [2]uint64{packBits(cur)},
+		Tail: [2]float64{corner.V, corner.T},
+	}
+}
+
+// packBits is fillBits as one word: A's bits, then B's.
+func packBits(p workload.OperandPair) uint64 {
+	return uint64(p.A) | uint64(p.B)<<32
 }
 
 func fillBits(dst []float64, p workload.OperandPair) {

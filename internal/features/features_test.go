@@ -1,10 +1,12 @@
 package features
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"tevot/internal/cells"
+	"tevot/internal/ml"
 	"tevot/internal/workload"
 )
 
@@ -77,4 +79,53 @@ func TestBitsAreBinary(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPackMatchesVector: the packed layouts hold exactly the float
+// rows' features — bit f is feature f, the tail is V and T bit for bit
+// — over random pairs and corners and the all-zero and all-one
+// operands.
+func TestPackMatchesVector(t *testing.T) {
+	check := func(a, b, pa, pb uint32, v, temp float64) bool {
+		c := cells.Corner{V: v, T: temp}
+		cur := workload.OperandPair{A: a, B: b}
+		prev := workload.OperandPair{A: pa, B: pb}
+		var r ml.PackedRow
+		x := Vector(c, cur, prev)
+		PackInto(&r, c, cur, prev)
+		if !packedEqual(r, x, PackedBits) {
+			return false
+		}
+		x = VectorNH(c, cur)
+		PackNHInto(&r, c, cur)
+		return r.Bits[1] == 0 && packedEqual(r, x, PackedBitsNH)
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Fatal(err)
+	}
+	const ones = 0xFFFFFFFF
+	for _, c := range [][4]uint32{{0, 0, 0, 0}, {ones, ones, ones, ones}, {ones, 0, 0, ones}, {0x80000001, 1 << 31, 1, 0x55555555}} {
+		if !check(c[0], c[1], c[2], c[3], 0.81, -40) {
+			t.Errorf("operands %#x: packed row differs from the float row", c)
+		}
+	}
+}
+
+// packedEqual reports whether r holds float row x with nbits bit
+// features.
+func packedEqual(r ml.PackedRow, x []float64, nbits int) bool {
+	if len(x) != nbits+len(r.Tail) {
+		return false
+	}
+	for f := 0; f < nbits; f++ {
+		if float64(r.Bits[f/64]>>(f%64)&1) != x[f] {
+			return false
+		}
+	}
+	for k, v := range r.Tail {
+		if math.Float64bits(v) != math.Float64bits(x[nbits+k]) {
+			return false
+		}
+	}
+	return true
 }

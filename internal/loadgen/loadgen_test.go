@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -222,5 +223,36 @@ func TestQuantilesAndCSV(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], "99.500") {
 		t.Errorf("csv row missing achieved rps: %s", lines[1])
+	}
+}
+
+// TestBuildBodyTakesFastPath: the body every arrival posts is in the
+// serve decoder's canonical form, so the server parses it in one pass
+// and counts no serve.decode_fallback.
+func TestBuildBodyTakesFastPath(t *testing.T) {
+	srv, err := serve.New(serve.Config{Model: trainFU(t, circuits.IntAdd32, 200, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	fallback := obs.NewCounter("serve.decode_fallback")
+	for _, cfg := range []Config{
+		{Pairs: 1025, Voltage: 0.85, Temperature: 45, Clocks: []float64{650, 700.5}, Seed: 3},
+		{Pairs: 3, Voltage: 0.9, Temperature: -12.5, Seed: 4},
+	} {
+		body, err := buildBody(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := fallback.Value()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%d-pair body: status %d: %s", cfg.Pairs, rec.Code, rec.Body)
+		}
+		if n := fallback.Value() - before; n != 0 {
+			t.Errorf("%d-pair body fell back to the reference decode %d times", cfg.Pairs, n)
+		}
 	}
 }

@@ -56,38 +56,43 @@ func BenchmarkForestPredict(b *testing.B) {
 }
 
 // BenchmarkForestPredictBatch measures batched inference through the
-// flat node arena — the model-side hot path. The rows/s metric is what
-// scripts/benchdiff.sh tracks; the Into variant must stay at 0 allocs.
+// compiled arena — the model-side hot path — over float rows (Table
+// II's RFC, mlcompare) and over packed rows (core.Model, serving). The
+// inline walks must be allocation-free; the goroutine fan-out above
+// them may allocate on multicore machines.
 func BenchmarkForestPredictBatch(b *testing.B) {
 	X, y := benchData(5000, 2)
 	f := NewRandomForest(DefaultForestConfig(Regression))
 	if err := f.Fit(X, y); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f.PredictBatch(X)
-		}
-		b.ReportMetric(float64(len(X))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-	})
-	b.Run("into", func(b *testing.B) {
-		dst := make([]float64, len(X))
-		// The inline (single-worker) walk must be allocation-free; the
-		// goroutine fan-out above it may allocate on multicore machines.
-		if allocs := testing.AllocsPerRun(5, func() {
-			f.flat.predictRange(X, dst, 0, len(X))
-		}); allocs != 0 {
-			b.Fatalf("inline batched predict allocates %.1f/op; want 0", allocs)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f.PredictBatchInto(dst, X)
-		}
-		b.ReportMetric(float64(len(X))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-	})
+	rows := make([]PackedRow, len(X))
+	for i, x := range X {
+		rows[i] = packRow(x, 128)
+	}
+	dst := make([]float64, len(X))
+	if allocs := testing.AllocsPerRun(5, func() {
+		f.arena.predictRange(rowSet{float: X}, dst)
+		f.arena.predictRange(rowSet{packed: rows, nbits: 128}, dst)
+	}); allocs != 0 {
+		b.Fatalf("inline batched predict allocates %.1f/op; want 0", allocs)
+	}
+	for _, bc := range []struct {
+		name string
+		call func()
+	}{
+		{"float/alloc", func() { f.PredictBatch(X) }},
+		{"float/into", func() { f.PredictBatchInto(dst, X) }},
+		{"packed/into", func() { f.PredictPackedInto(dst, rows, 128) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.call()
+			}
+			b.ReportMetric(float64(len(X))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
 }
 
 func BenchmarkKNNPredict(b *testing.B) {

@@ -48,13 +48,13 @@ func DefaultForestConfig(mode Mode) ForestConfig {
 }
 
 // RandomForest is a bagged ensemble of CART trees: the model the paper
-// selects for TEVoT ("RFC" in Table II). After fitting (or loading) the
-// ensemble is additionally packed into a flat node arena (see
-// flatForest) that Predict and PredictBatch walk allocation-free.
+// selects for TEVoT ("RFC" in Table II). Fitting or loading compiles
+// the ensemble into one node arena (compiledForest) that every predict
+// entry point walks allocation-free, over float rows or packed rows.
 type RandomForest struct {
 	cfg   ForestConfig
 	trees []*DecisionTree
-	flat  *flatForest
+	arena *compiledForest
 }
 
 // NewRandomForest returns an unfitted forest.
@@ -124,7 +124,7 @@ func (f *RandomForest) Fit(X [][]float64, y []float64) error {
 			return err
 		}
 	}
-	f.flat = flatten(f.trees, f.cfg.Tree.Mode)
+	f.arena = compile(f.trees, f.cfg.Tree.Mode)
 	if d := time.Since(fitStart).Seconds(); d > 0 {
 		gFitRowsPerSec.Set(float64(n) / d)
 	}
@@ -132,44 +132,15 @@ func (f *RandomForest) Fit(X [][]float64, y []float64) error {
 }
 
 // Predict aggregates the member trees: mean for regression, majority
-// vote (lower class wins ties) for classification. The fitted forest
-// predicts through the flat arena without allocating.
+// vote (lower class wins ties) for classification. It walks the
+// compiled arena without allocating; an unfitted forest predicts 0.
 func (f *RandomForest) Predict(x []float64) float64 {
-	if f.flat != nil {
-		var stack [maxStackClasses]int
-		votes := stack[:]
-		if f.flat.classes > maxStackClasses {
-			votes = make([]int, f.flat.classes)
-		}
-		return f.flat.predictRow(x, votes)
-	}
-	if len(f.trees) == 0 {
+	if f.arena == nil {
 		return 0
 	}
-	return f.predictTrees(x)
-}
-
-// predictTrees is the pointer-tree reference aggregation, kept for
-// unpacked forests and as the oracle the flat arena is tested against.
-func (f *RandomForest) predictTrees(x []float64) float64 {
-	if f.cfg.Tree.Mode == Regression {
-		sum := 0.0
-		for _, t := range f.trees {
-			sum += t.Predict(x)
-		}
-		return sum / float64(len(f.trees))
-	}
-	votes := make(map[int]int)
-	bestC, bestN := 0, -1
-	for _, t := range f.trees {
-		c := int(t.Predict(x))
-		votes[c]++
-		// Deterministic tie-break: lower class wins on equal votes.
-		if votes[c] > bestN || (votes[c] == bestN && c < bestC) {
-			bestC, bestN = c, votes[c]
-		}
-	}
-	return float64(bestC)
+	var out [1]float64
+	f.arena.predictRange(rowSet{float: [][]float64{x}}, out[:])
+	return out[0]
 }
 
 // PredictBatch predicts many rows, partitioned in contiguous blocks
@@ -182,19 +153,60 @@ func (f *RandomForest) PredictBatch(X [][]float64) []float64 {
 
 // PredictBatchInto is PredictBatch writing into the caller-provided dst
 // (len(dst) must be >= len(X)), so a steady-state inference loop reuses
-// one output buffer. Blocks of rows are predicted on up to cfg.Workers
-// goroutines; small batches run inline and allocation-free.
+// one output buffer. Batches above minParallelRows rows per worker fan
+// out to up to cfg.Workers goroutines; smaller ones run inline and
+// allocation-free.
 func (f *RandomForest) PredictBatchInto(dst []float64, X [][]float64) {
 	start := time.Now()
-	if f.flat != nil {
-		f.flat.predictBlocked(X, dst[:len(X)], f.cfg.Workers)
+	dst = dst[:len(X)]
+	if f.arena == nil {
+		clear(dst)
 	} else {
-		for i := range X {
-			dst[i] = f.Predict(X[i])
-		}
+		f.arena.predictBlocked(rowSet{float: X}, dst, f.cfg.Workers)
 	}
 	if d := time.Since(start).Seconds(); d > 0 {
 		gPredictRowsPerSec.Set(float64(len(X)) / d)
+	}
+}
+
+// CheckPacked reports whether the packed walk over rows with nbits bit
+// features is exact for this forest: every split on a bit feature must
+// have its threshold in [0, 1), where x <= threshold means the bit is
+// clear, and every split feature must lie inside the packed row. Fitted
+// forests pass by construction (a 0/1 column's only candidate is 0.5);
+// a loaded one may not. Check once per model: the packed entry points
+// rely on it and never check per call.
+func (f *RandomForest) CheckPacked(nbits int) error {
+	if f.arena == nil {
+		return fmt.Errorf("ml: forest is not fitted")
+	}
+	return f.arena.checkPacked(nbits)
+}
+
+// PredictPacked is Predict for one packed row with nbits bit features.
+// The forest must pass CheckPacked(nbits).
+func (f *RandomForest) PredictPacked(row PackedRow, nbits int) float64 {
+	if f.arena == nil {
+		return 0
+	}
+	var out [1]float64
+	f.arena.predictRange(rowSet{packed: []PackedRow{row}, nbits: int32(nbits)}, out[:])
+	return out[0]
+}
+
+// PredictPackedInto is PredictBatchInto over packed rows with nbits bit
+// features; every prediction equals Predict on the row's float form.
+// The forest must pass CheckPacked(nbits).
+func (f *RandomForest) PredictPackedInto(dst []float64, rows []PackedRow, nbits int) {
+	start := time.Now()
+	dst = dst[:len(rows)]
+	if f.arena == nil {
+		clear(dst)
+	} else {
+		f.arena.predictBlocked(rowSet{packed: rows, nbits: int32(nbits)}, dst, f.cfg.Workers)
+	}
+	if d := time.Since(start).Seconds(); d > 0 {
+		gPredictRowsPerSec.Set(float64(len(rows)) / d)
 	}
 }
 

@@ -104,6 +104,7 @@ func treeFromDTO(dto treeDTO) (*DecisionTree, error) {
 		return nil, fmt.Errorf("ml: corrupt tree: no nodes")
 	}
 	t := &DecisionTree{cfg: dto.Cfg, classes: dto.Classes, nodes: make([]node, len(dto.Nodes)), importance: dto.Importance}
+	hasParent := make([]bool, len(dto.Nodes))
 	for i, n := range dto.Nodes {
 		if n.Feature >= 0 {
 			// The builder appends children after their parent, so any
@@ -114,6 +115,12 @@ func treeFromDTO(dto treeDTO) (*DecisionTree, error) {
 				n.Left <= int32(i) || n.Right <= int32(i) {
 				return nil, fmt.Errorf("ml: corrupt tree: node %d children out of range", i)
 			}
+			// One parent per node keeps it a tree, not a DAG, so
+			// compiling it cannot copy a shared subtree exponentially.
+			if hasParent[n.Left] || hasParent[n.Right] || n.Left == n.Right {
+				return nil, fmt.Errorf("ml: corrupt tree: node %d shares a child", i)
+			}
+			hasParent[n.Left], hasParent[n.Right] = true, true
 			if int(n.Feature) >= len(dto.Importance) && len(dto.Importance) > 0 {
 				return nil, fmt.Errorf("ml: corrupt tree: node %d feature %d outside importance vector", i, n.Feature)
 			}
@@ -179,8 +186,8 @@ func LoadForest(r io.Reader) (f *RandomForest, err error) {
 		}
 		f.trees[i] = t
 	}
-	// Pack the loaded ensemble into the flat inference arena, exactly as
-	// Fit does, so a shipped model predicts at full speed.
-	f.flat = flatten(f.trees, f.cfg.Tree.Mode)
+	// Compile the loaded ensemble exactly as Fit does, so a shipped
+	// model predicts at full speed.
+	f.arena = compile(f.trees, f.cfg.Tree.Mode)
 	return f, nil
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tevot/internal/cells"
+	"tevot/internal/ml"
 	"tevot/internal/obs"
 	"tevot/internal/workload"
 )
@@ -276,9 +277,10 @@ func (u *unit) flush(buf *workerBuf, b *batch) {
 	}
 }
 
-// infer fills the packed feature rows and runs the shared forest call
-// with panic isolation: a panicking prediction (or test hook) fails
-// this batch, not the worker. Returns the inference wall time.
+// infer fills the batch's packed feature rows and runs the shared
+// forest call with panic isolation: a panicking prediction (or test
+// hook) fails this batch, not the worker. Returns the inference wall
+// time.
 func (u *unit) infer(buf *workerBuf, st *modelState, live []*batchItem, rows int) (sec float64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -294,45 +296,34 @@ func (u *unit) infer(buf *workerBuf, st *modelState, live []*batchItem, rows int
 			}
 		}
 	}
-	buf.ensure(st.model.Dim(), rows)
+	buf.ensure(rows)
 	off := 0
 	for _, it := range live {
-		if err := st.model.FillFeatureRows(buf.rows[off:off+it.rows], it.corner, it.pairs); err != nil {
+		if err := st.model.FillPackedRows(buf.rows[off:off+it.rows], it.corner, it.pairs); err != nil {
 			return 0, err
 		}
 		off += it.rows
 	}
 	t0 := time.Now()
-	if err := st.model.PredictRowsInto(buf.delays[:rows], buf.rows[:rows]); err != nil {
+	if err := st.model.PredictPackedInto(buf.delays[:rows], buf.rows[:rows]); err != nil {
 		return 0, err
 	}
 	return time.Since(t0).Seconds(), nil
 }
 
-// workerBuf is one worker's reusable inference scratch: feature rows
-// carved from a single backing array plus the delay output, re-carved
-// only when the batch capacity or model dimension changes.
+// workerBuf is one worker's reusable inference scratch: the batch's
+// packed feature rows and its delays, grown only when a batch needs
+// more rows than any before it.
 type workerBuf struct {
-	backing []float64
-	rows    [][]float64
-	delays  []float64
-	dim     int
+	rows   []ml.PackedRow
+	delays []float64
 }
 
-func (b *workerBuf) ensure(dim, n int) {
-	if b.dim == dim && len(b.rows) >= n {
-		return
+func (b *workerBuf) ensure(n int) {
+	if len(b.rows) < n {
+		b.rows = make([]ml.PackedRow, n)
+		b.delays = make([]float64, n)
 	}
-	if n < len(b.rows) {
-		n = len(b.rows)
-	}
-	b.backing = make([]float64, n*dim)
-	b.rows = make([][]float64, n)
-	for i := range b.rows {
-		b.rows[i] = b.backing[i*dim : (i+1)*dim : (i+1)*dim]
-	}
-	b.delays = make([]float64, n)
-	b.dim = dim
 }
 
 // retryAfterSecs derives the Retry-After a shed response advises from

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -122,10 +121,8 @@ func (s *Server) handlePredict(u *unit, w http.ResponseWriter, r *http.Request) 
 	defer cancel()
 
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req predictRequest
-	if err := dec.Decode(&req); err != nil {
+	req, err := readPredict(r.Body)
+	if err != nil {
 		u.met.bad.Inc()
 		mBad.Inc()
 		var tooBig *http.MaxBytesError

@@ -32,6 +32,11 @@ var (
 	mReloadBad = obs.NewCounter("serve.reloads_failed")
 	mUnknownFU = obs.NewCounter("serve.unknown_fu")
 
+	// Bodies outside the canonical form, decoded by encoding/json
+	// instead of the one-pass parser (decode.go): traffic that misses
+	// the fast path, malformed bodies included.
+	mDecodeFallback = obs.NewCounter("serve.decode_fallback")
+
 	// Coalescer accounting: one flush-reason counter per flush, one
 	// batch_expired per request answered dead-in-queue (its context
 	// expired before the flush, so it is removed from the batch instead

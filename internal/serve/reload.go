@@ -12,6 +12,7 @@ import (
 
 	"tevot/internal/cells"
 	"tevot/internal/core"
+	"tevot/internal/ml"
 	"tevot/internal/obs"
 	"tevot/internal/workload"
 )
@@ -125,19 +126,13 @@ func probeModel(m *core.Model) (err error) {
 		}
 	}()
 	pairs := workload.Random(m.FU.IsFloat(), 9, 12345).Pairs
-	n := len(pairs) - 1
-	dim := m.Dim()
-	backing := make([]float64, n*dim)
-	rows := make([][]float64, n)
-	for i := range rows {
-		rows[i] = backing[i*dim : (i+1)*dim : (i+1)*dim]
-	}
-	delays := make([]float64, n)
+	rows := make([]ml.PackedRow, len(pairs)-1)
+	delays := make([]float64, len(rows))
 	for _, corner := range []cells.Corner{{V: 0.90, T: 25}, {V: 0.72, T: 75}} {
 		// The same two calls a flush makes.
-		err := m.FillFeatureRows(rows, corner, pairs)
+		err := m.FillPackedRows(rows, corner, pairs)
 		if err == nil {
-			err = m.PredictRowsInto(delays, rows)
+			err = m.PredictPackedInto(delays, rows)
 		}
 		if err != nil {
 			return fmt.Errorf("serve: model probe at %v failed: %w", corner, err)

@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +17,8 @@ import (
 	"tevot/internal/cells"
 	"tevot/internal/circuits"
 	"tevot/internal/core"
+	"tevot/internal/features"
+	"tevot/internal/ml"
 	"tevot/internal/workload"
 )
 
@@ -195,4 +201,89 @@ func trainedTrace(t *testing.T) []*core.Trace {
 func jq(s string) string {
 	b, _ := json.Marshal(s)
 	return string(b)
+}
+
+// bitSplitModelGob writes a saved INT_ADD model whose one-tree forest
+// splits bit feature 3 at thr, built from gob DTOs that mirror core's
+// header and ml's forest field by field (all gob matches on).
+func bitSplitModelGob(t *testing.T, dir string, thr float64) string {
+	t.Helper()
+	type nodeDTO struct {
+		Feature   int32
+		Threshold float64
+		Left      int32
+		Right     int32
+		Value     float64
+	}
+	type treeDTO struct {
+		Cfg        ml.TreeConfig
+		Classes    int
+		Nodes      []nodeDTO
+		Importance []float64
+	}
+	header := struct {
+		Version int
+		FU      int
+		History bool
+	}{1, int(circuits.IntAdd32), true}
+	forest := struct {
+		Version int
+		Cfg     ml.ForestConfig
+		Trees   []treeDTO
+	}{1, ml.DefaultForestConfig(ml.Regression), []treeDTO{{
+		Nodes: []nodeDTO{
+			{Feature: 3, Threshold: thr, Left: 1, Right: 2},
+			{Feature: -1, Value: 300},
+			{Feature: -1, Value: 400},
+		},
+		Importance: make([]float64, features.Dim),
+	}}}
+	// A saved model is two gob streams: the header, then the forest.
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(header); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&buf).Encode(forest); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, fmt.Sprintf("split-%v.tevot", thr))
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestReloadRejectsInexactBitSplit: a forest splitting a bit feature at
+// 1.5 predicts finite delays over float rows, but the packed rows the
+// workers walk would send a set bit the other way; the reload is
+// refused 422 and the unit keeps its generation. The same forest split
+// at 0.5 loads, so the refusal is the split check, not the gob.
+func TestReloadRejectsInexactBitSplit(t *testing.T) {
+	dir := t.TempDir()
+	f, err := os.Open(bitSplitModelGob(t, dir, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := core.LoadModel(f); err != nil {
+		t.Fatalf("the 0.5 split does not load: %v", err)
+	}
+
+	s, ts := newTestServer(t, nil)
+	resp, err := http.Post(ts.URL+"/admin/reload", "application/json",
+		strings.NewReader(`{"path":`+jq(bitSplitModelGob(t, dir, 1.5))+`}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", resp.StatusCode, data)
+	}
+	if e := decodeError(t, data); e.Error.Code != "reload_failed" || !strings.Contains(e.Error.Message, "outside [0, 1)") {
+		t.Errorf("error %+v, want reload_failed naming the bit split", e.Error)
+	}
+	if g := s.units[0].state.Load().generation; g != 1 {
+		t.Errorf("refused reload moved the unit to generation %d", g)
+	}
 }

@@ -27,8 +27,12 @@
 //   - per-request deadlines: the request context carries a server-side
 //     timeout into the batch; a request that expires while queued is
 //     answered 503 before the flush and removed from the batch;
-//   - strict input hygiene: MaxBytesReader-capped bodies and structured
-//     4xx errors for malformed, non-finite, or wrong-dimension inputs;
+//   - strict input hygiene: bodies are read whole under a MaxBytesReader
+//     cap (413 past it) into a pooled buffer and decoded in one pass
+//     when canonical, else by encoding/json with unknown fields refused
+//     (serve.decode_fallback counts those), so every input gets exactly
+//     the reference decoder's verdict; malformed, non-finite, or
+//     wrong-size inputs get structured 4xx errors;
 //   - panic isolation: recovery middleware (handler goroutines) and
 //     worker-side recovery keep the process serving after a panic;
 //   - graceful drain: readiness flips to draining, in-flight requests
@@ -43,7 +47,7 @@
 //     serves a torn model.
 //
 // The inference hot path reuses pooled items and each worker's batch
-// struct and feature/delay buffers, so steady-state coalesced
+// struct and packed-row/delay buffers, so steady-state coalesced
 // prediction does not touch the garbage collector (pinned at 0
 // allocs/op by TestServeBatchHotPathAllocs).
 package serve

@@ -35,6 +35,9 @@ go test -race -run \
 	./internal/serve
 go test -run 'TestServeBatchHotPathAllocs' ./internal/serve
 
+echo "== request decode: one-pass parser vs encoding/json, differential fuzz"
+go test -run '^$' -fuzz '^FuzzPredictDecode$' -fuzztime 15s ./internal/serve
+
 echo "== loadgen smoke: real processes, open-loop ramp, /metrics accounting identity"
 sh scripts/loadgen_smoke.sh
 
