@@ -135,11 +135,16 @@ func (f *RandomForest) Fit(X [][]float64, y []float64) error {
 // vote (lower class wins ties) for classification. It walks the
 // compiled arena without allocating; an unfitted forest predicts 0.
 func (f *RandomForest) Predict(x []float64) float64 {
+	return f.predictOne(rowSet{float: [][]float64{x}})
+}
+
+// predictOne predicts the single row of s inline.
+func (f *RandomForest) predictOne(s rowSet) float64 {
 	if f.arena == nil {
 		return 0
 	}
 	var out [1]float64
-	f.arena.predictRange(rowSet{float: [][]float64{x}}, out[:])
+	f.arena.predictRange(s, out[:])
 	return out[0]
 }
 
@@ -157,15 +162,21 @@ func (f *RandomForest) PredictBatch(X [][]float64) []float64 {
 // out to up to cfg.Workers goroutines; smaller ones run inline and
 // allocation-free.
 func (f *RandomForest) PredictBatchInto(dst []float64, X [][]float64) {
+	f.predictInto(dst, rowSet{float: X})
+}
+
+// predictInto predicts the rows of s into dst and publishes the
+// throughput gauge.
+func (f *RandomForest) predictInto(dst []float64, s rowSet) {
 	start := time.Now()
-	dst = dst[:len(X)]
+	dst = dst[:s.len()]
 	if f.arena == nil {
 		clear(dst)
 	} else {
-		f.arena.predictBlocked(rowSet{float: X}, dst, f.cfg.Workers)
+		f.arena.predictBlocked(s, dst, f.cfg.Workers)
 	}
 	if d := time.Since(start).Seconds(); d > 0 {
-		gPredictRowsPerSec.Set(float64(len(X)) / d)
+		gPredictRowsPerSec.Set(float64(len(dst)) / d)
 	}
 }
 
@@ -186,28 +197,14 @@ func (f *RandomForest) CheckPacked(nbits int) error {
 // PredictPacked is Predict for one packed row with nbits bit features.
 // The forest must pass CheckPacked(nbits).
 func (f *RandomForest) PredictPacked(row PackedRow, nbits int) float64 {
-	if f.arena == nil {
-		return 0
-	}
-	var out [1]float64
-	f.arena.predictRange(rowSet{packed: []PackedRow{row}, nbits: int32(nbits)}, out[:])
-	return out[0]
+	return f.predictOne(rowSet{packed: []PackedRow{row}, nbits: int32(nbits)})
 }
 
 // PredictPackedInto is PredictBatchInto over packed rows with nbits bit
 // features; every prediction equals Predict on the row's float form.
 // The forest must pass CheckPacked(nbits).
 func (f *RandomForest) PredictPackedInto(dst []float64, rows []PackedRow, nbits int) {
-	start := time.Now()
-	dst = dst[:len(rows)]
-	if f.arena == nil {
-		clear(dst)
-	} else {
-		f.arena.predictBlocked(rowSet{packed: rows, nbits: int32(nbits)}, dst, f.cfg.Workers)
-	}
-	if d := time.Since(start).Seconds(); d > 0 {
-		gPredictRowsPerSec.Set(float64(len(rows)) / d)
-	}
+	f.predictInto(dst, rowSet{packed: rows, nbits: int32(nbits)})
 }
 
 // NumTrees reports the fitted ensemble size.
