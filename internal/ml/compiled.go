@@ -37,8 +37,9 @@ type compiledForest struct {
 	classes int // classification: max class count over trees
 }
 
-// compile lays the pointer trees out in the arena. A tree's node count
-// is unchanged; only their order and child links are.
+// compile lays the pointer trees out in the arena. It keeps the nodes
+// reachable from each root (a fitted tree has no others) with their
+// thresholds and values; only their order and child links change.
 func compile(trees []*DecisionTree, mode Mode) *compiledForest {
 	total := 0
 	for _, t := range trees {
