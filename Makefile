@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-json fuzz serve cluster cluster-smoke chaos loadgen loadgen-ab
+.PHONY: build test check bench fuzz serve cluster cluster-smoke chaos loadgen loadgen-ab
 
 build:
 	$(GO) build ./...
@@ -14,11 +14,6 @@ check:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# DTA performance baseline: run the hot-path benchmarks and serialize
-# them to BENCH_dta.json; compare two baselines with scripts/benchdiff.sh.
-bench-json:
-	sh scripts/benchjson.sh BENCH_dta.json
 
 # Boot the hardened prediction service on :8080, training and saving
 # the model first if MODEL does not exist yet. Override with e.g.

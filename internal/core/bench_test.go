@@ -14,8 +14,9 @@ import (
 
 // BenchmarkCharacterizeParallel measures the sharded DTA hot path:
 // cycles simulated per second at Workers:1 (the sequential baseline)
-// and at the machine's parallel width. The cycles/s metric is what
-// scripts/benchdiff.sh tracks across commits.
+// and at the machine's parallel width. Compare commits by running it
+// on both side by side; perfbench's dta-imaging and table3 workloads
+// carry the bounded end-to-end numbers.
 func BenchmarkCharacterizeParallel(b *testing.B) {
 	u, err := NewFUnit(circuits.IntAdd32)
 	if err != nil {

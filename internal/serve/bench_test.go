@@ -51,11 +51,11 @@ func benchModel() (*core.Model, error) {
 // every item pays its own queue receive and flush fixed costs;
 // batch=8/64 amortize those over the riders. The items/s delta between batch=1
 // and batch=64 is the coalescer's win (acceptance: ≥3× on 1-row
-// items); ns/op feeds the benchdiff regression gate.
+// items).
 func BenchmarkServeBatch(b *testing.B) {
 	// go test merges the binary's stderr into stdout, so the server's
-	// Info-level "ready" line would split the benchmark result line and
-	// break scripts/benchjson.sh's parser. Warnings stay visible.
+	// Info-level "ready" line would split the benchmark result line that
+	// tools such as benchstat parse. Warnings stay visible.
 	if err := obs.SetupLogging("warn", "text", os.Stderr); err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -50,7 +51,10 @@ func checkOrder(t *testing.T, got, evs []event) {
 }
 
 // TestCalQueueRandomOrder: random pushes drain in exact (t, net) order,
-// across delay ranges that do and do not fit the wheel horizon.
+// across delay ranges that do and do not fit the wheel horizon, and
+// across dense buckets of hundreds to thousands of events — the
+// multipliers' common case, where sortCur spreads the bucket before
+// its insertion sort finishes it.
 func TestCalQueueRandomOrder(t *testing.T) {
 	for _, spread := range []float64{3, 50, 1e5} {
 		rng := rand.New(rand.NewSource(int64(spread)))
@@ -70,6 +74,90 @@ func TestCalQueueRandomOrder(t *testing.T) {
 			checkOrder(t, drainAll(&q), pushed)
 		}
 	}
+
+	// Dense sets on a width that is not a power of two, so k*width and
+	// t*invW round the way real gate delays do.
+	const minD, k0 = 0.7, 3
+	var probe calQueue
+	probe.init(minD, 5)
+	w := probe.width
+	dense := []struct {
+		name string
+		gen  func(rng *rand.Rand) []event
+	}{
+		{"clustered within 1% of a bucket", func(rng *rand.Rand) []event {
+			evs := make([]event, 1500)
+			for i := range evs {
+				evs[i] = event{t: (k0 + 0.4 + 0.01*rng.Float64()) * w, net: netlist.NetID(rng.Intn(4000))}
+			}
+			return evs
+		}},
+		{"equal t on several nets", func(rng *rand.Rand) []event {
+			ts := []float64{(k0 + 0.1) * w, (k0 + 0.5) * w, (k0 + 0.5) * w * (1 + 1e-15), (k0 + 0.9) * w}
+			evs := make([]event, 800)
+			for i := range evs {
+				evs[i] = event{t: ts[rng.Intn(len(ts))], net: netlist.NetID(rng.Intn(40))}
+			}
+			return evs
+		}},
+		{"bucket edges", func(rng *rand.Rand) []event {
+			var evs []event
+			for i := 0; i < 600; i++ {
+				e := float64(k0+rng.Intn(2)) * w
+				for _, tt := range []float64{e, math.Nextafter(e, 0), math.Nextafter(e, math.Inf(1))} {
+					evs = append(evs, event{t: tt, net: netlist.NetID(rng.Intn(100))})
+				}
+			}
+			return evs
+		}},
+		{"two full buckets", func(rng *rand.Rand) []event {
+			evs := make([]event, 2000)
+			for i := range evs {
+				evs[i] = event{t: (k0 + 2*rng.Float64()) * w, net: netlist.NetID(rng.Intn(4000))}
+			}
+			return evs
+		}},
+	}
+	for _, set := range dense {
+		t.Run(set.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			var q calQueue
+			q.init(minD, 5)
+			for trial := 0; trial < 5; trial++ {
+				q.reset()
+				evs := set.gen(rng)
+				for _, e := range evs {
+					q.push(e)
+				}
+				checkOrder(t, drainAll(&q), evs)
+			}
+		})
+	}
+
+	// Slot indices of -1 and n before the clamp. Through push every
+	// event in a bucket has an offset in [0, 1) bucket widths, so the
+	// clamp is a guard: a fused multiply-add in spread's offset (which
+	// Go may emit on some architectures) can read 1.0. Load times whose
+	// slot reads -1 and n straight into the bucket, beside 300 regular
+	// ones.
+	rng := rand.New(rand.NewSource(11))
+	var q calQueue
+	q.init(minD, 5)
+	var evs []event
+	for i := 0; i < 300; i++ {
+		e := event{t: rng.Float64() * w, net: netlist.NetID(rng.Intn(40))}
+		q.push(e)
+		evs = append(evs, e)
+	}
+	n := len(evs) + 4
+	for i, tt := range []float64{-1.5 * w / float64(n), -w / float64(n), w, w * (1 + 0.5/float64(n))} {
+		e := event{t: tt, net: netlist.NetID(i)}
+		q.buckets[0] = append(q.buckets[0], e)
+		q.count++
+		q.wheelN++
+		evs = append(evs, e)
+	}
+	t.Run("slot index outside the bucket", func(t *testing.T) { checkOrder(t, drainAll(&q), evs) })
 }
 
 // TestCalQueueInterleavedPush mimics the kernel's actual pattern: drain a

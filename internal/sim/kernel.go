@@ -8,9 +8,10 @@ import "tevot/internal/netlist"
 // Why it is bit-identical to the reference heap kernel:
 //
 //   - Scheduling. Both kernels drain pending events in (t, net) order:
-//     the heap by its comparator, the calendar queue by extracting the
-//     earliest time batch from its first non-empty bucket and
-//     net-sorting it (see calQueue). Event timestamps are t + delays[g]
+//     the heap by its comparator, the calendar queue by ordering its
+//     first non-empty bucket by (t, net) on entry (a linear-time
+//     spread, then an insertion sort) and extracting the earliest time
+//     batch from it (see calQueue). Event timestamps are t + delays[g]
 //     computed from the same t values in the same order, so every
 //     float is bit-equal.
 //   - Evaluation. A gate's LUT lookup (lut[g]>>inVal[g]&1) equals

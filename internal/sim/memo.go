@@ -33,8 +33,11 @@ import "encoding/binary"
 // DefaultMemoSize is the transition-cache entry cap EnableMemo applies
 // when the caller passes size <= 0. At 64 Ki transitions the cache
 // covers the repeat set of the imaging operand streams with room to
-// spare while bounding worst-case memory to tens of megabytes even on
-// the toggle-heavy multipliers.
+// spare. An entry copies the cycle's toggles, so a full cache is large
+// on the toggle-heavy multipliers: measured on random streams, an
+// entry holds about 1.1 KB of live heap on INT_ADD, 1.4 KB on FP_ADD,
+// 7.5 KB on INT_MUL and 6.0 KB on FP_MUL, so 64 Ki entries are about
+// 72, 92, 490 and 390 MB, per Runner.
 const DefaultMemoSize = 1 << 16
 
 // MemoStats is a point-in-time snapshot of a Runner's transition-cache

@@ -44,8 +44,8 @@ sh scripts/loadgen_smoke.sh
 echo "== signal handling: SIGTERM flushes checkpoint + finalizes manifest"
 go test -run 'TestSigtermFlushesCheckpointAndManifest' ./cmd/tevot-sweep
 
-echo "== kernel equivalence: calendar-queue vs reference heap, every FU"
-go test -run 'TestKernelDiffFUs' ./internal/sim
+echo "== kernel equivalence: calendar-queue vs reference heap, every FU; calendar-queue drain order, dense buckets included"
+go test -run 'TestKernelDiffFUs|TestCalQueue' ./internal/sim
 
 echo "== memo equivalence: transition memo + bitslice windows vs uncached kernels"
 go test -run 'TestKernelDiffRandom|TestMemo|TestBeginWindowErrors' ./internal/sim
