@@ -68,3 +68,4 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=20s ./internal/sdf
 	$(GO) test -fuzz=FuzzParse -fuzztime=20s ./internal/vcd
 	$(GO) test -fuzz=FuzzParse -fuzztime=20s ./internal/liberty
+	$(GO) test -run='^$$' -fuzz='^FuzzPredictDecode$$' -fuzztime=20s ./internal/serve

@@ -8,7 +8,9 @@
 // runner, so a -task-timeout deadline, Ctrl-C, or SIGTERM cancels it cleanly, and
 // -checkpoint/-resume replay a completed analysis without re-simulating.
 // Artifact writes (-sdf, -vcd, -lib) are plain file I/O and stay
-// fail-fast.
+// fail-fast. The execution flags are the block shared with tevot-sweep,
+// -train and -quality (cmd/internal/execflags), less -workers: the run
+// is one task.
 //
 // Example:
 //
@@ -17,7 +19,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -26,6 +27,7 @@ import (
 	"sort"
 	"syscall"
 
+	"tevot/cmd/internal/execflags"
 	"tevot/internal/cells"
 	"tevot/internal/circuits"
 	"tevot/internal/core"
@@ -66,16 +68,9 @@ func main() {
 		vcdPath = flag.String("vcd", "", "write the simulation VCD to this file")
 		libPath = flag.String("lib", "", "write the corner's Liberty cell library to this file")
 		shmoo   = flag.Int("shmoo", 0, "print a TER-vs-clock shmoo with this many points")
-
-		workers = flag.Int("workers", 0, "runner worker count (0 = GOMAXPROCS)")
-		shards  = flag.Int("shards", 0, "simulation shards for the characterization (0 = GOMAXPROCS)")
 		refKern = flag.Bool("ref-kernel", false, "simulate on the reference heap kernel (slow; for auditing the fast kernel)")
-		memoSet = flag.String("memo", "on", "transition memo cache: on, off, or an entry cap (bit-identical either way)")
-		taskTO  = flag.Duration("task-timeout", 0, "characterization deadline (0 = none), e.g. 5m")
-		retries = flag.Int("retries", 1, "retries for transient failures")
-		ckpt    = flag.String("checkpoint", "", "JSONL checkpoint file (replays a completed analysis)")
-		resume  = flag.Bool("resume", false, "skip the characterization if already in -checkpoint")
 	)
+	ex := execflags.Register(flag.CommandLine, execflags.OneTask)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -182,13 +177,9 @@ func main() {
 	defer stop()
 
 	shmooN := *shmoo
-	memo, err := core.ParseMemoSetting(*memoSet)
-	if err != nil {
-		run.Fatal(err)
-	}
 	opts := core.CharacterizeOptions{
-		Workers: *shards, RefKernel: *refKern,
-		MemoOff: memo.MemoOff, MemoSize: memo.MemoSize,
+		Workers: ex.Shards, RefKernel: *refKern,
+		MemoOff: ex.Memo.Off, MemoSize: ex.Memo.Size,
 	}
 	key := fmt.Sprintf("dta/%s/v%.4f_t%g", fu, corner.V, corner.T)
 	task := runner.Task[dtaResult]{
@@ -197,40 +188,17 @@ func main() {
 			return characterize(ctx, u, corner, stream, shmooN, opts)
 		},
 	}
-	cfg := runner.Config{
-		Name: fmt.Sprintf("dta fu=%s v=%.4f t=%g cycles=%d seed=%d shmoo=%d",
-			fu, corner.V, corner.T, *cycles, *seed, shmooN),
-		Workers:     *workers,
-		TaskTimeout: *taskTO,
-		Retries:     *retries,
-		Checkpoint:  *ckpt,
-		Resume:      *resume,
-		Seed:        *seed,
-	}
+	cfg := ex.Runner(*seed)
+	cfg.Name = fmt.Sprintf("dta fu=%s v=%.4f t=%g cycles=%d seed=%d shmoo=%d",
+		fu, corner.V, corner.T, *cycles, *seed, shmooN)
 	results, rep, err := runner.Run(ctx, cfg, []runner.Task[dtaResult]{task})
-	run.Note("report", rep)
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			run.SetInterrupted()
-			hint := ""
-			if *ckpt != "" {
-				hint = fmt.Sprintf(" — rerun with -checkpoint %s -resume to continue", *ckpt)
-			}
-			run.Log.Warn("interrupted" + hint)
-			run.Exit(130)
-		}
-		run.Fatal(err)
-	}
+	ex.Check(run, rep, err)
 	if rep.Failed > 0 {
-		fmt.Println(rep.Summary())
-		for _, f := range rep.Failures {
-			run.Log.Error("cell failed", "err", f)
-		}
-		run.Exit(1)
+		execflags.Finish(run, rep)
 	}
 	res := results[key]
 	if rep.Resumed > 0 {
-		fmt.Printf("(replayed from checkpoint %s)\n", *ckpt)
+		fmt.Printf("(replayed from checkpoint %s)\n", ex.Checkpoint)
 	}
 
 	if len(res.ShmooClocks) > 0 {
@@ -249,7 +217,7 @@ func main() {
 	fmt.Printf("mean delay  %.1f ps\n", res.MeanDelay)
 	fmt.Printf("p50 / p95   %.1f / %.1f ps\n", res.P50, res.P95)
 	fmt.Printf("max delay   %.1f ps (%.1f%% of static)\n", res.MaxDelay, 100*res.MaxDelay/res.StaticDelay)
-	fmt.Printf("\n%s\n", rep.Summary())
+	execflags.Finish(run, rep)
 }
 
 // characterize is the body of the single DTA cell: shmoo probe (when

@@ -4,7 +4,9 @@
 // each output as acceptable (PSNR >= 30 dB) or not, and reports each
 // model's estimation accuracy against the gate-level-simulation ground
 // truth — Table IV. With -outdir it also writes the Fig. 4 panel: the
-// ground-truth and per-model Sobel outputs as PNG files.
+// ground-truth and per-model Sobel outputs as PNG files. -shards and
+// -memo come from the execution block shared with tevot-sweep, -train
+// and -dta (cmd/internal/execflags); this study runs off the runner.
 //
 // Example:
 //
@@ -22,8 +24,8 @@ import (
 	"path/filepath"
 	"strings"
 
+	"tevot/cmd/internal/execflags"
 	"tevot/internal/cells"
-	"tevot/internal/core"
 	"tevot/internal/experiments"
 	"tevot/internal/imaging"
 	"tevot/internal/obs"
@@ -39,9 +41,8 @@ func main() {
 		nCorner = flag.Int("corners", 2, "operating corners")
 		outDir  = flag.String("outdir", "", "write Fig. 4 PNG outputs to this directory")
 		seed    = flag.Int64("seed", 1, "global seed")
-		shards  = flag.Int("shards", 0, "simulation shards per characterization (0 = auto)")
-		memoSet = flag.String("memo", "on", "transition memo cache: on, off, or an entry cap (bit-identical either way)")
 	)
+	ex := execflags.Register(flag.CommandLine, execflags.Sim)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -58,13 +59,7 @@ func main() {
 	scale.TestCycles = *cycles / 2
 	scale.AppStreamCap = *cycles
 	scale.Seed = *seed
-	scale.ShardWorkers = *shards
-	memo, err := core.ParseMemoSetting(*memoSet)
-	if err != nil {
-		run.Fatal(err)
-	}
-	scale.MemoOff = memo.MemoOff
-	scale.MemoSize = memo.MemoSize
+	ex.Apply(&scale)
 	scale.Corners = scale.Corners[:0]
 	for i := 0; i < *nCorner; i++ {
 		v := 0.81 + 0.19*float64(i)/math.Max(1, float64(*nCorner-1))

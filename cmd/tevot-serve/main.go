@@ -59,7 +59,6 @@ func main() {
 		maxBody   = flag.Int64("max-body", 8<<20, "request body cap in bytes; larger bodies answer 413")
 		maxPairs  = flag.Int("max-pairs", 4097, "operand pairs per request cap")
 		auditN    = flag.Int("audit-cycles", 0, "simulate this many cycles at startup and report model-vs-ground-truth RMSE per unit (0 = off)")
-		memoSet   = flag.String("memo", "on", "transition memo cache for the startup audit: on, off, or an entry cap")
 	)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -96,18 +95,12 @@ func main() {
 		entries = append(entries, serve.ModelEntry{Model: model, Path: p})
 	}
 
-	if *auditN > 0 {
-		memo, err := core.ParseMemoSetting(*memoSet)
+	for _, e := range entries {
+		rep, err := serve.Audit(context.Background(), e.Model, serve.AuditConfig{Cycles: *auditN, Seed: 1})
 		if err != nil {
 			run.Fatal(err)
 		}
-		for _, e := range entries {
-			rep, err := serve.Audit(context.Background(), e.Model, serve.AuditConfig{
-				Cycles: *auditN, Seed: 1, MemoOff: memo.MemoOff, MemoSize: memo.MemoSize,
-			})
-			if err != nil {
-				run.Fatal(err)
-			}
+		if rep != nil {
 			run.Note("startup audit "+e.Model.FU.String(), rep)
 		}
 	}

@@ -7,7 +7,9 @@
 // All modes run on the fault-tolerant runner: a failing or panicking
 // per-FU pipeline is reported and skipped instead of killing the run,
 // and -checkpoint/-resume let an interrupted paper-scale sweep (Ctrl-C
-// is caught and flushed) pick up where it left off.
+// is caught and flushed) pick up where it left off. The runner, shard
+// and memo flags are the execution block shared with tevot-sweep, -dta
+// and -quality (cmd/internal/execflags).
 //
 // Examples:
 //
@@ -18,7 +20,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -28,17 +29,13 @@ import (
 	"strings"
 	"syscall"
 
+	"tevot/cmd/internal/execflags"
 	"tevot/internal/circuits"
 	"tevot/internal/core"
 	"tevot/internal/experiments"
 	"tevot/internal/obs"
 	"tevot/internal/runner"
 )
-
-// run is the observability lifecycle for this invocation (profiles,
-// debug endpoint, run manifest); set in main, used by the finish/exit
-// helpers on every termination path.
-var run *obs.Run
 
 func main() {
 	log.SetFlags(0)
@@ -51,20 +48,12 @@ func main() {
 		compare = flag.Bool("compare", false, "run the Table II learning-method comparison instead")
 		seed    = flag.Int64("seed", 1, "global seed")
 		saveDir = flag.String("savemodels", "", "train one TEVoT model per FU on random data and save to this directory (skips evaluation)")
-
-		workers = flag.Int("workers", 0, "concurrent per-FU pipelines (0 = GOMAXPROCS)")
-		shards  = flag.Int("shards", 0, "simulation shards per characterization (0 = auto: GOMAXPROCS)")
-		memoSet = flag.String("memo", "on", "transition memo cache: on, off, or an entry cap (bit-identical either way)")
-		taskTO  = flag.Duration("task-timeout", 0, "per-pipeline deadline (0 = none), e.g. 30m")
-		retries = flag.Int("retries", 1, "retries per pipeline for transient failures")
-		ckpt    = flag.String("checkpoint", "", "JSONL checkpoint file (written as pipelines complete)")
-		resume  = flag.Bool("resume", false, "skip pipelines already in -checkpoint")
 	)
+	ex := execflags.Register(flag.CommandLine, execflags.ManyTasks)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	var err error
-	run, err = obsFlags.Start("tevot-train", *seed, runner.LiveProgress)
+	run, err := obsFlags.Start("tevot-train", *seed, runner.LiveProgress)
 	if err != nil {
 		log.Fatal(err) // lint:allow-raw-print (before obs.Start; no run manifest yet)
 	}
@@ -88,13 +77,7 @@ func main() {
 		}
 	}
 	scale.Seed = *seed
-	scale.ShardWorkers = *shards
-	memo, err := core.ParseMemoSetting(*memoSet)
-	if err != nil {
-		run.Fatal(err)
-	}
-	scale.MemoOff = memo.MemoOff
-	scale.MemoSize = memo.MemoSize
+	ex.Apply(&scale)
 	if *fuName != "" {
 		fu, err := circuits.ParseFU(*fuName)
 		if err != nil {
@@ -111,33 +94,26 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfg := runner.Config{
-		Workers:     *workers,
-		TaskTimeout: *taskTO,
-		Retries:     *retries,
-		Seed:        *seed,
-		Checkpoint:  *ckpt,
-		Resume:      *resume,
-	}
+	cfg := ex.Runner(*seed)
 
 	if *saveDir != "" {
-		saveModels(ctx, lab, cfg, *saveDir)
+		saveModels(ctx, run, ex, lab, cfg, *saveDir)
 		return
 	}
 
 	if *compare {
 		results, rep, err := experiments.Table2Run(ctx, lab, cfg)
-		finish(rep, err, *ckpt)
+		ex.Check(run, rep, err)
 		fmt.Println("Table II — learning-method comparison")
 		fmt.Println("method  accuracy  train-time    test-time")
 		for _, r := range results {
 			fmt.Printf("%-6s %8.2f%% %12v %12v\n", r.Method, 100*r.Accuracy, r.TrainTime, r.TestTime)
 		}
-		exit(rep)
+		execflags.Finish(run, rep)
 	}
 
 	cells3, rep, err := experiments.Table3Run(ctx, lab, cfg)
-	finish(rep, err, *ckpt)
+	ex.Check(run, rep, err)
 	fmt.Printf("Table III — prediction accuracy across %d corners, %d speedups\n",
 		len(scale.Corners), len(scale.Speedups))
 	fmt.Println("FU       dataset        TEVoT    Delay-based  TER-based  TEVoT-NH")
@@ -173,39 +149,7 @@ func main() {
 		100*experiments.MeanAccuracy(cells3, "Delay-based"),
 		100*experiments.MeanAccuracy(cells3, "TER-based"),
 		100*experiments.MeanAccuracy(cells3, "TEVoT-NH"))
-	exit(rep)
-}
-
-// finish handles a sweep's terminal conditions: infrastructure errors
-// are fatal, interruption prints a resume hint and exits 130, per-cell
-// failures are left for exit() after the partial results print.
-func finish(rep *runner.Report, err error, ckpt string) {
-	if err == nil {
-		return
-	}
-	if !errors.Is(err, context.Canceled) {
-		run.Fatal(err)
-	}
-	fmt.Println(rep.Summary())
-	run.Note("report", rep)
-	run.SetInterrupted()
-	hint := ""
-	if ckpt != "" {
-		hint = fmt.Sprintf(" — rerun with -checkpoint %s -resume to continue", ckpt)
-	}
-	run.Log.Warn("interrupted" + hint)
-	run.Exit(130)
-}
-
-// exit prints the sweep report and sets the exit code: 0 only when every
-// cell succeeded.
-func exit(rep *runner.Report) {
-	fmt.Printf("\n%s\n", rep.Summary())
-	run.Note("report", rep)
-	if rep.Failed > 0 {
-		run.Exit(1)
-	}
-	run.Exit(0)
+	execflags.Finish(run, rep)
 }
 
 // savedModel is the checkpointable record of one trained-and-saved
@@ -218,7 +162,7 @@ type savedModel struct {
 // saveModels trains one TEVoT model per FU on random data and saves it,
 // with each per-FU pipeline as one runner cell. Like Table3Run's lanes,
 // the few unequal cells each get the whole machine's shards.
-func saveModels(ctx context.Context, lab *experiments.Lab, cfg runner.Config, dir string) {
+func saveModels(ctx context.Context, run *obs.Run, ex *execflags.Flags, lab *experiments.Lab, cfg runner.Config, dir string) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		run.Fatal(err)
 	}
@@ -269,11 +213,11 @@ func saveModels(ctx context.Context, lab *experiments.Lab, cfg runner.Config, di
 		cfg.Name = fmt.Sprintf("train-save corners=%d cycles=%d seed=%d", len(scale.Corners), scale.TrainCycles, scale.Seed)
 	}
 	results, rep, err := runner.Run(ctx, cfg, tasks)
-	finish(rep, err, cfg.Checkpoint)
+	ex.Check(run, rep, err)
 	for _, fu := range circuits.AllFUs {
 		if m, ok := results["train-save/"+fu.String()]; ok {
 			fmt.Printf("saved %v model (top features: %v) to %s\n", fu, m.TopFeatures, m.Path)
 		}
 	}
-	exit(rep)
+	execflags.Finish(run, rep)
 }

@@ -1,6 +1,6 @@
 // ML method comparison on one functional unit: the experiment behind
 // the paper's Table II and its "we choose RF" design decision. Trains
-// linear regression, k-NN, a linear SVM, and the random forest on the
+// linear regression, k-NN, an RBF-kernel SVM, and the random forest on the
 // same dynamic-timing data for the FP adder and prints accuracy and
 // train/test times.
 package main

@@ -79,19 +79,9 @@ func TestGenerateCorpusCoversAllPlanes(t *testing.T) {
 	t.Logf("corpus: net=%d disk=%d clock=%d kills=%d crashes=%d control=%d", net, disk, clock, kills, crashes, quiet)
 }
 
+// TestProfilesAndRegressionsWellFormed: every pinned regression
+// schedule carries a unique name.
 func TestProfilesAndRegressionsWellFormed(t *testing.T) {
-	for _, name := range []string{"light", "network", "disk", "clock", "heavy"} {
-		s, err := Profile(name, 7)
-		if err != nil {
-			t.Fatalf("Profile(%s): %v", name, err)
-		}
-		if n, d, c := s.Planes(); !n && !d && !c && s.KillWorkers == 0 && !s.CoordCrash {
-			t.Fatalf("profile %s arms nothing", name)
-		}
-	}
-	if _, err := Profile("bogus", 1); err == nil {
-		t.Fatal("unknown profile must error")
-	}
 	seen := map[string]bool{}
 	for _, r := range Regressions() {
 		if r.Name == "" {

@@ -150,53 +150,6 @@ func Generate(seed int64) Schedule {
 	return s
 }
 
-// Profile returns a hand-tuned schedule family for CLI use:
-// "light" (a little of everything), "network", "disk", "clock" (one
-// plane each, hot), "heavy" (everything, plus crash/kill). seed keys
-// the per-rule decision streams.
-func Profile(name string, seed int64) (Schedule, error) {
-	s := Schedule{Seed: seed, Name: name}
-	switch name {
-	case "light":
-		s.Net = []NetRule{
-			{Kind: NetDelay, Prob: 0.10, MaxFires: 20, MinDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
-			{Kind: NetDrop, Route: "/v1/renew", Prob: 0.05, MaxFires: 5},
-		}
-	case "network":
-		s.Net = []NetRule{
-			{Kind: NetDrop, Prob: 0.15, MaxFires: 12},
-			{Kind: NetDup, Route: "/v1/result", Prob: 0.20, MaxFires: 8},
-			{Kind: NetReset, Route: "/v1/lease", Prob: 0.10, MaxFires: 6},
-			{Kind: NetForge, Route: "/v1/result", Prob: 0.10, MaxFires: 4, ForgeStatus: 503},
-		}
-	case "disk":
-		s.Disk = []FSRule{
-			{Kind: FaultSyncLie, PathGlob: "*.jsonl", Prob: 0.25, MaxFires: 4, CutAt: -1},
-			{Kind: FaultENOSPC, PathGlob: "*.jsonl", Prob: 0.10, MaxFires: 1, CutAt: -1},
-		}
-		s.CoordCrash = true
-	case "clock":
-		s.ClockJumps = 2
-		s.ClockFreeze = true
-		s.HeartbeatLag = true
-	case "heavy":
-		s.Net = []NetRule{
-			{Kind: NetDrop, Prob: 0.10, MaxFires: 10},
-			{Kind: NetDup, Route: "/v1/result", Prob: 0.15, MaxFires: 6},
-			{Kind: NetTruncate, Prob: 0.10, MaxFires: 6},
-		}
-		s.Disk = []FSRule{
-			{Kind: FaultSyncLie, PathGlob: "*.jsonl", Prob: 0.20, MaxFires: 3, CutAt: -1},
-		}
-		s.ClockJumps = 1
-		s.KillWorkers = 1
-		s.CoordCrash = true
-	default:
-		return Schedule{}, fmt.Errorf("chaos: unknown profile %q (want light|network|disk|clock|heavy)", name)
-	}
-	return s, nil
-}
-
 // Regressions returns the pinned schedules that exposed real bugs
 // during this harness's development. Each is preserved verbatim; the
 // soak test runs them by name so the fixes cannot silently regress.

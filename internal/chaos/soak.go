@@ -17,6 +17,7 @@ import (
 	"tevot/internal/dist"
 	"tevot/internal/experiments"
 	"tevot/internal/obs"
+	"tevot/internal/runner"
 )
 
 // SoakConfig configures one soak run: an in-process cluster driven
@@ -136,7 +137,11 @@ func Soak(ctx context.Context, cfg SoakConfig, sched Schedule) (SoakResult, erro
 	// Reference artifact (fault-free bytes) if not supplied.
 	if cfg.Reference == nil {
 		refPath := filepath.Join(cfg.Dir, "ref.jsonl")
-		if err := dist.SingleProcessMerged(ctx, spec, refPath, runtime.GOMAXPROCS(0)); err != nil {
+		_, rep, err := dist.SingleProcessMerged(ctx, spec, experiments.Memo{}, runner.Config{}, refPath)
+		if err == nil {
+			err = rep.Err()
+		}
+		if err != nil {
 			return res, fmt.Errorf("chaos: reference run: %w", err)
 		}
 		cfg.Reference, err = os.ReadFile(refPath)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strconv"
 	"sync"
 
 	"tevot/internal/cells"
@@ -154,27 +153,6 @@ type CharacterizeOptions struct {
 // memo (and its bitslice window prepass) on its runners.
 func (o CharacterizeOptions) memoOn() bool { return !o.MemoOff && !o.RefKernel }
 
-// ParseMemoSetting parses a CLI -memo flag value: "on" (default cache
-// size), "off", or a positive integer entry cap.
-func ParseMemoSetting(s string) (opts struct {
-	MemoOff  bool
-	MemoSize int
-}, err error) {
-	switch s {
-	case "", "on":
-		return opts, nil
-	case "off":
-		opts.MemoOff = true
-		return opts, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n <= 0 {
-		return opts, fmt.Errorf("core: -memo wants on, off, or a positive entry cap; got %q", s)
-	}
-	opts.MemoSize = n
-	return opts, nil
-}
-
 // shardCount resolves the effective shard count for an n-cycle stream:
 // the configured worker budget, capped so each shard keeps at least
 // minShardCycles cycles (below that the per-shard settle + runner setup
@@ -200,7 +178,7 @@ func (o CharacterizeOptions) shardCount(n int) int {
 // capture periods (ps) at which ground-truth errors are evaluated; it
 // may be empty when only delays are needed (e.g. Fig. 3).
 func Characterize(u *FUnit, corner cells.Corner, s *workload.Stream, clocks []float64) (*Trace, error) {
-	return CharacterizeContext(context.Background(), u, corner, s, clocks)
+	return CharacterizeOptsContext(context.Background(), u, corner, s, clocks, CharacterizeOptions{})
 }
 
 // CharacterizeOpts is Characterize with explicit execution options.
@@ -245,16 +223,11 @@ func validateCharacterizeInputs(u *FUnit, s *workload.Stream, clocks []float64) 
 	return nil
 }
 
-// CharacterizeContext is Characterize with cooperative cancellation: the
+// CharacterizeOptsContext is the full-control characterization entry
+// point: cooperative cancellation plus sharded parallel simulation. The
 // simulation loop checks ctx every few hundred cycles, so a sweep
 // runner's per-task deadline or a SIGINT aborts a multi-minute cell
 // promptly instead of leaking it to completion in the background.
-func CharacterizeContext(ctx context.Context, u *FUnit, corner cells.Corner, s *workload.Stream, clocks []float64) (*Trace, error) {
-	return CharacterizeOptsContext(ctx, u, corner, s, clocks, CharacterizeOptions{})
-}
-
-// CharacterizeOptsContext is the full-control characterization entry
-// point: cooperative cancellation plus sharded parallel simulation.
 //
 // Sharding argument: cycle i's dynamic delay depends only on the settled
 // state at pair i and the transition to pair i+1. Because the netlist is
@@ -428,17 +401,12 @@ func characterizeShard(ctx context.Context, r *sim.Runner, s *workload.Stream, c
 // derived from the unit's error-free base clock at the corner:
 // period_s = base / (1 + s) for each fractional speedup s.
 func CharacterizeWithSpeedups(u *FUnit, corner cells.Corner, s *workload.Stream, speedups []float64) (*Trace, error) {
-	return CharacterizeWithSpeedupsContext(context.Background(), u, corner, s, speedups)
+	return CharacterizeWithSpeedupsOptsContext(context.Background(), u, corner, s, speedups, CharacterizeOptions{})
 }
 
-// CharacterizeWithSpeedupsContext is CharacterizeWithSpeedups with
-// cooperative cancellation (see CharacterizeContext).
-func CharacterizeWithSpeedupsContext(ctx context.Context, u *FUnit, corner cells.Corner, s *workload.Stream, speedups []float64) (*Trace, error) {
-	return CharacterizeWithSpeedupsOptsContext(ctx, u, corner, s, speedups, CharacterizeOptions{})
-}
-
-// CharacterizeWithSpeedupsOptsContext is CharacterizeWithSpeedupsContext
-// with explicit execution options (see CharacterizeOptions).
+// CharacterizeWithSpeedupsOptsContext is CharacterizeWithSpeedups with
+// cooperative cancellation and explicit execution options (see
+// CharacterizeOptsContext and CharacterizeOptions).
 func CharacterizeWithSpeedupsOptsContext(ctx context.Context, u *FUnit, corner cells.Corner, s *workload.Stream, speedups []float64, opts CharacterizeOptions) (*Trace, error) {
 	if u == nil {
 		return nil, fmt.Errorf("core: CharacterizeWithSpeedups called with a nil functional unit")

@@ -93,7 +93,7 @@ func TestCharacterizeContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err = CharacterizeContext(ctx, u, cells.Corner{V: 0.85, T: 50}, workload.RandomInt(20000, 4), nil)
+	_, err = CharacterizeOptsContext(ctx, u, cells.Corner{V: 0.85, T: 50}, workload.RandomInt(20000, 4), nil, CharacterizeOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

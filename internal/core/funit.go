@@ -184,17 +184,12 @@ func (u *FUnit) SetBaseClock(c cells.Corner, ps float64) error {
 // the extra characterization pass that defines "fastest error-free
 // clock" in the paper's experimental setup.
 func (u *FUnit) CalibrateBaseClock(c cells.Corner, s *workload.Stream) (float64, error) {
-	return u.CalibrateBaseClockContext(context.Background(), c, s)
+	return u.CalibrateBaseClockOptsContext(context.Background(), c, s, CharacterizeOptions{})
 }
 
-// CalibrateBaseClockContext is CalibrateBaseClock with cooperative
-// cancellation (see CharacterizeContext).
-func (u *FUnit) CalibrateBaseClockContext(ctx context.Context, c cells.Corner, s *workload.Stream) (float64, error) {
-	return u.CalibrateBaseClockOptsContext(ctx, c, s, CharacterizeOptions{})
-}
-
-// CalibrateBaseClockOptsContext is CalibrateBaseClockContext with
-// explicit characterization options (see CharacterizeOptions).
+// CalibrateBaseClockOptsContext is CalibrateBaseClock with cooperative
+// cancellation and explicit characterization options (see
+// CharacterizeOptsContext and CharacterizeOptions).
 func (u *FUnit) CalibrateBaseClockOptsContext(ctx context.Context, c cells.Corner, s *workload.Stream, opts CharacterizeOptions) (float64, error) {
 	tr, err := CharacterizeOptsContext(ctx, u, c, s, nil, opts)
 	if err != nil {

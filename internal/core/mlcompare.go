@@ -95,7 +95,7 @@ func CompareMethods(train, test []*Trace, k int, seed int64) ([]MethodResult, er
 	// SVM: RBF-kernel classification of the error label via SMO — what
 	// scikit-learn's SVC (the paper's tool) runs by default; its O(n²)
 	// training and O(support-vectors) prediction produce Table II's
-	// dominant time column. (ml.SVM is the cheaper linear alternative.)
+	// dominant time column.
 	{
 		m := ml.NewKernelSVM(1, 0, seed)
 		lab := make([]float64, len(etr))

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -18,6 +17,7 @@ import (
 	"tevot/internal/chaos"
 	"tevot/internal/dist"
 	"tevot/internal/experiments"
+	"tevot/internal/runner"
 )
 
 // soakSpec mirrors the cluster tests' small spec: 1 FU x 3 datasets x
@@ -58,7 +58,11 @@ func soakFixtures(t *testing.T) (*experiments.Lab, []byte) {
 		}
 		defer os.RemoveAll(dir)
 		ref := filepath.Join(dir, "ref.jsonl")
-		if soakErr = dist.SingleProcessMerged(context.Background(), spec, ref, runtime.GOMAXPROCS(0)); soakErr != nil {
+		_, rep, err := dist.SingleProcessMerged(context.Background(), spec, experiments.Memo{}, runner.Config{}, ref)
+		if err == nil {
+			err = rep.Err()
+		}
+		if soakErr = err; soakErr != nil {
 			return
 		}
 		soakRef, soakErr = os.ReadFile(ref)

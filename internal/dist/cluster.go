@@ -4,10 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
+	"tevot/internal/experiments"
 	"tevot/internal/obs"
+	"tevot/internal/runner"
 )
 
 // ClusterConfig configures an in-process "local cluster": one
@@ -26,9 +27,6 @@ type ClusterConfig struct {
 	// (functional units are safe for concurrent characterization).
 	// The template's Transport (if any) is shared by every worker.
 	Worker WorkerConfig
-	// Now is the coordinator's clock hook (nil = time.Now) — the chaos
-	// clock plane plugs in here to skew or freeze lease expiry.
-	Now func() time.Time
 }
 
 // RunLocalCluster runs the sweep to completion (or abort) and returns
@@ -39,7 +37,7 @@ func RunLocalCluster(ctx context.Context, cfg ClusterConfig) error {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
-	coord, err := NewCoordinator(cfg.Coord, cfg.Now)
+	coord, err := NewCoordinator(cfg.Coord, nil)
 	if err != nil {
 		return err
 	}
@@ -112,66 +110,42 @@ func RunLocalCluster(ctx context.Context, cfg ClusterConfig) error {
 	}
 }
 
-// SingleProcessMerged runs the spec in-process (no HTTP, no leases)
-// and writes the same canonical merged JSONL the coordinator writes —
-// the reference artifact distributed runs are byte-compared against.
-func SingleProcessMerged(ctx context.Context, spec Spec, out string, workers int) error {
-	spec = spec.withDefaults()
+// SingleProcessMerged is tevot-sweep's plain mode: it builds the
+// spec's lab with memo as the simulator's transition memo, runs
+// experiments.Fig3Run on the runner (no HTTP, no leases), and writes the
+// canonical merged JSONL the coordinator writes to out ("" skips it).
+// Those bytes are the reference distributed runs are compared against.
+// As with Fig3Run, failed cells are reported in the Report and left out
+// of the rows and the file; an interrupted run writes no file.
+func SingleProcessMerged(ctx context.Context, spec Spec, memo experiments.Memo, cfg runner.Config, out string) ([]experiments.DelayRow, *runner.Report, error) {
 	if err := spec.Validate(); err != nil {
-		return err
+		return nil, nil, err
+	}
+	spec = spec.withDefaults()
+	scale, err := spec.Scale()
+	if err != nil {
+		return nil, nil, err
+	}
+	scale.Memo = memo
+	lab, err := experiments.NewLab(scale)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows, rep, err := experiments.Fig3Run(ctx, lab, spec.Corners, cfg)
+	if err != nil || out == "" {
+		return rows, rep, err
 	}
 	order, err := spec.Cells()
 	if err != nil {
-		return err
+		return rows, rep, err
 	}
-	lab, err := spec.NewLab()
-	if err != nil {
-		return err
+	results := make(map[string]json.RawMessage, len(rows))
+	for _, r := range rows {
+		raw, err := MarshalRow(r)
+		if err != nil {
+			return rows, rep, err
+		}
+		results[experiments.Fig3CellKey(r.FU, r.Dataset, r.Corner)] = raw
 	}
-	opts := lab.CharOpts(workers)
-	sem := make(chan struct{}, maxInt(workers, 1))
-	results := make(map[string]json.RawMessage, len(order))
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	for _, c := range order {
-		c := c
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			row, err := RunCell(ctx, lab, c, opts)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			raw, err := MarshalRow(row)
-			mu.Lock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				results[c.Key()] = raw
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return WriteMergedFile(out, order, results)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return rows, rep, WriteMergedFile(out, order, results)
 }

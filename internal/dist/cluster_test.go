@@ -17,6 +17,7 @@ import (
 	"tevot/internal/experiments"
 	"tevot/internal/obs"
 	"tevot/internal/obs/trace"
+	"tevot/internal/runner"
 )
 
 // testSpec is the small grid the integration tests run: 1 FU × 3
@@ -92,12 +93,17 @@ func refMerged(t *testing.T) ([]byte, *experiments.Lab) {
 	return refData, refLab
 }
 
-// TestSingleProcessMergedMatchesReference: the no-cluster merge path
-// produces the same canonical bytes.
+// TestSingleProcessMergedMatchesReference: tevot-sweep's plain mode
+// (the runner, two cells at a time) produces the same canonical bytes as
+// the sequential reference.
 func TestSingleProcessMergedMatchesReference(t *testing.T) {
 	ref, _ := refMerged(t)
 	out := filepath.Join(t.TempDir(), "sp.jsonl")
-	if err := SingleProcessMerged(context.Background(), testSpec(), out, 2); err != nil {
+	_, rep, err := SingleProcessMerged(context.Background(), testSpec(), experiments.Memo{}, runner.Config{Workers: 2}, out)
+	if err == nil {
+		err = rep.Err()
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(out)

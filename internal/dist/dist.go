@@ -23,7 +23,8 @@
 //
 // The merged output is written in canonical grid order, so a
 // distributed run's JSONL is byte-identical to the single-process
-// sweep's — the acceptance bar every mode of this repo is held to.
+// sweep's (SingleProcessMerged, tevot-sweep's plain mode) — the
+// acceptance bar every mode of this repo is held to.
 package dist
 
 import (
@@ -65,7 +66,9 @@ type Spec struct {
 	ShardWorkers int `json:"shard_workers,omitempty"`
 }
 
-// withDefaults fills the cheap-smoke defaults (mirroring tevot-sweep).
+// withDefaults fills the cheap-smoke defaults (mirroring tevot-sweep)
+// for sizes that would otherwise name an empty sweep. Seed 0 is a seed
+// like any other.
 func (s Spec) withDefaults() Spec {
 	if s.Cycles <= 0 {
 		s.Cycles = 1500
@@ -78,9 +81,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.ImageSize <= 0 {
 		s.ImageSize = 24
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
 	}
 	return s
 }
@@ -177,8 +177,9 @@ func (s Spec) Cells() ([]Cell, error) {
 	return out, nil
 }
 
-// Scale maps the spec onto the experiments scale the single-process
-// sweep uses, so both modes build bit-identical labs.
+// Scale maps the spec onto the experiments scale every mode builds its
+// lab from, the single-process sweep included, so all modes build
+// bit-identical labs.
 func (s Spec) Scale() (experiments.Scale, error) {
 	s = s.withDefaults()
 	fus, err := s.fus()

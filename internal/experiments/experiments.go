@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 
 	"tevot/internal/cells"
 	"tevot/internal/circuits"
@@ -44,10 +45,46 @@ type Scale struct {
 	// for the few-cell sweeps (Tables II and III, model saving), whose
 	// cells each get the whole machine.
 	ShardWorkers int
-	// MemoOff disables the simulator's transition memo cache; MemoSize
-	// caps its entries (0 = sim default). See core.CharacterizeOptions.
-	MemoOff  bool
-	MemoSize int
+	// Memo sets the simulator's transition memo cache (the zero value:
+	// on at the default size).
+	Memo Memo
+}
+
+// Memo is a transition-memo setting as the -memo flag spells it: "on"
+// (the zero value, default cache size), "off", or a positive entry cap.
+// Every setting is bit-identical (see core.CharacterizeOptions); it
+// trades memory for speed. *Memo is a flag.Value.
+type Memo struct {
+	Off  bool
+	Size int // entry cap; 0 = sim default
+}
+
+func (m *Memo) String() string {
+	switch {
+	case m.Off:
+		return "off"
+	case m.Size > 0:
+		return strconv.Itoa(m.Size)
+	}
+	return "on"
+}
+
+// Set parses a -memo value.
+func (m *Memo) Set(v string) error {
+	switch v {
+	case "", "on":
+		*m = Memo{}
+		return nil
+	case "off":
+		*m = Memo{Off: true}
+		return nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n <= 0 {
+		return fmt.Errorf("want on, off, or a positive entry cap; got %q", v)
+	}
+	*m = Memo{Size: n}
+	return nil
 }
 
 // CharOpts resolves the two-level worker budget: with W cell-level
@@ -71,7 +108,7 @@ func (l *Lab) CharOpts(cellWorkers int) core.CharacterizeOptions {
 			w = 1
 		}
 	}
-	return core.CharacterizeOptions{Workers: w, MemoOff: l.Scale.MemoOff, MemoSize: l.Scale.MemoSize}
+	return core.CharacterizeOptions{Workers: w, MemoOff: l.Scale.Memo.Off, MemoSize: l.Scale.Memo.Size}
 }
 
 // Small returns a laptop-scale configuration that exercises every code

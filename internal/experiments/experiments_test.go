@@ -23,6 +23,20 @@ func tinyScale() Scale {
 	return s
 }
 
+func TestMemoFlagValue(t *testing.T) {
+	for in, want := range map[string]Memo{"on": {}, "off": {Off: true}, "4096": {Size: 4096}} {
+		var m Memo
+		if err := m.Set(in); err != nil || m != want || m.String() != in {
+			t.Errorf("Set(%q) = %+v, %v (String %q); want %+v", in, m, err, m.String(), want)
+		}
+	}
+	for _, bad := range []string{"0", "-3", "big"} {
+		if err := new(Memo).Set(bad); err == nil {
+			t.Errorf("Set(%q) accepted", bad)
+		}
+	}
+}
+
 func TestLabSetup(t *testing.T) {
 	lab, err := NewLab(tinyScale())
 	if err != nil {

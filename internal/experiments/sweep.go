@@ -60,11 +60,17 @@ func Fig3Cell(ctx context.Context, lab *Lab, fu circuits.FU, dataset string, cor
 	}, nil
 }
 
-// fig3SweepName fingerprints the sweep's identity and scale so a
-// checkpoint cannot be resumed against a differently shaped run.
+// fig3SweepName fingerprints the sweep's identity and every scale input
+// that changes a cell's value, so a checkpoint cannot be resumed against
+// a differently shaped run.
 func fig3SweepName(lab *Lab, corners []cells.Corner) string {
-	return fmt.Sprintf("fig3 fus=%d datasets=%d corners=%d cycles=%d seed=%d",
-		len(lab.Scale.fus()), len(Datasets), len(corners), lab.Scale.TestCycles, lab.Scale.Seed)
+	return fmt.Sprintf("fig3 fus=%d datasets=%d corners=%d cycles=%d %s seed=%d",
+		len(lab.Scale.fus()), len(Datasets), len(corners), lab.Scale.TestCycles, appScale(lab.Scale), lab.Scale.Seed)
+}
+
+// appScale names the scale inputs of the application datasets' streams.
+func appScale(s Scale) string {
+	return fmt.Sprintf("images=%dx%d appcap=%d", s.Images, s.ImageSize, s.AppStreamCap)
 }
 
 // Fig3Run is Fig3 on the fault-tolerant runner: each (FU, dataset,
@@ -113,9 +119,9 @@ func Fig3Run(ctx context.Context, lab *Lab, corners []cells.Corner, cfg runner.C
 }
 
 func table3SweepName(lab *Lab) string {
-	return fmt.Sprintf("table3 fus=%d corners=%d speedups=%d train=%d test=%d seed=%d",
+	return fmt.Sprintf("table3 fus=%d corners=%d speedups=%d train=%d test=%d %s seed=%d",
 		len(lab.Scale.fus()), len(lab.Scale.Corners), len(lab.Scale.Speedups),
-		lab.Scale.TrainCycles, lab.Scale.TestCycles, lab.Scale.Seed)
+		lab.Scale.TrainCycles, lab.Scale.TestCycles, appScale(lab.Scale), lab.Scale.Seed)
 }
 
 // Table3Run is Table3 on the fault-tolerant runner. The cell here is

@@ -230,8 +230,8 @@ func TestTable3RunShardingInvariant(t *testing.T) {
 }
 
 // TestFig3SweepNameFingerprint: resuming a checkpoint against a
-// differently scaled sweep is refused — the scale is part of the sweep
-// identity.
+// differently scaled sweep is refused — every scale input that changes
+// a cell's value is part of the sweep identity.
 func TestFig3SweepNameFingerprint(t *testing.T) {
 	lab, err := NewLab(tinyScale())
 	if err != nil {
@@ -242,14 +242,21 @@ func TestFig3SweepNameFingerprint(t *testing.T) {
 	if _, _, err := Fig3Run(context.Background(), lab, corners, runner.Config{Checkpoint: ckpt}); err != nil {
 		t.Fatal(err)
 	}
-	bigger := tinyScale()
-	bigger.TestCycles += 100
-	lab2, err := NewLab(bigger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = Fig3Run(context.Background(), lab2, corners, runner.Config{Checkpoint: ckpt, Resume: true})
-	if err == nil || !strings.Contains(err.Error(), "refusing") {
-		t.Fatalf("scale-mismatched resume accepted: %v", err)
+	for name, change := range map[string]func(*Scale){
+		"cycles":  func(s *Scale) { s.TestCycles += 100 },
+		"images":  func(s *Scale) { s.Images++ },
+		"imgsize": func(s *Scale) { s.ImageSize += 8 },
+		"appcap":  func(s *Scale) { s.AppStreamCap += 100 },
+	} {
+		scale := tinyScale()
+		change(&scale)
+		lab2, err := NewLab(scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = Fig3Run(context.Background(), lab2, corners, runner.Config{Checkpoint: ckpt, Resume: true})
+		if err == nil || !strings.Contains(err.Error(), "refusing") {
+			t.Fatalf("%s: scale-mismatched resume accepted: %v", name, err)
+		}
 	}
 }

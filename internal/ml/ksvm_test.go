@@ -36,7 +36,7 @@ func TestKernelSVMLinearlySeparable(t *testing.T) {
 }
 
 // TestKernelSVMSolvesXOR: the RBF kernel handles the interaction problem
-// that defeats the linear SVM — the reason "SVM" scores well in the
+// that defeats a linear classifier — the reason "SVM" scores well in the
 // paper's Table II despite learning no explicit feature interactions.
 func TestKernelSVMSolvesXOR(t *testing.T) {
 	X, y := synthXOR(300, 41)

@@ -49,96 +49,3 @@ func MSE(pred, truth []float64) (float64, error) {
 	}
 	return s / float64(len(pred)), nil
 }
-
-// MAE is the mean absolute error of a regression prediction.
-func MAE(pred, truth []float64) (float64, error) {
-	if len(pred) != len(truth) || len(pred) == 0 {
-		return 0, fmt.Errorf("ml: bad MAE operand lengths %d, %d", len(pred), len(truth))
-	}
-	s := 0.0
-	for i := range pred {
-		d := pred[i] - truth[i]
-		if d < 0 {
-			d = -d
-		}
-		s += d
-	}
-	return s / float64(len(pred)), nil
-}
-
-// R2 is the coefficient of determination of a regression prediction.
-func R2(pred, truth []float64) (float64, error) {
-	if len(pred) != len(truth) || len(pred) == 0 {
-		return 0, fmt.Errorf("ml: bad R2 operand lengths %d, %d", len(pred), len(truth))
-	}
-	mean := 0.0
-	for _, v := range truth {
-		mean += v
-	}
-	mean /= float64(len(truth))
-	var ssRes, ssTot float64
-	for i := range pred {
-		d := truth[i] - pred[i]
-		ssRes += d * d
-		m := truth[i] - mean
-		ssTot += m * m
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1, nil
-		}
-		return 0, nil
-	}
-	return 1 - ssRes/ssTot, nil
-}
-
-// Confusion is a binary confusion matrix (positive class = true).
-type Confusion struct {
-	TP, FP, TN, FN int
-}
-
-// ConfusionBool tallies a binary confusion matrix.
-func ConfusionBool(pred, truth []bool) (Confusion, error) {
-	var c Confusion
-	if len(pred) != len(truth) {
-		return c, fmt.Errorf("ml: %d predictions for %d labels", len(pred), len(truth))
-	}
-	for i := range pred {
-		switch {
-		case pred[i] && truth[i]:
-			c.TP++
-		case pred[i] && !truth[i]:
-			c.FP++
-		case !pred[i] && !truth[i]:
-			c.TN++
-		default:
-			c.FN++
-		}
-	}
-	return c, nil
-}
-
-// Precision is TP / (TP + FP); 1 when no positives were predicted.
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 1
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
-// Recall is TP / (TP + FN); 1 when there were no positives.
-func (c Confusion) Recall() float64 {
-	if c.TP+c.FN == 0 {
-		return 1
-	}
-	return float64(c.TP) / float64(c.TP+c.FN)
-}
-
-// Accuracy is the fraction of correct entries.
-func (c Confusion) Accuracy() float64 {
-	n := c.TP + c.FP + c.TN + c.FN
-	if n == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(n)
-}

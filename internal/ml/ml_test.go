@@ -277,40 +277,6 @@ func TestRidgeCannotSolveXOR(t *testing.T) {
 	}
 }
 
-func TestSVMLinearlySeparable(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	n := 800
-	X := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range X {
-		x := []float64{rng.NormFloat64(), rng.NormFloat64()}
-		X[i] = x
-		if x[0]+x[1] > 0.3 {
-			y[i] = 1
-		}
-	}
-	m := NewSVM(1e-4, 30, 19)
-	if err := m.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	correct := 0
-	for i := range X {
-		if m.Predict(X[i]) == y[i] {
-			correct++
-		}
-	}
-	if acc := float64(correct) / float64(n); acc < 0.95 {
-		t.Errorf("SVM separable accuracy = %v, want >= 0.95", acc)
-	}
-}
-
-func TestSVMRejectsNonBinaryLabels(t *testing.T) {
-	m := NewSVM(0, 0, 0)
-	if err := m.Fit([][]float64{{1}}, []float64{2}); err == nil {
-		t.Fatal("SVM accepted label 2")
-	}
-}
-
 func TestScalerStandardizes(t *testing.T) {
 	X := [][]float64{{1, 100, 5}, {3, 300, 5}, {5, 500, 5}}
 	s, err := FitScaler(X)
@@ -377,24 +343,6 @@ func TestMetrics(t *testing.T) {
 	mse, err := MSE([]float64{1, 2}, []float64{3, 2})
 	if err != nil || mse != 2 {
 		t.Errorf("MSE = %v, %v; want 2", mse, err)
-	}
-	mae, err := MAE([]float64{1, 2}, []float64{3, 2})
-	if err != nil || mae != 1 {
-		t.Errorf("MAE = %v, %v; want 1", mae, err)
-	}
-	r2, err := R2([]float64{1, 2, 3}, []float64{1, 2, 3})
-	if err != nil || r2 != 1 {
-		t.Errorf("perfect R2 = %v, %v; want 1", r2, err)
-	}
-	c, err := ConfusionBool([]bool{true, true, false, false}, []bool{true, false, false, true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.TP != 1 || c.FP != 1 || c.TN != 1 || c.FN != 1 {
-		t.Errorf("confusion = %+v", c)
-	}
-	if c.Accuracy() != 0.5 {
-		t.Errorf("confusion accuracy = %v", c.Accuracy())
 	}
 	if _, err := Accuracy([]float64{1}, []float64{}); err == nil {
 		t.Error("Accuracy accepted mismatched lengths")

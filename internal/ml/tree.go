@@ -1,8 +1,8 @@
 // Package ml is the from-scratch supervised-learning library used to
 // train TEVoT: CART decision trees, random forests (the paper's chosen
-// model), k-nearest neighbors, ridge ("linear") regression, and a linear
-// SVM trained with the Pegasos subgradient method — the four methods
-// compared in the paper's Table II — plus dataset utilities and metrics.
+// model), k-nearest neighbors, ridge ("linear") regression, and an
+// RBF-kernel SVM trained with SMO — the four methods compared in the
+// paper's Table II — plus dataset utilities and metrics.
 //
 // All learners share the convention that feature vectors are []float64
 // and labels are float64 (class labels are small non-negative integers

@@ -21,25 +21,22 @@ import (
 // Routes:
 //
 //	/             — route index
-//	/progress     — live progress JSON (runner counters + ETA + rates)
-//	/rates        — live counter rates (1s/10s/60s windows)
+//	/progress     — live progress JSON (runner counters + ETA)
 //	/metrics      — Prometheus exposition format 0.0.4 (every registry
 //	                metric, stage latencies included)
 //	/debug/traces — trace store (list; ?id=<hex> renders one trace)
 //	/debug/vars   — Go runtime vars (memstats, cmdline)
 //	/debug/pprof  — CPU/heap/goroutine profiles for `go tool pprof`
 type DebugServer struct {
-	lis         net.Listener
-	srv         *http.Server
-	addr        string
-	stopSampler chan struct{}
+	lis  net.Listener
+	srv  *http.Server
+	addr string
 }
 
 // ServeDebug starts the debug endpoint on addr (":0" picks a free
 // port; the chosen address is DebugServer.Addr). progress supplies the
 // /progress payload and may be nil, in which case /progress serves a
-// placeholder status plus the rates. While the server is up, a 1 Hz
-// sampler feeds the default rate rings.
+// placeholder status.
 func ServeDebug(addr string, progress func() any) (*DebugServer, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -56,13 +53,10 @@ func ServeDebug(addr string, progress func() any) (*DebugServer, error) {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintf(w, "tevot debug endpoint\n\n/progress\n/rates\n/metrics\n/debug/traces\n/debug/vars\n/debug/pprof/\n")
+		fmt.Fprintf(w, "tevot debug endpoint\n\n/progress\n/metrics\n/debug/traces\n/debug/vars\n/debug/pprof/\n")
 	})
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, withRates(progress()))
-	})
-	mux.HandleFunc("/rates", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, defaultRates.Snapshot())
+		writeJSON(w, progress())
 	})
 	mux.Handle("/metrics", PromHandler(nil))
 	mux.Handle("/debug/traces", trace.DefaultHandler())
@@ -74,10 +68,9 @@ func ServeDebug(addr string, progress func() any) (*DebugServer, error) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
 	ds := &DebugServer{
-		lis:         lis,
-		srv:         &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
-		addr:        lis.Addr().String(),
-		stopSampler: make(chan struct{}),
+		lis:  lis,
+		srv:  &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
+		addr: lis.Addr().String(),
 	}
 	go func() {
 		// ErrServerClosed after Close is the expected shutdown path;
@@ -86,52 +79,14 @@ func ServeDebug(addr string, progress func() any) (*DebugServer, error) {
 			Logger("obs").Error("debug server stopped", "addr", ds.addr, "err", err)
 		}
 	}()
-	go func() {
-		tick := time.NewTicker(1 * time.Second)
-		defer tick.Stop()
-		defaultRates.Sample(time.Now())
-		for {
-			select {
-			case <-ds.stopSampler:
-				return
-			case now := <-tick.C:
-				defaultRates.Sample(now)
-			}
-		}
-	}()
 	return ds, nil
-}
-
-// withRates attaches the live counter rates to map-shaped progress
-// payloads under a "rates" key. Struct payloads (the sweep runner's
-// typed Progress) pass through unchanged — their consumers fetch
-// /rates directly.
-func withRates(payload any) any {
-	m, ok := payload.(map[string]any)
-	if !ok {
-		return payload
-	}
-	if _, taken := m["rates"]; taken {
-		return m
-	}
-	out := make(map[string]any, len(m)+1)
-	for k, v := range m {
-		out[k] = v
-	}
-	out["rates"] = defaultRates.Snapshot()
-	return out
 }
 
 // Addr is the address actually listening (resolves ":0").
 func (ds *DebugServer) Addr() string { return ds.addr }
 
-// Close stops the sampler, listener, and server.
+// Close stops the listener and server.
 func (ds *DebugServer) Close() error {
-	select {
-	case <-ds.stopSampler:
-	default:
-		close(ds.stopSampler)
-	}
 	return ds.srv.Close()
 }
 

@@ -61,9 +61,6 @@ type Config struct {
 	// checkpointing). Resume loads it first and skips completed cells.
 	Checkpoint string
 	Resume     bool
-	// FS backs the checkpoint file; nil means the real filesystem. Tests
-	// (internal/chaos) swap in a fault-injecting layer here.
-	FS FS
 	// Classify decides whether a failure is retryable; nil means
 	// DefaultClassify.
 	Classify func(error) Class
@@ -93,9 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
-	}
-	if c.FS == nil {
-		c.FS = OSFS
 	}
 	return c
 }
@@ -205,7 +199,7 @@ func Run[R any](ctx context.Context, cfg Config, tasks []Task[R]) (map[string]R,
 	var jnl *Journal
 	if cfg.Checkpoint != "" {
 		var err error
-		jnl, done, err = OpenJournalFS(cfg.FS, cfg.Checkpoint, cfg.Name, cfg.Resume)
+		jnl, done, err = OpenJournal(cfg.Checkpoint, cfg.Name, cfg.Resume)
 		if err != nil {
 			return nil, rep, err
 		}

@@ -17,9 +17,7 @@ import (
 // corner and compare the loaded model's predicted delays against the
 // simulated truth — an end-to-end check that the model actually
 // describes the unit it claims to, beyond the structural validation of
-// the reload path. The audit is also the one place this CLI exercises
-// the characterization hot path, so the simulator's transition memo
-// options surface here.
+// the reload path.
 
 // AuditConfig tunes the startup ground-truth audit.
 type AuditConfig struct {
@@ -30,9 +28,6 @@ type AuditConfig struct {
 	Corner cells.Corner
 	// Seed drives the random operand stream.
 	Seed int64
-	// MemoOff / MemoSize pass through to core.CharacterizeOptions.
-	MemoOff  bool
-	MemoSize int
 }
 
 // AuditReport summarizes a ground-truth audit.
@@ -65,9 +60,7 @@ func Audit(ctx context.Context, m *core.Model, cfg AuditConfig) (*AuditReport, e
 	s := workload.Random(m.FU.IsFloat(), cfg.Cycles+1, cfg.Seed)
 	s.Name = "serve_audit"
 	start := time.Now()
-	tr, err := core.CharacterizeOptsContext(ctx, u, corner, s, nil, core.CharacterizeOptions{
-		Workers: 1, MemoOff: cfg.MemoOff, MemoSize: cfg.MemoSize,
-	})
+	tr, err := core.CharacterizeOptsContext(ctx, u, corner, s, nil, core.CharacterizeOptions{Workers: 1})
 	if err != nil {
 		return nil, fmt.Errorf("serve: audit simulation failed: %w", err)
 	}

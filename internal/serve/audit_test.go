@@ -27,18 +27,6 @@ func TestAuditGroundTruth(t *testing.T) {
 		t.Fatalf("no simulation effort recorded: %+v", rep)
 	}
 
-	// Memo off: same ground truth, no memo accounting.
-	off, err := Audit(context.Background(), m, AuditConfig{Cycles: 96, Seed: 3, MemoOff: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.MeanTrue != rep.MeanTrue || off.RMSE != rep.RMSE || off.SimEvents != rep.SimEvents {
-		t.Fatalf("memo on/off audits diverge: %+v vs %+v", rep, off)
-	}
-	if off.HitRate != 0 {
-		t.Fatalf("memo-off audit reports a hit rate: %+v", off)
-	}
-
 	// Disabled audit is a no-op.
 	if rep, err := Audit(context.Background(), m, AuditConfig{}); err != nil || rep != nil {
 		t.Fatalf("disabled audit returned (%+v, %v)", rep, err)
