@@ -3,7 +3,6 @@
 // obs.RegisterFlags registers the observability block:
 //
 //	-shards N          simulation shards per characterization (0 = auto)
-//	-memo on|off|N     transition memo cache (bit-identical either way)
 //	-task-timeout D    per-task deadline on the runner (0 = none)
 //	-retries N         retries per task for transient failures
 //	-checkpoint path   JSONL checkpoint, written as tasks complete
@@ -12,6 +11,10 @@
 //
 // It also holds the end those CLIs share for a run on the runner: the
 // interrupted-run exit (resume hint, code 130) and the report tail.
+//
+// The block has no memo flag: each simulation shard keeps the
+// transition memo only while it hits (core.CharacterizeOptsContext),
+// with bit-identical results either way.
 package execflags
 
 import (
@@ -21,7 +24,6 @@ import (
 	"fmt"
 	"time"
 
-	"tevot/internal/experiments"
 	"tevot/internal/obs"
 	"tevot/internal/runner"
 )
@@ -30,7 +32,7 @@ import (
 type Shape int
 
 const (
-	// Sim is -shards and -memo alone: characterizations off the runner.
+	// Sim is -shards alone: characterizations off the runner.
 	Sim Shape = iota
 	// OneTask adds -task-timeout, -retries, -checkpoint and -resume: a
 	// run of one runner task.
@@ -43,7 +45,6 @@ const (
 type Flags struct {
 	Workers     int
 	Shards      int
-	Memo        experiments.Memo
 	TaskTimeout time.Duration
 	Retries     int
 	Checkpoint  string
@@ -55,7 +56,6 @@ type Flags struct {
 func Register(fs *flag.FlagSet, shape Shape) *Flags {
 	f := &Flags{}
 	fs.IntVar(&f.Shards, "shards", 0, "simulation shards per characterization (0 = auto)")
-	fs.Var(&f.Memo, "memo", "transition memo cache: `on` (default), off, or an entry cap (bit-identical either way)")
 	if shape == Sim {
 		return f
 	}
@@ -67,12 +67,6 @@ func Register(fs *flag.FlagSet, shape Shape) *Flags {
 		fs.IntVar(&f.Workers, "workers", 0, "concurrent tasks (0 = GOMAXPROCS)")
 	}
 	return f
-}
-
-// Apply sets the scale's shard and memo settings from the flags.
-func (f *Flags) Apply(s *experiments.Scale) {
-	s.ShardWorkers = f.Shards
-	s.Memo = f.Memo
 }
 
 // Runner returns the runner configuration the flags describe.

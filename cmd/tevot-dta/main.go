@@ -177,10 +177,7 @@ func main() {
 	defer stop()
 
 	shmooN := *shmoo
-	opts := core.CharacterizeOptions{
-		Workers: ex.Shards, RefKernel: *refKern,
-		MemoOff: ex.Memo.Off, MemoSize: ex.Memo.Size,
-	}
+	opts := core.CharacterizeOptions{Workers: ex.Shards, RefKernel: *refKern}
 	key := fmt.Sprintf("dta/%s/v%.4f_t%g", fu, corner.V, corner.T)
 	task := runner.Task[dtaResult]{
 		Key: key,

@@ -4,9 +4,9 @@
 // each output as acceptable (PSNR >= 30 dB) or not, and reports each
 // model's estimation accuracy against the gate-level-simulation ground
 // truth — Table IV. With -outdir it also writes the Fig. 4 panel: the
-// ground-truth and per-model Sobel outputs as PNG files. -shards and
-// -memo come from the execution block shared with tevot-sweep, -train
-// and -dta (cmd/internal/execflags); this study runs off the runner.
+// ground-truth and per-model Sobel outputs as PNG files. -shards comes
+// from the execution block shared with tevot-sweep, -train and -dta
+// (cmd/internal/execflags); this study runs off the runner.
 //
 // Example:
 //
@@ -59,7 +59,7 @@ func main() {
 	scale.TestCycles = *cycles / 2
 	scale.AppStreamCap = *cycles
 	scale.Seed = *seed
-	ex.Apply(&scale)
+	scale.ShardWorkers = ex.Shards
 	scale.Corners = scale.Corners[:0]
 	for i := 0; i < *nCorner; i++ {
 		v := 0.81 + 0.19*float64(i)/math.Max(1, float64(*nCorner-1))

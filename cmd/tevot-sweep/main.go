@@ -7,8 +7,8 @@
 // cells execute on a bounded worker pool, a panicking or failing cell is
 // reported and skipped instead of killing the run, and
 // -checkpoint/-resume let an interrupted sweep (SIGINT and SIGTERM are
-// caught and flushed) pick up where it left off. The runner, shard and
-// memo flags are the execution block shared with tevot-train, -dta and
+// caught and flushed) pick up where it left off. The runner and shard
+// flags are the execution block shared with tevot-train, -dta and
 // -quality (cmd/internal/execflags).
 //
 // Distributed modes (internal/dist) scale the same sweep across
@@ -35,7 +35,7 @@
 //	tevot-sweep -cluster 3 -out fig3.jsonl
 //
 // Each mode reads only some of the flags; setting one the chosen mode
-// does not read (say -memo with -join, whose cells run with the
+// does not read (say -shards with -join, whose cells run with the
 // coordinator's spec) exits 2 with a message that names it.
 package main
 
@@ -64,10 +64,10 @@ import (
 // mode's flag makes the modes mutually exclusive.
 var ignored = map[string][]string{
 	"":            {"id", "lease-ttl"},
-	"coordinator": {"workers", "memo", "task-timeout", "retries", "fault-rate", "id", "join", "cluster"},
-	"join": {"cycles", "fu", "grid", "images", "imgsize", "workers", "shards", "memo",
+	"coordinator": {"workers", "task-timeout", "retries", "fault-rate", "id", "join", "cluster"},
+	"join": {"cycles", "fu", "grid", "images", "imgsize", "workers", "shards",
 		"checkpoint", "resume", "fault-rate", "out", "lease-ttl", "cluster"},
-	"cluster": {"workers", "memo", "fault-rate", "id"},
+	"cluster": {"workers", "fault-rate", "id"},
 }
 
 func main() {
@@ -153,7 +153,7 @@ func main() {
 
 	cfg := ex.Runner(*seed)
 	cfg.Inject = runner.NewFaultInjector(*seed, *faultRate)
-	rows, rep, err := dist.SingleProcessMerged(ctx, spec, ex.Memo, cfg, *outPath)
+	rows, rep, err := dist.SingleProcessMerged(ctx, spec, cfg, *outPath)
 	ex.Check(run, rep, err)
 
 	fmt.Println("FU       (V, T)          dataset        mean(ps)   max(ps)  static(ps)")

@@ -12,8 +12,8 @@ import (
 
 // TestModesRefuseUnreadFlags: in every mode, a set flag that the mode
 // does not read exits 2 with a message naming it, before any work
-// starts — an operator's -memo cap on a -join worker must not be
-// silently replaced by the default cache.
+// starts — an operator's -shards on a -join worker must not be
+// silently replaced by the coordinator's spec.
 func TestModesRefuseUnreadFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI")
@@ -28,8 +28,8 @@ func TestModesRefuseUnreadFlags(t *testing.T) {
 		flag string
 	}{
 		{[]string{"-lease-ttl", "5s"}, "lease-ttl"},
-		{[]string{"-coordinator", "127.0.0.1:0", "-memo", "off"}, "memo"},
-		{[]string{"-join", "http://127.0.0.1:1", "-memo", "4096"}, "memo"},
+		{[]string{"-coordinator", "127.0.0.1:0", "-retries", "2"}, "retries"},
+		{[]string{"-join", "http://127.0.0.1:1", "-shards", "2"}, "shards"},
 		{[]string{"-cluster", "2", "-out", filepath.Join(dir, "out.jsonl"), "-workers", "3"}, "workers"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

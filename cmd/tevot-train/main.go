@@ -7,9 +7,9 @@
 // All modes run on the fault-tolerant runner: a failing or panicking
 // per-FU pipeline is reported and skipped instead of killing the run,
 // and -checkpoint/-resume let an interrupted paper-scale sweep (Ctrl-C
-// is caught and flushed) pick up where it left off. The runner, shard
-// and memo flags are the execution block shared with tevot-sweep, -dta
-// and -quality (cmd/internal/execflags).
+// is caught and flushed) pick up where it left off. The runner and
+// shard flags are the execution block shared with tevot-sweep, -dta and
+// -quality (cmd/internal/execflags).
 //
 // Examples:
 //
@@ -77,7 +77,7 @@ func main() {
 		}
 	}
 	scale.Seed = *seed
-	ex.Apply(&scale)
+	scale.ShardWorkers = ex.Shards
 	if *fuName != "" {
 		fu, err := circuits.ParseFU(*fuName)
 		if err != nil {
@@ -180,10 +180,8 @@ func saveModels(ctx context.Context, run *obs.Run, ex *execflags.Flags, lab *exp
 					if err != nil {
 						return savedModel{}, err
 					}
-					if _, err := u.CalibrateBaseClockOptsContext(ctx, corner, train, opts); err != nil {
-						return savedModel{}, err
-					}
-					tr, err := core.CharacterizeWithSpeedupsOptsContext(ctx, u, corner, train, scale.Speedups, opts)
+					// core.Train reads only delays: no clocks, no calibration.
+					tr, err := core.CharacterizeOptsContext(ctx, u, corner, train, nil, opts)
 					if err != nil {
 						return savedModel{}, err
 					}

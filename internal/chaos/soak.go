@@ -137,7 +137,7 @@ func Soak(ctx context.Context, cfg SoakConfig, sched Schedule) (SoakResult, erro
 	// Reference artifact (fault-free bytes) if not supplied.
 	if cfg.Reference == nil {
 		refPath := filepath.Join(cfg.Dir, "ref.jsonl")
-		_, rep, err := dist.SingleProcessMerged(ctx, spec, experiments.Memo{}, runner.Config{}, refPath)
+		_, rep, err := dist.SingleProcessMerged(ctx, spec, runner.Config{}, refPath)
 		if err == nil {
 			err = rep.Err()
 		}

@@ -38,10 +38,11 @@ func BenchmarkCharacterizeParallel(b *testing.B) {
 			cycles := stream.Len() - 1
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// MemoOff pins this benchmark to the uncached kernel so its
-				// cycles/s stays comparable across the committed baselines;
-				// BenchmarkCharacterizeMemo owns the cached numbers.
-				tr, err := CharacterizeOpts(u, corner, stream, clocks, CharacterizeOptions{Workers: w, MemoOff: true})
+				// The random stream repeats no transition, so every shard
+				// drops its memo after memoProbeCycles: this measures the
+				// uncached kernel. BenchmarkCharacterizeMemo owns the
+				// cached numbers.
+				tr, err := CharacterizeOpts(u, corner, stream, clocks, CharacterizeOptions{Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -54,12 +55,13 @@ func BenchmarkCharacterizeParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkCharacterizeMemo is the acceptance benchmark for the
-// transition memo: characterization throughput on a real imaging operand
-// stream (Sobel over 8 synthetic 32x32 images, INT_MUL native stream),
-// memo on vs off. The on-variant also reports the memo hit rate; the
-// speedup over memo=off tracks 1/(1-hitrate) because the hit path costs
-// almost nothing next to an INT_MUL event cascade.
+// BenchmarkCharacterizeMemo measures characterization throughput on a
+// real imaging operand stream (Sobel over 8 synthetic 32x32 images,
+// INT_MUL native stream), where the shard keeps its transition memo,
+// and reports the memo hit rate. Its cycles/s over the uncached
+// kernel's tracks 1/(1-hitrate) because the hit path costs almost
+// nothing next to an INT_MUL event cascade; BenchmarkCycle and
+// BenchmarkCycleMemo in internal/sim price the two paths per cycle.
 func BenchmarkCharacterizeMemo(b *testing.B) {
 	rec := inject.NewRecording(20000)
 	for _, img := range imaging.SyntheticSet(8, 32, 32) {
@@ -79,26 +81,18 @@ func BenchmarkCharacterizeMemo(b *testing.B) {
 	if _, err := u.Static(corner); err != nil {
 		b.Fatal(err)
 	}
-	for _, memoOff := range []bool{false, true} {
-		name := "memo=on"
-		if memoOff {
-			name = "memo=off"
+	cycles := stream.Len() - 1
+	var hits, misses int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr, err := CharacterizeOpts(u, corner, stream, clocks, CharacterizeOptions{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			cycles := stream.Len() - 1
-			var hits, misses int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr, err := CharacterizeOpts(u, corner, stream, clocks, CharacterizeOptions{Workers: 1, MemoOff: memoOff})
-				if err != nil {
-					b.Fatal(err)
-				}
-				hits, misses = tr.MemoHits, tr.MemoMisses
-			}
-			b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
-			if hits+misses > 0 {
-				b.ReportMetric(100*float64(hits)/float64(hits+misses), "hit%")
-			}
-		})
+		hits, misses = tr.MemoHits, tr.MemoMisses
+	}
+	b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
+	if hits+misses > 0 {
+		b.ReportMetric(100*float64(hits)/float64(hits+misses), "hit%")
 	}
 }

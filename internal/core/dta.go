@@ -60,7 +60,9 @@ type Trace struct {
 	Events int
 
 	// MemoHits/MemoMisses/MemoEvictions aggregate the per-shard
-	// transition-memo counters (all zero when the memo is off).
+	// transition-memo counters (all zero on the reference kernel). A
+	// shard that drops its memo stops looking up, so on a random stream
+	// each shard counts at most memoProbeCycles lookups.
 	MemoHits      int64
 	MemoMisses    int64
 	MemoEvictions int64
@@ -74,7 +76,7 @@ type Trace struct {
 func (t *Trace) Cycles() int { return len(t.Delays) }
 
 // HitRate returns the transition-memo hit rate of the characterization,
-// MemoHits / (MemoHits + MemoMisses); 0 when the memo was off.
+// MemoHits / (MemoHits + MemoMisses); 0 on the reference kernel.
 func (t *Trace) HitRate() float64 {
 	if t.MemoHits+t.MemoMisses == 0 {
 		return 0
@@ -132,26 +134,10 @@ type CharacterizeOptions struct {
 	// default calendar-queue kernel. The two are bit-identical (the sim
 	// package's differential suite enforces it), so this only trades
 	// speed for an independent code path — an audit tool, not a mode.
-	// RefKernel also implies MemoOff: the oracle stays a pure,
-	// unaccelerated second opinion.
+	// The reference kernel runs without the transition memo: the oracle
+	// stays a pure, unaccelerated second opinion.
 	RefKernel bool
-
-	// MemoOff disables the per-runner transition memo cache. The memo is
-	// on by default because it is bit-identical to the uncached kernel
-	// (a cycle's outcome is a pure function of the (prev, cur) input
-	// transition for a fixed netlist and delay annotation — the same
-	// purity that makes sharding exact, see above); turn it off for
-	// streams with no transition repeats, where lookups are pure
-	// overhead.
-	MemoOff bool
-	// MemoSize caps the memo at that many cached transitions (LRU
-	// beyond it); <= 0 selects sim.DefaultMemoSize.
-	MemoSize int
 }
-
-// memoOn reports whether characterization should enable the transition
-// memo (and its bitslice window prepass) on its runners.
-func (o CharacterizeOptions) memoOn() bool { return !o.MemoOff && !o.RefKernel }
 
 // shardCount resolves the effective shard count for an n-cycle stream:
 // the configured worker budget, capped so each shard keeps at least
@@ -258,21 +244,18 @@ func CharacterizeOptsContext(ctx context.Context, u *FUnit, corner cells.Corner,
 		tr.Errors[k] = make([]bool, n)
 	}
 
-	shards := opts.shardCount(n)
+	shards := make([]shard, opts.shardCount(n))
 	// Create every runner up front (and sequentially fail fast): they all
 	// share the one cached/singleflighted STA result.
-	runners := make([]*sim.Runner, shards)
 	newRunner := u.NewRunner
 	if opts.RefKernel {
 		newRunner = u.NewRefRunner
 	}
-	memo := opts.memoOn()
-	for w := range runners {
-		if runners[w], err = newRunner(corner); err != nil {
+	for w := range shards {
+		sh := &shards[w]
+		sh.lo, sh.hi = w*n/len(shards), (w+1)*n/len(shards)
+		if sh.r, err = newRunner(corner); err != nil {
 			return nil, err
-		}
-		if memo {
-			runners[w].EnableMemo(opts.MemoSize)
 		}
 	}
 
@@ -280,95 +263,115 @@ func CharacterizeOptsContext(ctx context.Context, u *FUnit, corner cells.Corner,
 	// a request-scoped trace, dta.simulate/dta.merge appear as child
 	// spans of the cell's trace; untraced runs pay a nil no-op.
 	simCtx, endSim := obs.Span(ctx, "dta.simulate")
-	events := make([]int, shards)
-	maxes := make([]float64, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
-		lo, hi := w*n/shards, (w+1)*n/shards
-		if shards == 1 {
-			// Sequential path: run inline, no goroutine.
-			errs[0] = characterizeShard(simCtx, runners[0], s, clocks, tr, lo, hi, &events[0], &maxes[0], memo)
-			continue
+	if len(shards) == 1 {
+		// Sequential path: run inline, no goroutine.
+		shards[0].err = shards[0].simulate(simCtx, s, clocks, tr)
+	} else {
+		var wg sync.WaitGroup
+		for w := range shards {
+			wg.Add(1)
+			go func(sh *shard) {
+				defer wg.Done()
+				sh.err = sh.simulate(simCtx, s, clocks, tr)
+			}(&shards[w])
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			errs[w] = characterizeShard(simCtx, runners[w], s, clocks, tr, lo, hi, &events[w], &maxes[w], memo)
-		}(w, lo, hi)
+		wg.Wait()
 	}
-	wg.Wait()
 	endSim()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for _, sh := range shards {
+		if sh.err != nil {
+			return nil, sh.err
 		}
 	}
 	_, endMerge := obs.Span(ctx, "dta.merge")
-	for w := 0; w < shards; w++ {
-		tr.Events += events[w]
-		if maxes[w] > tr.MaxDelay {
-			tr.MaxDelay = maxes[w]
-		}
+	var ss sim.SliceStats
+	for _, sh := range shards {
+		tr.Events += sh.events
+		tr.MaxDelay = max(tr.MaxDelay, sh.maxDelay)
+		tr.MemoHits += sh.memo.Hits
+		tr.MemoMisses += sh.memo.Misses
+		tr.MemoEvictions += sh.memo.Evictions
+		rs := sh.r.SliceStats()
+		ss.Windows += rs.Windows
+		ss.PrunedGateWindows += rs.PrunedGateWindows
+		ss.Gates = rs.Gates
 	}
-	if memo {
-		var ss sim.SliceStats
-		for _, r := range runners {
-			ms := r.MemoStats()
-			tr.MemoHits += ms.Hits
-			tr.MemoMisses += ms.Misses
-			tr.MemoEvictions += ms.Evictions
-			rs := r.SliceStats()
-			tr.SliceWindows += rs.Windows
-			tr.SlicePrunedGateWindows += rs.PrunedGateWindows
-			ss.Gates = rs.Gates
-		}
-		ss.Windows = tr.SliceWindows
-		ss.PrunedGateWindows = tr.SlicePrunedGateWindows
-		mMemoHits.Add(tr.MemoHits)
-		mMemoMisses.Add(tr.MemoMisses)
-		mMemoEvictions.Add(tr.MemoEvictions)
-		gSlicePrunedFrac.Set(ss.PrunedFraction())
-	}
+	tr.SliceWindows, tr.SlicePrunedGateWindows = ss.Windows, ss.PrunedGateWindows
+	mMemoHits.Add(tr.MemoHits)
+	mMemoMisses.Add(tr.MemoMisses)
+	mMemoEvictions.Add(tr.MemoEvictions)
+	gSlicePrunedFrac.Set(ss.PrunedFraction())
 	endMerge()
 	mSimEvents.Add(int64(tr.Events))
 	return tr, nil
 }
 
-// characterizeShard simulates cycles [lo, hi) of the stream on its own
-// runner, settling the circuit at pair lo first, and writes the
-// per-cycle results into the shard's disjoint region of tr.
+// memoProbeCycles is how many cycles a shard runs with the transition
+// memo before it decides whether to keep it: a shard whose first
+// memoProbeCycles lookups all miss drops the memo for the rest of its
+// cycles. Measured first-hit offsets (cycles into the shard): the
+// dta-imaging streams hit by 12, the TestMemoHitRateImagingStreams
+// fixtures by 216, Table III's application shards by 56 save one FP_ADD
+// Gauss shard (first hit at 398, 3 hits in 700); random streams never
+// hit, and on them the memo and its windows are pure cost.
+const memoProbeCycles = 256
+
+// shard is one contiguous chunk [lo, hi) of a characterization's cycles,
+// simulated on its own runner, and what simulating it produced.
+type shard struct {
+	r        *sim.Runner
+	lo, hi   int
+	events   int
+	maxDelay float64
+	memo     sim.MemoStats // the memo's counters when the shard dropped it or ended
+	err      error
+}
+
+// simulate runs the shard's cycles, settling the circuit at pair lo
+// first, and writes the per-cycle results into the shard's disjoint
+// region of tr.
 //
-// With the memo on, the shard also declares upcoming input vectors to
-// the runner in bitslice windows (sim.BeginWindow): the window's one
-// bit-parallel zero-delay sweep turns each post-hit re-settle into lane
-// extraction over the window's dirty nets.
-func characterizeShard(ctx context.Context, r *sim.Runner, s *workload.Stream, clocks []float64, tr *Trace, lo, hi int, events *int, maxDelay *float64, memo bool) error {
-	prev := make([]bool, circuits.OperandBits)
-	cur := make([]bool, circuits.OperandBits)
+// On the fast kernel the shard turns on the runner's transition memo
+// and declares upcoming input vectors to it in bitslice windows
+// (sim.BeginWindow): the window's one bit-parallel zero-delay sweep
+// turns each post-hit re-settle into lane extraction over the window's
+// dirty nets. If no transition repeats within memoProbeCycles, the
+// shard drops the memo and stops declaring windows. Results are
+// bit-identical either way: a cycle's outcome is a pure function of its
+// (prev, cur) transition (see sim.Runner.EnableMemo).
+func (sh *shard) simulate(ctx context.Context, s *workload.Stream, clocks []float64, tr *Trace) error {
+	r := sh.r
+	memo := !r.Ref()
 	var winVecs [][]bool
 	if memo {
+		r.EnableMemo(0)
 		back := make([]bool, sim.WindowMax*circuits.OperandBits)
 		winVecs = make([][]bool, sim.WindowMax)
 		for k := range winVecs {
 			winVecs[k] = back[k*circuits.OperandBits : (k+1)*circuits.OperandBits]
 		}
 	}
-	winEnd := lo + 1 // first cycle runs un-windowed to key the memo
-	circuits.EncodeOperandsInto(s.Pairs[lo].A, s.Pairs[lo].B, prev)
-	for i := lo; i < hi; i++ {
-		if (i-lo)&255 == 0 {
+	prev := make([]bool, circuits.OperandBits)
+	cur := make([]bool, circuits.OperandBits)
+	winEnd := sh.lo + 1 // first cycle runs un-windowed to key the memo
+	circuits.EncodeOperandsInto(s.Pairs[sh.lo].A, s.Pairs[sh.lo].B, prev)
+	for i := sh.lo; i < sh.hi; i++ {
+		if (i-sh.lo)&255 == 0 {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
 			default:
 			}
 		}
-		if memo && i >= winEnd {
-			m := hi - i
-			if m > sim.WindowMax {
-				m = sim.WindowMax
+		if memo && i-sh.lo == memoProbeCycles {
+			if ms := r.MemoStats(); ms.Hits == 0 {
+				sh.memo = ms // the runner drops its counters with the memo
+				r.DisableMemo()
+				memo = false
 			}
+		}
+		if memo && i >= winEnd {
+			m := min(sh.hi-i, sim.WindowMax)
 			for k := 0; k < m; k++ {
 				circuits.EncodeOperandsInto(s.Pairs[i+1+k].A, s.Pairs[i+1+k].B, winVecs[k])
 			}
@@ -384,15 +387,16 @@ func characterizeShard(ctx context.Context, r *sim.Runner, s *workload.Stream, c
 		}
 		mCyclesSimulated.Inc()
 		tr.Delays[i] = cy.Delay
-		*events += cy.Events
-		if cy.Delay > *maxDelay {
-			*maxDelay = cy.Delay
-		}
+		sh.events += cy.Events
+		sh.maxDelay = max(sh.maxDelay, cy.Delay)
 		init := r.InitialOutputs()
 		for k, tclk := range clocks {
 			tr.Errors[k][i] = cy.ErrorAt(init, tclk)
 		}
 		prev = nil // streaming mode: the runner keeps its settled state
+	}
+	if ms := r.MemoStats(); ms.Enabled {
+		sh.memo = ms
 	}
 	return nil
 }

@@ -30,8 +30,9 @@ func recordAppStream(t *testing.T, app inject.App, fu circuits.FU, pairCap int) 
 // TestMemoHitRateImagingStreams pins the optimization's premise on the
 // workloads it was built for: the Sobel and Gaussian operand streams
 // repeat input transitions, so characterization with the transition
-// memo on must clear a minimum hit rate — and produce bit-identical
-// results to the memo-off run.
+// memo on must clear a minimum hit rate, which means every shard kept
+// its memo past the probe — and produce bit-identical results to the
+// reference kernel, which runs without the memo.
 //
 // Measured on this fixture (2× synthetic 24×24 images, 1500-pair cap):
 // Sobel/INT_MUL 0.283, Sobel/INT_ADD 0.106, Gauss/FP_MUL 0.280,
@@ -67,36 +68,21 @@ func TestMemoHitRateImagingStreams(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			off, err := CharacterizeOpts(u, corner, s, clocks, CharacterizeOptions{Workers: 1, MemoOff: true})
+			ref, err := CharacterizeOpts(u, corner, s, clocks, CharacterizeOptions{Workers: 1, RefKernel: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			// Bit-identical outputs, memo on vs off.
-			if on.Events != off.Events || on.MaxDelay != off.MaxDelay {
-				t.Fatalf("memo on/off diverge: events %d/%d, max %v/%v",
-					on.Events, off.Events, on.MaxDelay, off.MaxDelay)
-			}
-			for i := range off.Delays {
-				if on.Delays[i] != off.Delays[i] {
-					t.Fatalf("cycle %d: delay %v with memo, %v without", i, on.Delays[i], off.Delays[i])
-				}
-			}
-			for k := range off.Errors {
-				for i := range off.Errors[k] {
-					if on.Errors[k][i] != off.Errors[k][i] {
-						t.Fatalf("clock %d cycle %d: error flag diverges", k, i)
-					}
-				}
-			}
+			// Bit-identical outputs, memo on vs the memo-free oracle.
+			equalTraces(t, ref, on)
 
 			// The premise: real streams repeat transitions.
 			if hr := on.HitRate(); hr < tc.minRate {
 				t.Fatalf("memo hit rate %.3f below %.2f on %s/%s (%d cycles, stats: %d hits, %d misses)",
 					hr, tc.minRate, tc.app, tc.fu, on.Cycles(), on.MemoHits, on.MemoMisses)
 			}
-			if off.MemoHits != 0 || off.MemoMisses != 0 || off.HitRate() != 0 {
-				t.Fatalf("memo-off trace carries memo stats: %+v", off)
+			if ref.MemoHits != 0 || ref.MemoMisses != 0 || ref.HitRate() != 0 {
+				t.Fatalf("reference-kernel trace carries memo stats: %+v", ref)
 			}
 			t.Logf("%s/%s: %d cycles, hit rate %.3f, %d windows, pruned-gate fraction %.3f",
 				tc.app, tc.fu, on.Cycles(), on.HitRate(), on.SliceWindows,
@@ -107,5 +93,46 @@ func TestMemoHitRateImagingStreams(t *testing.T) {
 					return float64(on.SlicePrunedGateWindows) / (float64(on.SliceWindows) * float64(u.NL.NumGates()))
 				}())
 		})
+	}
+}
+
+// TestMemoDropOnRandomStreams pins the memo drop rule: on a random
+// stream no transition repeats, so every shard drops its memo after
+// memoProbeCycles lookups — and the trace still equals the reference
+// kernel's bit for bit, on every FU, at 1 and 2 shards.
+func TestMemoDropOnRandomStreams(t *testing.T) {
+	corner := cells.Corner{V: 0.85, T: 50}
+	for _, fu := range circuits.AllFUs {
+		u, err := NewFUnit(fu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		static, err := u.Static(corner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clocks := []float64{0.5 * static.Delay, 0.9 * static.Delay}
+		// 2·memoProbeCycles+3 cycles: at 2 shards, each runs past the
+		// probe. The multipliers' reference runs dominate the test's
+		// time (about a minute under -race), so the stream is no longer.
+		stream := workload.Random(fu.IsFloat(), 2*memoProbeCycles+4, 5)
+		ref, err := CharacterizeOpts(u, corner, stream, clocks, CharacterizeOptions{Workers: 2, RefKernel: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 2} {
+			tr, err := CharacterizeOpts(u, corner, stream, clocks, CharacterizeOptions{Workers: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalTraces(t, ref, tr)
+			if tr.MemoHits != 0 {
+				t.Errorf("%v at %d shards: %d memo hits on a random stream", fu, shards, tr.MemoHits)
+			}
+			if lookups := tr.MemoHits + tr.MemoMisses; lookups != int64(shards*memoProbeCycles) {
+				t.Errorf("%v at %d shards: %d memo lookups; want %d (%d per shard, then dropped)",
+					fu, shards, lookups, shards*memoProbeCycles, memoProbeCycles)
+			}
+		}
 	}
 }

@@ -90,9 +90,10 @@ type QualityOptions struct {
 
 // QualityStudy runs the paper's §V.D case study for one application:
 // profile the app's per-FU operand streams, characterize the ground
-// truth at each corner and speedup, derive each model's per-FU TER,
-// inject errors at those rates, and compare PSNR-acceptability verdicts
-// against the simulation-derived ground truth.
+// truth at each corner (once per FU, at every speedup's clock), derive
+// each model's per-FU TER, inject errors at those rates, and compare
+// PSNR-acceptability verdicts against the simulation-derived ground
+// truth.
 func QualityStudy(
 	app inject.App,
 	units map[circuits.FU]*FUnit,
@@ -125,31 +126,34 @@ func QualityStudy(
 	total := 0
 
 	for _, corner := range corners {
-		for _, sp := range speedups {
-			// Ground-truth TER per FU from gate-level simulation of the
-			// profiled stream.
+		// Ground truth from gate-level simulation of each profiled
+		// stream: one characterization per FU labels every speedup's
+		// clock at once.
+		truth := make(map[circuits.FU]*Trace)
+		for _, fu := range app.FUs() {
+			u := units[fu]
+			if u == nil {
+				return nil, fmt.Errorf("core: no FUnit for %v", fu)
+			}
+			clocks, err := u.ClockPeriods(corner, speedups)
+			if err != nil {
+				return nil, err
+			}
+			if truth[fu], err = Characterize(u, corner, streams[fu], clocks); err != nil {
+				return nil, err
+			}
+		}
+		for k, sp := range speedups {
 			trueTERs := inject.TERs{}
 			modelTERs := make(map[string]inject.TERs)
 			for _, m := range models {
 				modelTERs[m.Name()] = inject.TERs{}
 			}
 			for _, fu := range app.FUs() {
-				u := units[fu]
-				if u == nil {
-					return nil, fmt.Errorf("core: no FUnit for %v", fu)
-				}
-				clocks, err := u.ClockPeriods(corner, []float64{sp})
-				if err != nil {
-					return nil, err
-				}
-				tclk := clocks[0]
-				tr, err := Characterize(u, corner, streams[fu], []float64{tclk})
-				if err != nil {
-					return nil, err
-				}
-				trueTERs[fu] = tr.TER(0)
+				tr := truth[fu]
+				trueTERs[fu] = tr.TER(k)
 				for _, m := range models {
-					ter, err := m.TERFor(fu, corner, streams[fu], tclk)
+					ter, err := m.TERFor(fu, corner, streams[fu], tr.ClockPeriods[k])
 					if err != nil {
 						return nil, err
 					}

@@ -58,7 +58,7 @@ func soakFixtures(t *testing.T) (*experiments.Lab, []byte) {
 		}
 		defer os.RemoveAll(dir)
 		ref := filepath.Join(dir, "ref.jsonl")
-		_, rep, err := dist.SingleProcessMerged(context.Background(), spec, experiments.Memo{}, runner.Config{}, ref)
+		_, rep, err := dist.SingleProcessMerged(context.Background(), spec, runner.Config{}, ref)
 		if err == nil {
 			err = rep.Err()
 		}

@@ -111,13 +111,13 @@ func RunLocalCluster(ctx context.Context, cfg ClusterConfig) error {
 }
 
 // SingleProcessMerged is tevot-sweep's plain mode: it builds the
-// spec's lab with memo as the simulator's transition memo, runs
-// experiments.Fig3Run on the runner (no HTTP, no leases), and writes the
-// canonical merged JSONL the coordinator writes to out ("" skips it).
+// spec's lab, runs experiments.Fig3Run on the runner (no HTTP, no
+// leases), and writes the canonical merged JSONL the coordinator writes
+// to out ("" skips it).
 // Those bytes are the reference distributed runs are compared against.
 // As with Fig3Run, failed cells are reported in the Report and left out
 // of the rows and the file; an interrupted run writes no file.
-func SingleProcessMerged(ctx context.Context, spec Spec, memo experiments.Memo, cfg runner.Config, out string) ([]experiments.DelayRow, *runner.Report, error) {
+func SingleProcessMerged(ctx context.Context, spec Spec, cfg runner.Config, out string) ([]experiments.DelayRow, *runner.Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -126,7 +126,6 @@ func SingleProcessMerged(ctx context.Context, spec Spec, memo experiments.Memo, 
 	if err != nil {
 		return nil, nil, err
 	}
-	scale.Memo = memo
 	lab, err := experiments.NewLab(scale)
 	if err != nil {
 		return nil, nil, err

@@ -99,7 +99,7 @@ func refMerged(t *testing.T) ([]byte, *experiments.Lab) {
 func TestSingleProcessMergedMatchesReference(t *testing.T) {
 	ref, _ := refMerged(t)
 	out := filepath.Join(t.TempDir(), "sp.jsonl")
-	_, rep, err := SingleProcessMerged(context.Background(), testSpec(), experiments.Memo{}, runner.Config{Workers: 2}, out)
+	_, rep, err := SingleProcessMerged(context.Background(), testSpec(), runner.Config{Workers: 2}, out)
 	if err == nil {
 		err = rep.Err()
 	}

@@ -284,9 +284,6 @@ func table2ForFU(ctx context.Context, lab *Lab, fu circuits.FU, opts core.Charac
 	if err != nil {
 		return nil, err
 	}
-	if _, err := u.CalibrateBaseClockOptsContext(ctx, corner, train, opts); err != nil {
-		return nil, err
-	}
 	// The capture clock balances the two classes: the 60th percentile of
 	// the training delays (see Table2's comment for why).
 	probe, err := core.CharacterizeOptsContext(ctx, u, corner, train, nil, opts)

@@ -104,7 +104,7 @@ type Task[R any] struct {
 }
 
 // Report summarizes a sweep: how many cells succeeded, were resumed from
-// the checkpoint, failed (with their errors), or were never attempted
+// the checkpoint, failed (with their errors), or were not finished
 // because the sweep was interrupted.
 type Report struct {
 	Sweep     string
@@ -112,7 +112,9 @@ type Report struct {
 	Resumed   int
 	Succeeded int
 	Failed    int
-	// Skipped cells were never attempted (cancellation hit first).
+	// Skipped cells were never attempted, or had an attempt or backoff
+	// cut short, because the sweep context was cancelled; a resumed run
+	// executes them.
 	Skipped int
 	// Retried is the total number of extra attempts spent across cells.
 	Retried int
@@ -136,7 +138,7 @@ func (r *Report) Err() error {
 		errs = append(errs, f)
 	}
 	if r.Skipped > 0 {
-		errs = append(errs, fmt.Errorf("runner: %d cell(s) never attempted (sweep interrupted)", r.Skipped))
+		errs = append(errs, fmt.Errorf("runner: %d cell(s) not finished (sweep interrupted)", r.Skipped))
 	}
 	return errors.Join(errs...)
 }
@@ -161,13 +163,15 @@ func (r *Report) Summary() string {
 }
 
 // cellResult is one finished cell as it flows from a worker to the
-// collector.
+// collector. A cell the sweep's cancellation cut short is skipped, not
+// failed: nothing went wrong with it.
 type cellResult[R any] struct {
 	key      string
 	value    R
 	attempts int
 	dur      time.Duration
 	err      error
+	skipped  bool
 }
 
 // Run executes the tasks on a bounded worker pool and returns the
@@ -279,6 +283,9 @@ func Run[R any](ctx context.Context, cfg Config, tasks []Task[R]) (map[string]R,
 	var infraErr error
 	for r := range resCh {
 		rep.Retried += r.attempts - 1
+		if r.skipped {
+			continue
+		}
 		if r.dur > rep.SlowestDur {
 			rep.SlowestKey, rep.SlowestDur = r.key, r.dur
 		}
@@ -320,11 +327,16 @@ func Run[R any](ctx context.Context, cfg Config, tasks []Task[R]) (map[string]R,
 
 // execute runs one cell to its final outcome: attempts until success, a
 // permanent failure, retry exhaustion, or cancellation. The per-cell
-// wall time (across all attempts and backoffs) feeds the cell-latency
-// histogram the /progress ETA is extrapolated from.
+// wall time (across all attempts and backoffs) of a cell that finished
+// feeds the cell-latency histogram the /progress ETA is extrapolated
+// from; a cell cancellation cut short is returned skipped and uncounted.
 func execute[R any](ctx context.Context, cfg Config, t Task[R], st *progressState) cellResult[R] {
 	start := time.Now()
 	finish := func(r cellResult[R]) cellResult[R] {
+		if r.err != nil && ctx.Err() != nil {
+			r.skipped = true
+			return r
+		}
 		r.dur = time.Since(start)
 		hCellSeconds.Observe(r.dur.Seconds())
 		st.sumCellNs.Add(r.dur.Nanoseconds())

@@ -224,7 +224,9 @@ func TestRetryExhaustion(t *testing.T) {
 }
 
 // TestCancellationSkipsRemaining: cancelling the sweep context stops
-// dispatch promptly; unattempted cells are reported as skipped.
+// dispatch promptly; unattempted cells are reported as skipped, and so
+// is the in-flight cell that blocks on ctx until the cancellation cuts
+// it short — nothing failed.
 func TestCancellationSkipsRemaining(t *testing.T) {
 	const n = 40
 	ctx, cancel := context.WithCancel(context.Background())
@@ -244,6 +246,13 @@ func TestCancellationSkipsRemaining(t *testing.T) {
 			},
 		}
 	}
+	// The first cell is dispatched before any other, so it is in flight
+	// when the fifth start cancels the sweep.
+	tasks[0].Run = func(ctx context.Context) (int, error) {
+		<-ctx.Done()
+		return 0, ctx.Err()
+	}
+	before := mCellsFailed.Value()
 	_, rep, err := Run(ctx, Config{Name: "cancel", Workers: 2}, tasks)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -253,6 +262,9 @@ func TestCancellationSkipsRemaining(t *testing.T) {
 	}
 	if rep.Skipped == 0 {
 		t.Fatalf("no cells skipped after cancellation:\n%s", rep.Summary())
+	}
+	if rep.Failed != 0 || len(rep.Failures) != 0 || mCellsFailed.Value() != before {
+		t.Fatalf("cancellation counted as a failure:\n%s", rep.Summary())
 	}
 	if rep.Resumed+rep.Succeeded+rep.Failed+rep.Skipped != n {
 		t.Fatalf("report does not add up:\n%s", rep.Summary())

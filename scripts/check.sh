@@ -47,9 +47,9 @@ go test -run 'TestSigtermFlushesCheckpointAndManifest' ./cmd/tevot-sweep
 echo "== kernel equivalence: calendar-queue vs reference heap, every FU; calendar-queue drain order, dense buckets included"
 go test -run 'TestKernelDiffFUs|TestCalQueue' ./internal/sim
 
-echo "== memo equivalence: transition memo + bitslice windows vs uncached kernels"
+echo "== memo equivalence: transition memo + bitslice windows vs uncached kernels; per-shard drop rule"
 go test -run 'TestKernelDiffRandom|TestMemo|TestBeginWindowErrors' ./internal/sim
-go test -run 'TestMemoHitRateImagingStreams' ./internal/core
+go test -run 'TestMemoHitRateImagingStreams|TestMemoDropOnRandomStreams' ./internal/core
 
 echo "== forest fit: binned split search reproduces the pinned forests, per-worker scratch (race)"
 go test -race -run 'TestForestFitDigests|TestForestDeterministicAcrossWorkerCounts' ./internal/ml
