@@ -90,7 +90,7 @@ func main() {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		run.Fatal(err)
 	}
-	outputs, err := experiments.Fig4(lab)
+	outputs, err := experiments.Fig4(lab, rows[0].Models) // rows[0] is Sobel
 	if err != nil {
 		run.Fatal(err)
 	}

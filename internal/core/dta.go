@@ -17,7 +17,8 @@ import (
 // Observability: the cycle loop counts simulated cycles (one atomic add
 // per cycle — TestMetricsHotPathAllocs pins the primitive at 0 allocs,
 // and BenchmarkCharacterizeParallel gates the cost); events merge once
-// per shard. The simulate/merge spans feed the stage.dta.* histograms.
+// per shard. The simulate/merge/label spans feed the stage.dta.*
+// histograms.
 var (
 	mCyclesSimulated = obs.NewCounter("core.cycles_simulated")
 	mSimEvents       = obs.NewCounter("core.sim_events")
@@ -244,44 +245,18 @@ func CharacterizeOptsContext(ctx context.Context, u *FUnit, corner cells.Corner,
 		tr.Errors[k] = make([]bool, n)
 	}
 
-	shards := make([]shard, opts.shardCount(n))
-	// Create every runner up front (and sequentially fail fast): they all
-	// share the one cached/singleflighted STA result.
-	newRunner := u.NewRunner
-	if opts.RefKernel {
-		newRunner = u.NewRefRunner
+	shards, err := newShards(u, corner, n, opts)
+	if err != nil {
+		return nil, err
 	}
-	for w := range shards {
-		sh := &shards[w]
-		sh.lo, sh.hi = w*n/len(shards), (w+1)*n/len(shards)
-		if sh.r, err = newRunner(corner); err != nil {
-			return nil, err
-		}
-	}
-
 	// obs.Span (not obs.Time): when a dist worker runs this cell under
 	// a request-scoped trace, dta.simulate/dta.merge appear as child
 	// spans of the cell's trace; untraced runs pay a nil no-op.
 	simCtx, endSim := obs.Span(ctx, "dta.simulate")
-	if len(shards) == 1 {
-		// Sequential path: run inline, no goroutine.
-		shards[0].err = shards[0].simulate(simCtx, s, clocks, tr)
-	} else {
-		var wg sync.WaitGroup
-		for w := range shards {
-			wg.Add(1)
-			go func(sh *shard) {
-				defer wg.Done()
-				sh.err = sh.simulate(simCtx, s, clocks, tr)
-			}(&shards[w])
-		}
-		wg.Wait()
-	}
+	err = runShards(shards, func(sh *shard) error { return sh.simulate(simCtx, s, clocks, tr) })
 	endSim()
-	for _, sh := range shards {
-		if sh.err != nil {
-			return nil, sh.err
-		}
+	if err != nil {
+		return nil, err
 	}
 	_, endMerge := obs.Span(ctx, "dta.merge")
 	var ss sim.SliceStats
@@ -316,15 +291,59 @@ func CharacterizeOptsContext(ctx context.Context, u *FUnit, corner cells.Corner,
 // hit, and on them the memo and its windows are pure cost.
 const memoProbeCycles = 256
 
-// shard is one contiguous chunk [lo, hi) of a characterization's cycles,
-// simulated on its own runner, and what simulating it produced.
+// shard is one contiguous chunk [lo, hi) of a characterization's cycles
+// (or of the tail cycles Label re-simulates), simulated on its own
+// runner, and what simulating it produced.
 type shard struct {
 	r        *sim.Runner
 	lo, hi   int
 	events   int
 	maxDelay float64
 	memo     sim.MemoStats // the memo's counters when the shard dropped it or ended
-	err      error
+}
+
+// newShards splits n cycles into opts.shardCount(n) contiguous shards
+// and creates every runner up front (failing fast, in order): they all
+// share the one cached/singleflighted STA result.
+func newShards(u *FUnit, corner cells.Corner, n int, opts CharacterizeOptions) ([]shard, error) {
+	newRunner := u.NewRunner
+	if opts.RefKernel {
+		newRunner = u.NewRefRunner
+	}
+	shards := make([]shard, opts.shardCount(n))
+	for w := range shards {
+		sh := &shards[w]
+		sh.lo, sh.hi = w*n/len(shards), (w+1)*n/len(shards)
+		var err error
+		if sh.r, err = newRunner(corner); err != nil {
+			return nil, err
+		}
+	}
+	return shards, nil
+}
+
+// runShards runs fn on every shard, inline when there is only one, and
+// returns the first shard's error in shard order.
+func runShards(shards []shard, fn func(*shard) error) error {
+	if len(shards) == 1 {
+		return fn(&shards[0])
+	}
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for w := range shards {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = fn(&shards[w])
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // simulate runs the shard's cycles, settling the circuit at pair lo
@@ -399,6 +418,123 @@ func (sh *shard) simulate(ctx context.Context, s *workload.Stream, clocks []floa
 		sh.memo = ms
 	}
 	return nil
+}
+
+// Label returns a copy of tr, a characterization of its stream at its
+// corner on u, with ground-truth errors at the capture periods clocks.
+// It re-simulates only the tail: the cycles whose delay reaches the
+// fastest clock.
+//
+// Tail lemma: a cycle whose delay is below tclk has applied every
+// output toggle before the sample, so its sampled outputs are the
+// settled ones and ErrorAt is false. A cycle at or above tclk can still
+// sample correctly, when an output glitches back to its settled value
+// before the edge, so the tail is simulated, never thresholded. Each
+// tail cycle is settled at its own previous pair, on shards like a
+// characterization's and without the memo; by the purity that makes
+// sharding and the memo exact, its result is the streaming run's. A
+// re-simulated delay that differs from tr.Delays[i] means tr is not
+// this unit's trace at that corner, and is an error. Delays, Events,
+// MaxDelay and the memo counters are tr's.
+//
+// Use it when the clocks come from the trace itself (the base clock is
+// its MaxDelay, Table II's clock a delay percentile); when they are
+// known before simulating, Characterize labels inline at no extra cost.
+func Label(ctx context.Context, u *FUnit, tr *Trace, clocks []float64, opts CharacterizeOptions) (*Trace, error) {
+	if tr == nil {
+		return nil, fmt.Errorf("core: Label called with a nil trace")
+	}
+	if err := validateCharacterizeInputs(u, tr.Stream, clocks); err != nil {
+		return nil, err
+	}
+	s := tr.Stream
+	if tr.FU != u.FU || len(tr.Delays) != s.Len()-1 {
+		return nil, fmt.Errorf("core: trace of %v over %d cycles cannot be labelled on %v over stream %q", tr.FU, len(tr.Delays), u.FU, s.Name)
+	}
+	out := *tr
+	out.ClockPeriods = append([]float64(nil), clocks...)
+	out.Errors = make([][]bool, len(clocks))
+	for k := range out.Errors {
+		out.Errors[k] = make([]bool, len(tr.Delays))
+	}
+	fastest := math.Inf(1)
+	for _, c := range clocks {
+		fastest = min(fastest, c)
+	}
+	var tail []int
+	for i, d := range tr.Delays {
+		if d >= fastest {
+			tail = append(tail, i)
+		}
+	}
+	if len(tail) == 0 {
+		return &out, nil
+	}
+	shards, err := newShards(u, tr.Corner, len(tail), opts)
+	if err != nil {
+		return nil, err
+	}
+	ctx, end := obs.Span(ctx, "dta.label")
+	defer end()
+	err = runShards(shards, func(sh *shard) error {
+		prev := make([]bool, circuits.OperandBits)
+		cur := make([]bool, circuits.OperandBits)
+		for j := sh.lo; j < sh.hi; j++ {
+			if (j-sh.lo)&255 == 0 {
+				select {
+				case <-ctx.Done():
+					return ctx.Err()
+				default:
+				}
+			}
+			i := tail[j]
+			circuits.EncodeOperandsInto(s.Pairs[i].A, s.Pairs[i].B, prev)
+			circuits.EncodeOperandsInto(s.Pairs[i+1].A, s.Pairs[i+1].B, cur)
+			cy, err := sh.r.Cycle(prev, cur)
+			if err != nil {
+				return err
+			}
+			mCyclesSimulated.Inc()
+			sh.events += cy.Events
+			if cy.Delay != tr.Delays[i] {
+				return fmt.Errorf("core: cycle %d of stream %q re-simulates to %v ps on %v at %v, but the trace says %v ps",
+					i, s.Name, cy.Delay, u.FU, tr.Corner, tr.Delays[i])
+			}
+			init := sh.r.InitialOutputs()
+			for k, tclk := range clocks {
+				out.Errors[k][i] = cy.ErrorAt(init, tclk)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, sh := range shards {
+		mSimEvents.Add(int64(sh.events))
+	}
+	return &out, nil
+}
+
+// CharacterizeCalibrated is CalibrateBaseClock followed by
+// CharacterizeWithSpeedups on the same stream, in one simulation of it:
+// it characterizes s at the corner without clocks, installs the trace's
+// MaxDelay as the unit's base clock there, and labels the trace at
+// base/(1+sp) for each speedup sp (Label). The trace is the one the two
+// calls return.
+func CharacterizeCalibrated(ctx context.Context, u *FUnit, corner cells.Corner, s *workload.Stream, speedups []float64, opts CharacterizeOptions) (*Trace, error) {
+	tr, err := CharacterizeOptsContext(ctx, u, corner, s, nil, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := u.setBaseFrom(tr); err != nil {
+		return nil, err
+	}
+	clocks, err := u.ClockPeriods(corner, speedups)
+	if err != nil {
+		return nil, err
+	}
+	return Label(ctx, u, tr, clocks, opts)
 }
 
 // CharacterizeWithSpeedups is Characterize with the capture periods

@@ -180,9 +180,10 @@ func (u *FUnit) SetBaseClock(c cells.Corner, ps float64) error {
 }
 
 // CalibrateBaseClock measures the unit's max dynamic delay over a stream
-// at a corner and installs it as the base clock, returning it. This is
-// the extra characterization pass that defines "fastest error-free
-// clock" in the paper's experimental setup.
+// at a corner and installs it as the base clock, returning it: the
+// "fastest error-free clock" of the paper's experimental setup. To also
+// label the stream at clocks derived from that base, use
+// CharacterizeCalibrated, which simulates the stream once for both.
 func (u *FUnit) CalibrateBaseClock(c cells.Corner, s *workload.Stream) (float64, error) {
 	return u.CalibrateBaseClockOptsContext(context.Background(), c, s, CharacterizeOptions{})
 }
@@ -195,13 +196,19 @@ func (u *FUnit) CalibrateBaseClockOptsContext(ctx context.Context, c cells.Corne
 	if err != nil {
 		return 0, err
 	}
-	if tr.MaxDelay <= 0 {
-		return 0, fmt.Errorf("core: stream %q produced no output activity at %v", s.Name, c)
-	}
-	if err := u.SetBaseClock(c, tr.MaxDelay); err != nil {
+	if err := u.setBaseFrom(tr); err != nil {
 		return 0, err
 	}
 	return tr.MaxDelay, nil
+}
+
+// setBaseFrom installs a characterization's MaxDelay as the base clock
+// at its corner.
+func (u *FUnit) setBaseFrom(tr *Trace) error {
+	if tr.MaxDelay <= 0 {
+		return fmt.Errorf("core: stream %q produced no output activity at %v", tr.Stream.Name, tr.Corner)
+	}
+	return u.SetBaseClock(tr.Corner, tr.MaxDelay)
 }
 
 // ClockPeriods returns the periods (ps) for the given fractional

@@ -138,11 +138,16 @@ func (m *Model) PredictErrors(corner cells.Corner, s *workload.Stream, tclk floa
 	if err != nil {
 		return nil, err
 	}
-	out := make([]bool, len(delays))
-	for i, d := range delays {
-		out[i] = d > tclk
+	return errorsAt(make([]bool, 0, len(delays)), delays, tclk), nil
+}
+
+// errorsAt appends to dst each delay's verdict at clock period tclk:
+// erroneous when the delay exceeds the period.
+func errorsAt(dst []bool, delays []float64, tclk float64) []bool {
+	for _, d := range delays {
+		dst = append(dst, d > tclk)
 	}
-	return out, nil
+	return dst
 }
 
 // Dim returns the model's float feature-vector width (features.Dim

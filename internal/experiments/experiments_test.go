@@ -6,6 +6,7 @@ import (
 
 	"tevot/internal/cells"
 	"tevot/internal/circuits"
+	"tevot/internal/inject"
 )
 
 // tinyScale keeps experiment tests fast: one small FU, two corners, one
@@ -221,7 +222,10 @@ func TestTable4AndFig4Small(t *testing.T) {
 		t.Fatal("empty quality results")
 	}
 
-	outputs, err := Fig4(lab)
+	if rows[0].App != inject.SobelApp || len(rows[0].Models) != 4 {
+		t.Fatalf("Table4's first row is %v with %d models; want Sobel with 4", rows[0].App, len(rows[0].Models))
+	}
+	outputs, err := Fig4(lab, rows[0].Models)
 	if err != nil {
 		t.Fatal(err)
 	}

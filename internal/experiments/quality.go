@@ -12,20 +12,24 @@ import (
 	"tevot/internal/obs"
 )
 
-// trainedModels trains TEVoT and TEVoT-NH and builds the two baselines
-// for the given FUs, from random data at the scale's corners. It returns
-// the four QualityModels of Table IV, in the paper's column order.
+// TrainQualityModels trains TEVoT and TEVoT-NH and builds the two
+// baselines for the application's FUs, from random and application
+// training data at the scale's corners. It returns the four
+// QualityModels of Table IV, in the paper's column order. Training
+// also installs each FU's base clock at every corner
+// (core.CharacterizeCalibrated), from which the study's capture clocks
+// derive.
 //
 // The TER-based entry keeps its paper semantics through the
 // ErrorPredictor adapter: core.TERBased ignores the test stream's
 // content and draws at the rate measured offline on random training
 // data, so its derived per-FU TER is that offline rate.
-func trainedModels(lab *Lab, fus []circuits.FU) ([]core.QualityModel, error) {
+func TrainQualityModels(lab *Lab, app inject.App) ([]core.QualityModel, error) {
 	tevot := make(map[circuits.FU]core.ErrorPredictor)
 	tevotNH := make(map[circuits.FU]core.ErrorPredictor)
 	delay := make(map[circuits.FU]core.ErrorPredictor)
 	ter := make(map[circuits.FU]core.ErrorPredictor)
-	for _, fu := range fus {
+	for _, fu := range app.FUs() {
 		u := lab.Units[fu]
 		opts := lab.CharOpts(1) // serial top level: each cell gets the machine
 		var traces []*core.Trace
@@ -34,10 +38,7 @@ func trainedModels(lab *Lab, fus []circuits.FU) ([]core.QualityModel, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := u.CalibrateBaseClockOptsContext(context.Background(), corner, train, opts); err != nil {
-				return nil, err
-			}
-			tr, err := core.CharacterizeWithSpeedupsOptsContext(context.Background(), u, corner, train, lab.Scale.Speedups, opts)
+			tr, err := core.CharacterizeCalibrated(context.Background(), u, corner, train, lab.Scale.Speedups, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -88,19 +89,22 @@ func trainedModels(lab *Lab, fus []circuits.FU) ([]core.QualityModel, error) {
 }
 
 // Table4Row is one row of Table IV: each model's application-quality
-// estimation accuracy for one application.
+// estimation accuracy for one application, and the models it scored
+// (TrainQualityModels), which Fig4 renders the Sobel row's from.
 type Table4Row struct {
 	App      inject.App
 	Accuracy map[string]float64
+	Models   []core.QualityModel
 }
 
-// Table4 runs the quality study for both applications.
+// Table4 runs the quality study for both applications, in inject.Apps
+// order (Sobel, then Gauss).
 func Table4(lab *Lab) ([]Table4Row, *core.QualityResult, *core.QualityResult, error) {
 	defer obs.Time("experiments.table4")()
 	var rows []Table4Row
 	var results []*core.QualityResult
 	for _, app := range inject.Apps {
-		models, err := trainedModels(lab, app.FUs())
+		models, err := TrainQualityModels(lab, app)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -110,7 +114,7 @@ func Table4(lab *Lab) ([]Table4Row, *core.QualityResult, *core.QualityResult, er
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		rows = append(rows, Table4Row{App: app, Accuracy: res.EstimationAccuracy})
+		rows = append(rows, Table4Row{App: app, Accuracy: res.EstimationAccuracy, Models: models})
 		results = append(results, res)
 	}
 	return rows, results[0], results[1], nil
@@ -126,14 +130,13 @@ type Fig4Output struct {
 
 // Fig4 renders the paper's Fig. 4: the Sobel output of one image under
 // ground-truth error injection and under each model's derived TERs, at
-// one aggressive corner.
-func Fig4(lab *Lab) ([]Fig4Output, error) {
+// one aggressive corner. models are the Sobel units' models from
+// TrainQualityModels on this lab (Table4 hands them back in its Sobel
+// row); their training installed the base clocks Fig4's clock derives
+// from.
+func Fig4(lab *Lab, models []core.QualityModel) ([]Fig4Output, error) {
 	defer obs.Time("experiments.fig4")()
 	app := inject.SobelApp
-	models, err := trainedModels(lab, app.FUs())
-	if err != nil {
-		return nil, err
-	}
 	corner := lab.Scale.Corners[0]
 	sp := lab.Scale.Speedups[len(lab.Scale.Speedups)-1]
 	img := lab.Images[0]

@@ -167,18 +167,16 @@ func Table3Run(ctx context.Context, lab *Lab, cfg runner.Config) ([]Table3Cell, 
 func table3ForFU(ctx context.Context, lab *Lab, fu circuits.FU, opts core.CharacterizeOptions) ([]Table3Cell, error) {
 	u := lab.Units[fu]
 
-	// Offline phase: calibrate base clocks and characterize training
-	// data at every corner.
+	// Offline phase: characterize the random training stream at every
+	// corner, calibrating the base clock from it, and the application
+	// training streams at the clocks derived from that base.
 	var trainTraces []*core.Trace
 	for _, corner := range lab.Scale.Corners {
 		randTrain, err := lab.Stream(fu, DatasetRandom, true)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := u.CalibrateBaseClockOptsContext(ctx, corner, randTrain, opts); err != nil {
-			return nil, err
-		}
-		trRand, err := core.CharacterizeWithSpeedupsOptsContext(ctx, u, corner, randTrain, lab.Scale.Speedups, opts)
+		trRand, err := core.CharacterizeCalibrated(ctx, u, corner, randTrain, lab.Scale.Speedups, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -285,7 +283,8 @@ func table2ForFU(ctx context.Context, lab *Lab, fu circuits.FU, opts core.Charac
 		return nil, err
 	}
 	// The capture clock balances the two classes: the 60th percentile of
-	// the training delays (see Table2's comment for why).
+	// the training delays (see Table2's comment for why). The training
+	// stream is simulated once, then labelled at that clock.
 	probe, err := core.CharacterizeOptsContext(ctx, u, corner, train, nil, opts)
 	if err != nil {
 		return nil, err
@@ -293,7 +292,7 @@ func table2ForFU(ctx context.Context, lab *Lab, fu circuits.FU, opts core.Charac
 	sorted := append([]float64(nil), probe.Delays...)
 	sort.Float64s(sorted)
 	clock := sorted[len(sorted)*60/100]
-	trTrain, err := core.CharacterizeOptsContext(ctx, u, corner, train, []float64{clock}, opts)
+	trTrain, err := core.Label(ctx, u, probe, []float64{clock}, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -51,6 +51,9 @@ echo "== memo equivalence: transition memo + bitslice windows vs uncached kernel
 go test -run 'TestKernelDiffRandom|TestMemo|TestBeginWindowErrors' ./internal/sim
 go test -run 'TestMemoHitRateImagingStreams|TestMemoDropOnRandomStreams' ./internal/core
 
+echo "== tail labelling: re-simulating only the cycles that reach the clock equals full labelling, every FU"
+go test -run 'TestLabel' ./internal/core
+
 echo "== forest fit: binned split search reproduces the pinned forests, per-worker scratch (race)"
 go test -race -run 'TestForestFitDigests|TestForestDeterministicAcrossWorkerCounts' ./internal/ml
 
