@@ -495,7 +495,7 @@ func Label(ctx context.Context, u *FUnit, tr *Trace, clocks []float64, opts Char
 				return err
 			}
 			mCyclesSimulated.Inc()
-			sh.events += cy.Events
+			mSimEvents.Add(int64(cy.Events))
 			if cy.Delay != tr.Delays[i] {
 				return fmt.Errorf("core: cycle %d of stream %q re-simulates to %v ps on %v at %v, but the trace says %v ps",
 					i, s.Name, cy.Delay, u.FU, tr.Corner, tr.Delays[i])
@@ -509,9 +509,6 @@ func Label(ctx context.Context, u *FUnit, tr *Trace, clocks []float64, opts Char
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, sh := range shards {
-		mSimEvents.Add(int64(sh.events))
 	}
 	return &out, nil
 }
