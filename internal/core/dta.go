@@ -16,9 +16,9 @@ import (
 
 // Observability: the cycle loop counts simulated cycles (one atomic add
 // per cycle — TestMetricsHotPathAllocs pins the primitive at 0 allocs,
-// and BenchmarkCharacterizeParallel gates the cost); events merge once
-// per shard. The simulate/merge/label spans feed the stage.dta.*
-// histograms.
+// and BenchmarkCharacterizeParallel gates the cost); a characterization
+// merges events once per shard, Label adds them per re-simulated cycle.
+// The simulate/merge/label spans feed the stage.dta.* histograms.
 var (
 	mCyclesSimulated = obs.NewCounter("core.cycles_simulated")
 	mSimEvents       = obs.NewCounter("core.sim_events")

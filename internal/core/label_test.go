@@ -16,10 +16,10 @@ import (
 //
 //   - every cycle's delay lies in [0, StaticDelay];
 //   - a cycle whose delay is below a clock never errs at it;
-//   - labelling only the tail (CharacterizeCalibrated, and Label at 1
-//     and 2 shards and, for INT_MUL at one corner, on the reference
-//     kernel) equals a characterization labelled inline, bit for bit,
-//     memo counters included;
+//   - labelling only the tail (CharacterizeCalibrated, whose Label runs
+//     at 2 shards, and Label at 1 shard and, for INT_MUL at one corner,
+//     on the reference kernel) equals a characterization labelled
+//     inline, bit for bit, memo counters included;
 //   - a trace whose delays were altered is refused.
 //
 // The multipliers' tails hold glitchy cycles, whose delay reaches the
@@ -81,7 +81,7 @@ func TestLabelTailLemma(t *testing.T) {
 				}
 			}
 
-			labelOpts := []CharacterizeOptions{{Workers: 1}, {Workers: 2}}
+			labelOpts := []CharacterizeOptions{{Workers: 1}}
 			if fu == circuits.IntMul32 && ci == 0 {
 				labelOpts = append(labelOpts, CharacterizeOptions{Workers: 1, RefKernel: true})
 			}
