@@ -6,6 +6,7 @@ import (
 
 	"tevot/internal/cells"
 	"tevot/internal/circuits"
+	"tevot/internal/core"
 	"tevot/internal/inject"
 )
 
@@ -148,6 +149,7 @@ func TestTable3SmallRun(t *testing.T) {
 	if !math.IsNaN(MeanAccuracy(cells3, "nope")) {
 		t.Error("MeanAccuracy should be NaN for missing model")
 	}
+	checkGolden(t, "table3_small.golden", table3Golden(cells3))
 }
 
 func TestTable2SmallRun(t *testing.T) {
@@ -237,4 +239,6 @@ func TestTable4AndFig4Small(t *testing.T) {
 			t.Fatalf("%s: nil image", o.Model)
 		}
 	}
+	checkGolden(t, "table4_fig4_small.golden",
+		table4Golden(rows, [][]core.QualityPoint{sobelRes.Points, gaussRes.Points}, outputs))
 }
