@@ -171,7 +171,7 @@ func BenchmarkTable4QualityEstimation(b *testing.B) {
 	var rows []experiments.Table4Row
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, _, _, err = experiments.Table4(lab)
+		rows, err = experiments.Table4(lab)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func main() {
 	if err != nil {
 		run.Fatal(err)
 	}
-	rows, _, _, err := experiments.Table4(lab)
+	rows, err := experiments.Table4(lab)
 	if err != nil {
 		run.Fatal(err)
 	}

@@ -138,27 +138,3 @@ func (t *TERBased) Errors(corner cells.Corner, s *workload.Stream, tclk float64)
 	}
 	return out, nil
 }
-
-// GroundTruth wraps a characterization trace as an ErrorPredictor so the
-// simulator's own verdicts can flow through the same evaluation and
-// quality-study plumbing.
-type GroundTruth struct {
-	Trace *Trace
-}
-
-// Name implements ErrorPredictor.
-func (g *GroundTruth) Name() string { return "Simulation" }
-
-// Errors implements ErrorPredictor; the corner and stream must match the
-// wrapped trace.
-func (g *GroundTruth) Errors(corner cells.Corner, s *workload.Stream, tclk float64) ([]bool, error) {
-	if corner != g.Trace.Corner {
-		return nil, fmt.Errorf("core: ground truth is for %v, not %v", g.Trace.Corner, corner)
-	}
-	for k, c := range g.Trace.ClockPeriods {
-		if c == tclk {
-			return g.Trace.Errors[k], nil
-		}
-	}
-	return nil, fmt.Errorf("core: ground truth has no clock %.3f ps", tclk)
-}

@@ -314,32 +314,6 @@ func TestDelayBasedRequiresOfflineCorner(t *testing.T) {
 	}
 }
 
-func TestGroundTruthPredictor(t *testing.T) {
-	u, err := NewFUnit(circuits.IntAdd32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := cells.Corner{V: 0.85, T: 50}
-	tr, err := Characterize(u, c, workload.RandomInt(101, 3), []float64{500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := &GroundTruth{Trace: tr}
-	ev, err := EvaluateAt(g, tr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Accuracy != 1 {
-		t.Errorf("ground truth against itself = %v, want 1", ev.Accuracy)
-	}
-	if _, err := g.Errors(cells.Corner{V: 1, T: 0}, tr.Stream, 500); err == nil {
-		t.Error("ground truth answered for wrong corner")
-	}
-	if _, err := g.Errors(c, tr.Stream, 123); err == nil {
-		t.Error("ground truth answered for unknown clock")
-	}
-}
-
 func TestPredictDelaysConsistency(t *testing.T) {
 	u, err := NewFUnit(circuits.IntAdd32)
 	if err != nil {

@@ -29,41 +29,6 @@ const maxModelHeaderBytes int64 = 64 << 10
 // errModelHeaderTooLarge reports a header that ran past the cap.
 var errModelHeaderTooLarge = fmt.Errorf("core: model header exceeds the %d KiB size cap", maxModelHeaderBytes>>10)
 
-// cappedReader fails any read past its budget (see ml's loader for the
-// rationale: decode-side allocation must be bounded on untrusted input).
-// It implements io.ByteReader so gob does not wrap it in a bufio.Reader
-// whose readahead would steal bytes from the forest decoder that reads
-// the same stream next.
-type cappedReader struct {
-	r         io.Reader
-	remaining int64
-}
-
-func (c *cappedReader) Read(p []byte) (int, error) {
-	if c.remaining <= 0 {
-		return 0, errModelHeaderTooLarge
-	}
-	if int64(len(p)) > c.remaining {
-		p = p[:c.remaining]
-	}
-	n, err := c.r.Read(p)
-	c.remaining -= int64(n)
-	return n, err
-}
-
-func (c *cappedReader) ReadByte() (byte, error) {
-	var b [1]byte
-	for {
-		n, err := c.Read(b[:])
-		if n == 1 {
-			return b[0], nil
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-}
-
 // Save serializes a trained model (header + random forest) so it can be
 // distributed and reloaded without retraining.
 func (m *Model) Save(w io.Writer) error {
@@ -93,7 +58,7 @@ func LoadModel(r io.Reader) (m *Model, err error) {
 	var hdr modelHeader
 	// The capped reader is scoped to the header decode: gob reads exact
 	// counted messages, so the forest decoder picks up cleanly after it.
-	if err := gob.NewDecoder(&cappedReader{r: r, remaining: maxModelHeaderBytes}).Decode(&hdr); err != nil {
+	if err := gob.NewDecoder(ml.CappedReader(r, maxModelHeaderBytes, errModelHeaderTooLarge)).Decode(&hdr); err != nil {
 		if errors.Is(err, errModelHeaderTooLarge) {
 			return nil, errModelHeaderTooLarge
 		}

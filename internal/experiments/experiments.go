@@ -157,24 +157,15 @@ func NewLab(scale Scale) (*Lab, error) {
 // GPU; our Go kernels split int/float pipelines — see DESIGN.md).
 func (l *Lab) profileApps() error {
 	for _, app := range inject.Apps {
-		rec := inject.NewRecording(l.Scale.AppStreamCap)
-		for _, img := range l.Images {
-			app.Run(img, rec)
+		perFU, err := recordApp(app, l.Images, l.Scale.AppStreamCap)
+		if err != nil {
+			return err
 		}
-		name := DatasetSobel
-		if app == inject.GaussApp {
-			name = DatasetGauss
-		}
-		perFU := make(map[circuits.FU]*workload.Stream)
+		name := appDataset(app)
 		var native []*workload.Stream
 		for _, fu := range app.FUs() {
-			s, err := rec.Stream(fu)
-			if err != nil {
-				return fmt.Errorf("experiments: profiling %v/%v: %w", app, fu, err)
-			}
-			s.Name = name
-			perFU[fu] = s
-			native = append(native, s)
+			perFU[fu].Name = name
+			native = append(native, perFU[fu])
 		}
 		// Derive streams for the other two FUs by converting operand
 		// values between integer and float domains.
@@ -190,6 +181,32 @@ func (l *Lab) profileApps() error {
 		l.appStreams[name] = perFU
 	}
 	return nil
+}
+
+// recordApp profiles app over images: the operand stream of each FU it
+// exercises, at most capPerFU pairs each.
+func recordApp(app inject.App, images []*imaging.Image, capPerFU int) (map[circuits.FU]*workload.Stream, error) {
+	rec := inject.NewRecording(capPerFU)
+	for _, img := range images {
+		app.Run(img, rec)
+	}
+	streams := make(map[circuits.FU]*workload.Stream)
+	for _, fu := range app.FUs() {
+		s, err := rec.Stream(fu)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: profiling %v/%v: %w", app, fu, err)
+		}
+		streams[fu] = s
+	}
+	return streams, nil
+}
+
+// appDataset names the dataset profiled from app.
+func appDataset(app inject.App) string {
+	if app == inject.GaussApp {
+		return DatasetGauss
+	}
+	return DatasetSobel
 }
 
 // convertStream maps operand values between domains, preserving

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"tevot/internal/cells"
 	"tevot/internal/circuits"
-	"tevot/internal/core"
 	"tevot/internal/inject"
 )
 
@@ -201,15 +202,15 @@ func TestTable4AndFig4Small(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, sobelRes, gaussRes, err := Table4(lab)
+	rows, err := Table4(lab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(rows))
+	if len(rows) != 2 || rows[0].App != inject.SobelApp || rows[1].App != inject.GaussApp {
+		t.Fatalf("got %d rows, want Sobel then Gauss", len(rows))
 	}
 	for _, row := range rows {
-		for _, model := range []string{"TEVoT", "Delay-based", "TER-based", "TEVoT-NH"} {
+		for _, model := range paperModels {
 			acc, ok := row.Accuracy[model]
 			if !ok {
 				t.Fatalf("%v: missing model %s", row.App, model)
@@ -219,15 +220,32 @@ func TestTable4AndFig4Small(t *testing.T) {
 			}
 		}
 		t.Logf("%v: %v", row.App, row.Accuracy)
-	}
-	if len(sobelRes.Points) == 0 || len(gaussRes.Points) == 0 {
-		t.Fatal("empty quality results")
+		if want := len(s.Corners) * len(s.Speedups) * s.Images; len(row.Points) != want {
+			t.Fatalf("%v: %d points, want %d (corners x speedups x images)", row.App, len(row.Points), want)
+		}
+		for _, pt := range row.Points {
+			if pt.TruePSNR < 0 {
+				t.Errorf("%v: negative ground-truth PSNR %v", row.App, pt.TruePSNR)
+			}
+			for _, model := range paperModels {
+				if _, ok := pt.PSNR[model]; !ok {
+					t.Errorf("%v: point missing %s PSNR", row.App, model)
+				}
+			}
+		}
 	}
 
-	if rows[0].App != inject.SobelApp || len(rows[0].Models) != 4 {
-		t.Fatalf("Table4's first row is %v with %d models; want Sobel with 4", rows[0].App, len(rows[0].Models))
+	sobel := rows[0].Models
+	for _, fu := range inject.SobelApp.FUs() {
+		var names []string
+		for _, m := range sobel[fu] {
+			names = append(names, m.Name())
+		}
+		if !slices.Equal(names, paperModels) {
+			t.Fatalf("Sobel's %v models are %v; want %v", fu, names, paperModels)
+		}
 	}
-	outputs, err := Fig4(lab, rows[0].Models)
+	outputs, err := Fig4(lab, sobel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,6 +257,20 @@ func TestTable4AndFig4Small(t *testing.T) {
 			t.Fatalf("%s: nil image", o.Model)
 		}
 	}
-	checkGolden(t, "table4_fig4_small.golden",
-		table4Golden(rows, [][]core.QualityPoint{sobelRes.Points, gaussRes.Points}, outputs))
+	checkGolden(t, "table4_fig4_small.golden", table4Golden(rows, outputs))
+
+	for _, fu := range inject.SobelApp.FUs() {
+		partial := maps.Clone(sobel)
+		delete(partial, fu)
+		if _, err := Fig4(lab, partial); err == nil {
+			t.Errorf("Fig4 accepted a model set without %v", fu)
+		}
+	}
+}
+
+func TestQualityStudyValidation(t *testing.T) {
+	lab := &Lab{Scale: tinyScale()}
+	if _, err := table4Row(lab, inject.SobelApp, nil); err == nil {
+		t.Error("the quality study accepted a lab without images")
+	}
 }

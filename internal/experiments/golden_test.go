@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"tevot/internal/core"
 )
 
 // update rewrites the golden files instead of comparing against them:
@@ -73,15 +71,15 @@ func table3Golden(cells3 []Table3Cell) []byte {
 // table4Golden renders Table IV and Fig. 4: each row's accuracies, each
 // point's ground-truth and per-model PSNR and verdict, and each Fig. 4
 // panel's PSNR.
-func table4Golden(rows []Table4Row, points [][]core.QualityPoint, fig4 []Fig4Output) []byte {
+func table4Golden(rows []Table4Row, fig4 []Fig4Output) []byte {
 	var b bytes.Buffer
-	for i, row := range rows {
+	for _, row := range rows {
 		for _, m := range paperModels {
 			fmt.Fprintf(&b, "table4 %v %s %v\n", row.App, m, row.Accuracy[m])
 		}
-		for _, pt := range points[i] {
+		for _, pt := range row.Points {
 			fmt.Fprintf(&b, "point %v v=%v t=%v speedup=%v image=%d truth %v %v",
-				pt.App, pt.Corner.V, pt.Corner.T, pt.Speedup, pt.Image, pt.TruePSNR, pt.TrueAcceptable)
+				row.App, pt.Corner.V, pt.Corner.T, pt.Speedup, pt.Image, pt.TruePSNR, pt.TrueAcceptable)
 			for _, m := range paperModels {
 				fmt.Fprintf(&b, " | %s %v %v", m, pt.PSNR[m], pt.Acceptable[m])
 			}

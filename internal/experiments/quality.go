@@ -5,119 +5,186 @@ import (
 	"fmt"
 	"time"
 
+	"tevot/internal/cells"
 	"tevot/internal/circuits"
 	"tevot/internal/core"
 	"tevot/internal/imaging"
 	"tevot/internal/inject"
 	"tevot/internal/obs"
+	"tevot/internal/workload"
 )
 
-// TrainQualityModels trains TEVoT and TEVoT-NH and builds the two
-// baselines for the application's FUs, from random and application
-// training data at the scale's corners. It returns the four
-// QualityModels of Table IV, in the paper's column order. Training
-// also installs each FU's base clock at every corner
-// (core.CharacterizeCalibrated), from which the study's capture clocks
-// derive.
+// TrainQualityModels trains the four Table III models (trainModels) for
+// each of the application's FUs. Training also installs each FU's base
+// clock at every corner, from which the study's capture clocks derive.
 //
-// The TER-based entry keeps its paper semantics through the
-// ErrorPredictor adapter: core.TERBased ignores the test stream's
-// content and draws at the rate measured offline on random training
-// data, so its derived per-FU TER is that offline rate.
-func TrainQualityModels(lab *Lab, app inject.App) ([]core.QualityModel, error) {
-	tevot := make(map[circuits.FU]core.ErrorPredictor)
-	tevotNH := make(map[circuits.FU]core.ErrorPredictor)
-	delay := make(map[circuits.FU]core.ErrorPredictor)
-	ter := make(map[circuits.FU]core.ErrorPredictor)
+// The TER-based entry keeps its paper semantics: core.TERBased ignores
+// the test stream's content and draws at the rate measured offline on
+// random training data, so its derived per-FU TER is that offline rate.
+func TrainQualityModels(lab *Lab, app inject.App) (map[circuits.FU][]core.ErrorPredictor, error) {
+	models := make(map[circuits.FU][]core.ErrorPredictor)
 	for _, fu := range app.FUs() {
-		u := lab.Units[fu]
-		opts := lab.CharOpts(1) // serial top level: each cell gets the machine
-		var traces []*core.Trace
-		for _, corner := range lab.Scale.Corners {
-			train, err := lab.Stream(fu, DatasetRandom, true)
-			if err != nil {
-				return nil, err
-			}
-			tr, err := core.CharacterizeCalibrated(context.Background(), u, corner, train, lab.Scale.Speedups, opts)
-			if err != nil {
-				return nil, err
-			}
-			traces = append(traces, tr)
-			// The paper trains on 200K random vectors PLUS 5 % of the
-			// application images; without the application slice the
-			// forest cannot extrapolate to operand distributions it has
-			// never seen (two's-complement accumulators, narrow pixel
-			// ranges), and the quality estimates collapse.
-			for _, ds := range []string{DatasetSobel, DatasetGauss} {
-				appTrain, err := lab.Stream(fu, ds, true)
-				if err != nil {
-					return nil, err
-				}
-				trApp, err := core.CharacterizeWithSpeedupsOptsContext(context.Background(), u, corner, appTrain, lab.Scale.Speedups, opts)
-				if err != nil {
-					return nil, err
-				}
-				traces = append(traces, trApp)
-			}
-		}
-		m, err := core.Train(fu, traces, core.DefaultConfig())
+		ms, err := trainModels(context.Background(), lab, fu, lab.CharOpts(1)) // serial top level: each FU gets the machine
 		if err != nil {
 			return nil, err
 		}
-		nhCfg := core.DefaultConfig()
-		nhCfg.History = false
-		nh, err := core.Train(fu, traces, nhCfg)
-		if err != nil {
-			return nil, err
-		}
-		db, err := core.NewDelayBased(fu, traces)
-		if err != nil {
-			return nil, err
-		}
-		tb, err := core.NewTERBased(fu, traces, lab.Scale.Seed)
-		if err != nil {
-			return nil, err
-		}
-		tevot[fu], tevotNH[fu], delay[fu], ter[fu] = m, nh, db, tb
+		models[fu] = ms
 	}
-	return []core.QualityModel{
-		core.QualityFromPredictors("TEVoT", tevot),
-		core.QualityFromPredictors("Delay-based", delay),
-		core.QualityFromPredictors("TER-based", ter),
-		core.QualityFromPredictors("TEVoT-NH", tevotNH),
-	}, nil
+	return models, nil
 }
 
-// Table4Row is one row of Table IV: each model's application-quality
-// estimation accuracy for one application, and the models it scored
+// QualityPoint is one (corner, speedup, image) observation of Table IV:
+// each model's PSNR and acceptability verdict next to the
+// simulation-derived ground truth.
+type QualityPoint struct {
+	Corner  cells.Corner
+	Speedup float64
+	Image   int
+
+	TruePSNR       float64
+	TrueAcceptable bool
+
+	PSNR       map[string]float64
+	Acceptable map[string]bool
+}
+
+// Table4Row is one row of Table IV: one application's points, each
+// model's estimation accuracy (Eq. 5: the fraction of points whose
+// verdict matches the ground truth's), and the models it scored
 // (TrainQualityModels), which Fig4 renders the Sobel row's from.
 type Table4Row struct {
 	App      inject.App
 	Accuracy map[string]float64
-	Models   []core.QualityModel
+	Points   []QualityPoint
+	Models   map[circuits.FU][]core.ErrorPredictor
 }
 
-// Table4 runs the quality study for both applications, in inject.Apps
-// order (Sobel, then Gauss).
-func Table4(lab *Lab) ([]Table4Row, *core.QualityResult, *core.QualityResult, error) {
+// Table4 runs the paper's §V.D case study for both applications, in
+// inject.Apps order (Sobel, then Gauss).
+func Table4(lab *Lab) ([]Table4Row, error) {
 	defer obs.Time("experiments.table4")()
 	var rows []Table4Row
-	var results []*core.QualityResult
 	for _, app := range inject.Apps {
 		models, err := TrainQualityModels(lab, app)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		res, err := core.QualityStudy(app, lab.Units, models, lab.Images,
-			lab.Scale.Corners, lab.Scale.Speedups,
-			core.QualityOptions{Seed: lab.Scale.Seed, StreamCap: lab.Scale.AppStreamCap})
+		row, err := table4Row(lab, app, models)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
+// table4Row scores models on app: at every corner and speedup it
+// injects the ground-truth and each model's per-FU TERs (qualityTERs)
+// into the application's run over every image of the Lab, and compares
+// each model's PSNR-acceptability verdict with the ground truth's.
+func table4Row(lab *Lab, app inject.App, models map[circuits.FU][]core.ErrorPredictor) (Table4Row, error) {
+	if len(lab.Images) == 0 {
+		return Table4Row{}, fmt.Errorf("experiments: quality study needs images")
+	}
+	row := Table4Row{App: app, Accuracy: make(map[string]float64), Models: models}
+	matches := make(map[string]int)
+	var names []string
+	for _, corner := range lab.Scale.Corners {
+		ns, truth, pred, err := qualityTERs(lab, app, corner, lab.Scale.Speedups, lab.appStreams[appDataset(app)], models)
+		if err != nil {
+			return Table4Row{}, err
+		}
+		names = ns
+		for k, sp := range lab.Scale.Speedups {
+			for i, img := range lab.Images {
+				seed := lab.Scale.Seed ^ int64(i)<<16 ^ int64(len(row.Points))
+				psnr, _, err := app.QualityRun(img, truth[k], seed)
+				if err != nil {
+					return Table4Row{}, err
+				}
+				pt := QualityPoint{
+					Corner: corner, Speedup: sp, Image: i,
+					TruePSNR: psnr, TrueAcceptable: psnr >= imaging.AcceptableThresholdDB,
+					PSNR: make(map[string]float64), Acceptable: make(map[string]bool),
+				}
+				for _, name := range names {
+					p, _, err := app.QualityRun(img, pred[k][name], seed+1)
+					if err != nil {
+						return Table4Row{}, err
+					}
+					ok := p >= imaging.AcceptableThresholdDB
+					pt.PSNR[name], pt.Acceptable[name] = p, ok
+					if ok == pt.TrueAcceptable {
+						matches[name]++
+					}
+				}
+				row.Points = append(row.Points, pt)
+			}
+		}
+	}
+	if len(row.Points) == 0 {
+		return Table4Row{}, fmt.Errorf("experiments: quality study of %v evaluated no points", app)
+	}
+	for _, name := range names {
+		row.Accuracy[name] = float64(matches[name]) / float64(len(row.Points))
+	}
+	return row, nil
+}
+
+// qualityTERs derives the per-FU timing-error rates the quality study
+// injects into app at one corner, one set per speedup k: truth[k] from
+// gate-level simulation of each FU's stream, and pred[k][name] from the
+// named model's verdicts on the same stream (core.EvaluateAll's
+// TERPred, so TEVoT predicts each stream once for every clock). Every
+// FU of app must have the same models, in the order names lists.
+func qualityTERs(lab *Lab, app inject.App, corner cells.Corner, speedups []float64,
+	streams map[circuits.FU]*workload.Stream, models map[circuits.FU][]core.ErrorPredictor,
+) (names []string, truth []inject.TERs, pred []map[string]inject.TERs, err error) {
+	for _, m := range models[app.FUs()[0]] {
+		names = append(names, m.Name())
+	}
+	truth = make([]inject.TERs, len(speedups))
+	pred = make([]map[string]inject.TERs, len(speedups))
+	for k := range speedups {
+		truth[k] = inject.TERs{}
+		pred[k] = make(map[string]inject.TERs)
+		for _, name := range names {
+			pred[k][name] = inject.TERs{}
+		}
+	}
+	for _, fu := range app.FUs() {
+		u, ms := lab.Units[fu], models[fu]
+		if u == nil {
+			return nil, nil, nil, fmt.Errorf("experiments: lab has no unit for %v", fu)
+		}
+		if len(ms) == 0 || len(ms) != len(names) {
+			return nil, nil, nil, fmt.Errorf("experiments: %v has %d models, want %d: %v", fu, len(ms), len(names), names)
+		}
+		clocks, err := u.ClockPeriods(corner, speedups)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		rows = append(rows, Table4Row{App: app, Accuracy: res.EstimationAccuracy, Models: models})
-		results = append(results, res)
+		tr, err := core.CharacterizeOpts(u, corner, streams[fu], clocks, lab.CharOpts(1))
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		for k := range speedups {
+			truth[k][fu] = tr.TER(k)
+		}
+		for j, m := range ms {
+			if m.Name() != names[j] {
+				return nil, nil, nil, fmt.Errorf("experiments: %v's model %d is %s, want %s", fu, j, m.Name(), names[j])
+			}
+			evals, _, err := core.EvaluateAll(m, []*core.Trace{tr})
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			for k, ev := range evals {
+				pred[k][m.Name()][fu] = ev.TERPred
+			}
+		}
 	}
-	return rows, results[0], results[1], nil
+	return names, truth, pred, nil
 }
 
 // Fig4Output is one model's injected Sobel output and its PSNR, the
@@ -134,57 +201,32 @@ type Fig4Output struct {
 // TrainQualityModels on this lab (Table4 hands them back in its Sobel
 // row); their training installed the base clocks Fig4's clock derives
 // from.
-func Fig4(lab *Lab, models []core.QualityModel) ([]Fig4Output, error) {
+func Fig4(lab *Lab, models map[circuits.FU][]core.ErrorPredictor) ([]Fig4Output, error) {
 	defer obs.Time("experiments.fig4")()
 	app := inject.SobelApp
 	corner := lab.Scale.Corners[0]
 	sp := lab.Scale.Speedups[len(lab.Scale.Speedups)-1]
 	img := lab.Images[0]
 
-	rec := inject.NewRecording(lab.Scale.AppStreamCap)
-	app.Run(img, rec)
-
-	trueTERs := inject.TERs{}
-	modelTERs := map[string]inject.TERs{}
-	for _, m := range models {
-		modelTERs[m.Name()] = inject.TERs{}
-	}
-	for _, fu := range app.FUs() {
-		u := lab.Units[fu]
-		s, err := rec.Stream(fu)
-		if err != nil {
-			return nil, err
-		}
-		clocks, err := u.ClockPeriods(corner, []float64{sp})
-		if err != nil {
-			return nil, err
-		}
-		tr, err := core.Characterize(u, corner, s, clocks)
-		if err != nil {
-			return nil, err
-		}
-		trueTERs[fu] = tr.TER(0)
-		for _, m := range models {
-			ter, err := m.TERFor(fu, corner, s, clocks[0])
-			if err != nil {
-				return nil, err
-			}
-			modelTERs[m.Name()][fu] = ter
-		}
-	}
-
-	outputs := make([]Fig4Output, 0, len(models)+1)
-	gtPSNR, gtImg, err := app.QualityRun(img, trueTERs, lab.Scale.Seed)
+	streams, err := recordApp(app, lab.Images[:1], lab.Scale.AppStreamCap)
 	if err != nil {
 		return nil, err
 	}
-	outputs = append(outputs, Fig4Output{Model: "Ground truth", PSNR: gtPSNR, Image: gtImg})
-	for _, m := range models {
-		p, out, err := app.QualityRun(img, modelTERs[m.Name()], lab.Scale.Seed)
+	names, truth, pred, err := qualityTERs(lab, app, corner, []float64{sp}, streams, models)
+	if err != nil {
+		return nil, err
+	}
+	gtPSNR, gtImg, err := app.QualityRun(img, truth[0], lab.Scale.Seed)
+	if err != nil {
+		return nil, err
+	}
+	outputs := []Fig4Output{{Model: "Ground truth", PSNR: gtPSNR, Image: gtImg}}
+	for _, name := range names {
+		p, out, err := app.QualityRun(img, pred[0][name], lab.Scale.Seed)
 		if err != nil {
 			return nil, err
 		}
-		outputs = append(outputs, Fig4Output{Model: m.Name(), PSNR: p, Image: out})
+		outputs = append(outputs, Fig4Output{Model: name, PSNR: p, Image: out})
 	}
 	return outputs, nil
 }
@@ -199,7 +241,10 @@ type SpeedupResult struct {
 }
 
 // Speedup measures per-cycle gate-level simulation time against TEVoT
-// inference time on the same stream.
+// inference time on the same stream. The simulation runs on one shard,
+// so the ratio compares one core with one core, independent of the
+// host's core count, as long as the forest walks the stream inline
+// (fewer than 1024 rows).
 func Speedup(lab *Lab, fu circuits.FU) (*SpeedupResult, error) {
 	u, ok := lab.Units[fu]
 	if !ok {
@@ -224,7 +269,7 @@ func Speedup(lab *Lab, fu circuits.FU) (*SpeedupResult, error) {
 	}
 
 	t0 := time.Now()
-	if _, err := core.Characterize(u, corner, test, nil); err != nil {
+	if _, err := core.CharacterizeOpts(u, corner, test, nil, core.CharacterizeOptions{Workers: 1}); err != nil {
 		return nil, err
 	}
 	simT := time.Since(t0)

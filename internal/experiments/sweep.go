@@ -162,57 +162,64 @@ func Table3Run(ctx context.Context, lab *Lab, cfg runner.Config) ([]Table3Cell, 
 	return cells3, rep, err
 }
 
-// table3ForFU is the per-FU offline + evaluation pipeline of Table III
-// (see Table3 for the paper mapping), made cancellation-aware.
-func table3ForFU(ctx context.Context, lab *Lab, fu circuits.FU, opts core.CharacterizeOptions) ([]Table3Cell, error) {
+// trainModels is the paper's training recipe, shared by Tables III and
+// IV. At every corner it characterizes fu's random training stream,
+// calibrating the base clock from it (core.CharacterizeCalibrated), and
+// the Sobel and Gauss training slices at the clocks derived from that
+// base. The paper trains on random vectors plus 5 % of the application
+// images: without the application slice the forest cannot extrapolate
+// to operand distributions it has never seen (two's-complement
+// accumulators, narrow pixel ranges). It returns TEVoT, Delay-based,
+// TER-based and TEVoT-NH, Table III's column order.
+func trainModels(ctx context.Context, lab *Lab, fu circuits.FU, opts core.CharacterizeOptions) ([]core.ErrorPredictor, error) {
 	u := lab.Units[fu]
-
-	// Offline phase: characterize the random training stream at every
-	// corner, calibrating the base clock from it, and the application
-	// training streams at the clocks derived from that base.
-	var trainTraces []*core.Trace
+	var traces []*core.Trace
 	for _, corner := range lab.Scale.Corners {
-		randTrain, err := lab.Stream(fu, DatasetRandom, true)
-		if err != nil {
-			return nil, err
-		}
-		trRand, err := core.CharacterizeCalibrated(ctx, u, corner, randTrain, lab.Scale.Speedups, opts)
-		if err != nil {
-			return nil, err
-		}
-		trainTraces = append(trainTraces, trRand)
-		for _, ds := range []string{DatasetSobel, DatasetGauss} {
-			appTrain, err := lab.Stream(fu, ds, true)
+		for _, ds := range Datasets {
+			s, err := lab.Stream(fu, ds, true)
 			if err != nil {
 				return nil, err
 			}
-			trApp, err := core.CharacterizeWithSpeedupsOptsContext(ctx, u, corner, appTrain, lab.Scale.Speedups, opts)
+			var tr *core.Trace
+			if ds == DatasetRandom {
+				tr, err = core.CharacterizeCalibrated(ctx, u, corner, s, lab.Scale.Speedups, opts)
+			} else {
+				tr, err = core.CharacterizeWithSpeedupsOptsContext(ctx, u, corner, s, lab.Scale.Speedups, opts)
+			}
 			if err != nil {
 				return nil, err
 			}
-			trainTraces = append(trainTraces, trApp)
+			traces = append(traces, tr)
 		}
 	}
-
-	tevot, err := core.Train(fu, trainTraces, core.DefaultConfig())
+	tevot, err := core.Train(fu, traces, core.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
 	nhCfg := core.DefaultConfig()
 	nhCfg.History = false
-	tevotNH, err := core.Train(fu, trainTraces, nhCfg)
+	tevotNH, err := core.Train(fu, traces, nhCfg)
 	if err != nil {
 		return nil, err
 	}
-	delayBased, err := core.NewDelayBased(fu, trainTraces)
+	delayBased, err := core.NewDelayBased(fu, traces)
 	if err != nil {
 		return nil, err
 	}
-	terBased, err := core.NewTERBased(fu, trainTraces, lab.Scale.Seed)
+	terBased, err := core.NewTERBased(fu, traces, lab.Scale.Seed)
 	if err != nil {
 		return nil, err
 	}
-	models := []core.ErrorPredictor{tevot, delayBased, terBased, tevotNH}
+	return []core.ErrorPredictor{tevot, delayBased, terBased, tevotNH}, nil
+}
+
+// table3ForFU is the per-FU offline + evaluation pipeline of Table III
+// (see Table3 for the paper mapping), made cancellation-aware.
+func table3ForFU(ctx context.Context, lab *Lab, fu circuits.FU, opts core.CharacterizeOptions) ([]Table3Cell, error) {
+	models, err := trainModels(ctx, lab, fu, opts)
+	if err != nil {
+		return nil, err
+	}
 
 	// Evaluation phase: held-out data per dataset.
 	var cells3 []Table3Cell
@@ -223,7 +230,7 @@ func table3ForFU(ctx context.Context, lab *Lab, fu circuits.FU, opts core.Charac
 		}
 		var testTraces []*core.Trace
 		for _, corner := range lab.Scale.Corners {
-			tr, err := core.CharacterizeWithSpeedupsOptsContext(ctx, u, corner, testStream, lab.Scale.Speedups, opts)
+			tr, err := core.CharacterizeWithSpeedupsOptsContext(ctx, lab.Units[fu], corner, testStream, lab.Scale.Speedups, opts)
 			if err != nil {
 				return nil, err
 			}

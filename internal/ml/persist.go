@@ -55,11 +55,17 @@ const (
 // errForestTooLarge reports a stream that ran past MaxForestBytes.
 var errForestTooLarge = fmt.Errorf("ml: serialized forest exceeds the %d MiB size cap", MaxForestBytes>>20)
 
-// cappedReader fails any read past its budget, so a decoder driven by a
-// decompression-bomb-style stream stops at the cap instead of
-// allocating without bound. It implements io.ByteReader so gob does not
-// wrap it in a bufio.Reader: the forest is the tail of a chained model
-// stream, and readahead past it would corrupt any decoder that follows.
+// CappedReader returns a reader over r that fails with errCap past
+// budget bytes, so a decoder driven by a decompression-bomb-style
+// stream stops at the cap instead of allocating without bound. The
+// reader implements io.ByteReader so gob does not wrap it in a
+// bufio.Reader: a model file chains gob streams (core's header, then
+// the forest), and readahead past one would steal bytes from the
+// decoder that reads the next.
+func CappedReader(r io.Reader, budget int64, errCap error) io.Reader {
+	return &cappedReader{r: r, remaining: budget, errCap: errCap}
+}
+
 type cappedReader struct {
 	r         io.Reader
 	remaining int64
@@ -155,8 +161,7 @@ func LoadForest(r io.Reader) (f *RandomForest, err error) {
 		}
 	}()
 	var dto forestDTO
-	cr := &cappedReader{r: r, remaining: MaxForestBytes, errCap: errForestTooLarge}
-	if err := gob.NewDecoder(cr).Decode(&dto); err != nil {
+	if err := gob.NewDecoder(CappedReader(r, MaxForestBytes, errForestTooLarge)).Decode(&dto); err != nil {
 		if errors.Is(err, errForestTooLarge) {
 			return nil, errForestTooLarge
 		}

@@ -54,6 +54,9 @@ go test -run 'TestMemoHitRateImagingStreams|TestMemoDropOnRandomStreams' ./inter
 echo "== tail labelling: re-simulating only the cycles that reach the clock equals full labelling, every FU"
 go test -run 'TestLabel' ./internal/core
 
+echo "== paper goldens: Table III cells, Table IV points, Fig. 4 PSNRs"
+go test -run 'TestTable3SmallRun|TestTable4AndFig4Small' ./internal/experiments
+
 echo "== forest fit: binned split search reproduces the pinned forests, per-worker scratch (race)"
 go test -race -run 'TestForestFitDigests|TestForestDeterministicAcrossWorkerCounts' ./internal/ml
 
