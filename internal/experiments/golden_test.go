@@ -37,25 +37,9 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	if err != nil {
 		t.Fatalf("%v (rerun with -update to create it)", err)
 	}
-	if bytes.Equal(got, want) {
-		return
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from this run's output:\n--- golden\n%s--- got\n%s", path, want, got)
 	}
-	wl, gl := bytes.Split(want, []byte("\n")), bytes.Split(got, []byte("\n"))
-	shown := 0
-	for i := 0; i < len(wl) || i < len(gl); i++ {
-		var w, g []byte
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if !bytes.Equal(w, g) && shown < 10 {
-			t.Errorf("%s line %d:\n want %q\n  got %q", path, i+1, w, g)
-			shown++
-		}
-	}
-	t.Errorf("%s: output differs from the golden (%d lines want, %d got)", path, len(wl), len(gl))
 }
 
 // table3Golden renders Table III cells one per line, each accuracy in
