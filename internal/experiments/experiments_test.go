@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"tevot/internal/cells"
@@ -192,7 +194,10 @@ func TestSpeedupClaim(t *testing.T) {
 	}
 }
 
-func TestTable4AndFig4Small(t *testing.T) {
+// table4Small builds the quality-study lab and runs Table4 on it once per
+// test binary; TestTable4AndFig4Small, TestQualityStudySmall and
+// TestQualityMissingFU share the result, so the study is simulated once.
+var table4Small = sync.OnceValues(func() (table4Run, error) {
 	s := tinyScale()
 	s.FUs = nil // quality study needs all four FUs across both apps
 	s.TrainCycles = 500
@@ -200,15 +205,61 @@ func TestTable4AndFig4Small(t *testing.T) {
 	s.Images = 2
 	lab, err := NewLab(s)
 	if err != nil {
-		t.Fatal(err)
+		return table4Run{}, err
 	}
 	rows, err := Table4(lab)
 	if err != nil {
-		t.Fatal(err)
+		return table4Run{}, err
 	}
 	if len(rows) != 2 || rows[0].App != inject.SobelApp || rows[1].App != inject.GaussApp {
-		t.Fatalf("got %d rows, want Sobel then Gauss", len(rows))
+		return table4Run{}, fmt.Errorf("got %d rows, want Sobel then Gauss", len(rows))
 	}
+	return table4Run{lab, rows}, nil
+})
+
+type table4Run struct {
+	lab  *Lab
+	rows []Table4Row
+}
+
+func TestTable4AndFig4Small(t *testing.T) {
+	run, err := table4Small()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab, rows := run.lab, run.rows
+	sobel := rows[0].Models
+	for _, fu := range inject.SobelApp.FUs() {
+		var names []string
+		for _, m := range sobel[fu] {
+			names = append(names, m.Name())
+		}
+		if !slices.Equal(names, paperModels) {
+			t.Fatalf("Sobel's %v models are %v; want %v", fu, names, paperModels)
+		}
+	}
+	outputs, err := Fig4(lab, sobel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outputs) != 5 { // ground truth + 4 models
+		t.Fatalf("Fig4 produced %d outputs, want 5", len(outputs))
+	}
+	for _, o := range outputs {
+		if o.Image == nil {
+			t.Fatalf("%s: nil image", o.Model)
+		}
+	}
+	checkGolden(t, "table4_fig4_small.golden", table4Golden(rows, outputs))
+}
+
+func TestQualityStudySmall(t *testing.T) {
+	run, err := table4Small()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab, rows := run.lab, run.rows
+	s := lab.Scale
 	for _, row := range rows {
 		for _, model := range paperModels {
 			acc, ok := row.Accuracy[model]
@@ -234,36 +285,22 @@ func TestTable4AndFig4Small(t *testing.T) {
 			}
 		}
 	}
+}
 
-	sobel := rows[0].Models
-	for _, fu := range inject.SobelApp.FUs() {
-		var names []string
-		for _, m := range sobel[fu] {
-			names = append(names, m.Name())
-		}
-		if !slices.Equal(names, paperModels) {
-			t.Fatalf("Sobel's %v models are %v; want %v", fu, names, paperModels)
-		}
-	}
-	outputs, err := Fig4(lab, sobel)
+func TestQualityMissingFU(t *testing.T) {
+	run, err := table4Small()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outputs) != 5 { // ground truth + 4 models
-		t.Fatalf("Fig4 produced %d outputs, want 5", len(outputs))
-	}
-	for _, o := range outputs {
-		if o.Image == nil {
-			t.Fatalf("%s: nil image", o.Model)
-		}
-	}
-	checkGolden(t, "table4_fig4_small.golden", table4Golden(rows, outputs))
-
+	lab, rows := run.lab, run.rows
 	for _, fu := range inject.SobelApp.FUs() {
-		partial := maps.Clone(sobel)
+		partial := maps.Clone(rows[0].Models)
 		delete(partial, fu)
 		if _, err := Fig4(lab, partial); err == nil {
 			t.Errorf("Fig4 accepted a model set without %v", fu)
+		}
+		if _, err := table4Row(lab, inject.SobelApp, partial); err == nil {
+			t.Errorf("the quality study accepted a model set without %v", fu)
 		}
 	}
 }
