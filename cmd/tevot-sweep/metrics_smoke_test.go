@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 	"net/http"
 	"os/exec"
@@ -18,9 +17,8 @@ import (
 // TestMetricsExpositionSmoke builds this command, runs a small sweep
 // with -debug-addr :0, and scrapes the Prometheus endpoint mid-run: the
 // output must survive the strict exposition parser and carry the core
-// cycle counter, and /debug/traces must list the sweep's live traces
-// (tracing defaults on). This is the CLI-level proof that the /metrics
-// surface every scraper would point at actually speaks 0.0.4.
+// cycle counter. This is the CLI-level proof that the /metrics surface
+// every scraper would point at actually speaks 0.0.4.
 func TestMetricsExpositionSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI")
@@ -81,23 +79,6 @@ func TestMetricsExpositionSmoke(t *testing.T) {
 	}
 	if _, ok := fams["tevot_core_cycles_simulated_total"]; !ok {
 		t.Errorf("/metrics missing tevot_core_cycles_simulated_total (%d families)", len(fams))
-	}
-
-	resp, err = http.Get(base + "/debug/traces")
-	if err != nil {
-		t.Fatalf("/debug/traces: %v", err)
-	}
-	var traces struct {
-		Traces   []json.RawMessage `json:"traces"`
-		Disabled bool              `json:"disabled"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&traces)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("/debug/traces not JSON: %v", err)
-	}
-	if traces.Disabled {
-		t.Error("/debug/traces reports tracing disabled; -trace should default on")
 	}
 
 	done := make(chan error, 1)

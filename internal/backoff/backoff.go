@@ -108,26 +108,3 @@ func Hash(seed int64, key string) uint64 {
 	h.Write([]byte(key))
 	return h.Sum64()
 }
-
-// Mix64 is Hash for integer streams: it folds (seed, n) through the
-// same FNV-1a construction without the []byte(key) allocation, for
-// callers that draw many values per second — trace/span ID generation
-// in internal/obs/trace draws two per span. Like Hash, it is pure and
-// lock-free: the nth value of a stream is identical across processes
-// started with the same seed.
-func Mix64(seed int64, n uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < 8; i++ {
-		h ^= uint64(seed) >> (8 * i) & 0xff
-		h *= prime64
-	}
-	for i := 0; i < 8; i++ {
-		h ^= n >> (8 * i) & 0xff
-		h *= prime64
-	}
-	return h
-}

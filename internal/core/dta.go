@@ -249,16 +249,13 @@ func CharacterizeOptsContext(ctx context.Context, u *FUnit, corner cells.Corner,
 	if err != nil {
 		return nil, err
 	}
-	// obs.Span (not obs.Time): when a dist worker runs this cell under
-	// a request-scoped trace, dta.simulate/dta.merge appear as child
-	// spans of the cell's trace; untraced runs pay a nil no-op.
-	simCtx, endSim := obs.Span(ctx, "dta.simulate")
-	err = runShards(shards, func(sh *shard) error { return sh.simulate(simCtx, s, clocks, tr) })
+	endSim := obs.Time("dta.simulate")
+	err = runShards(shards, func(sh *shard) error { return sh.simulate(ctx, s, clocks, tr) })
 	endSim()
 	if err != nil {
 		return nil, err
 	}
-	_, endMerge := obs.Span(ctx, "dta.merge")
+	endMerge := obs.Time("dta.merge")
 	var ss sim.SliceStats
 	for _, sh := range shards {
 		tr.Events += sh.events
@@ -474,8 +471,7 @@ func Label(ctx context.Context, u *FUnit, tr *Trace, clocks []float64, opts Char
 	if err != nil {
 		return nil, err
 	}
-	ctx, end := obs.Span(ctx, "dta.label")
-	defer end()
+	defer obs.Time("dta.label")()
 	err = runShards(shards, func(sh *shard) error {
 		prev := make([]bool, circuits.OperandBits)
 		cur := make([]bool, circuits.OperandBits)

@@ -8,12 +8,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"tevot/internal/backoff"
 	"tevot/internal/obs"
-	"tevot/internal/obs/trace"
 )
 
 // Client is the retrying JSON client workers use to talk to the
@@ -118,19 +116,11 @@ func (c *Client) post(ctx context.Context, path string, req, resp any) error {
 	if err != nil {
 		return err
 	}
-	// One span per logical RPC (retries included), so a cell's trace
-	// shows "rpc /v1/result" once with an attempts annotation rather
-	// than a span per wire attempt. No-op when tracing is off.
-	ctx, sp := trace.Child(ctx, "rpc "+path)
-	defer sp.End()
 	var last error
 	for attempt := 0; ; attempt++ {
 		var retryAfter time.Duration
 		retryAfter, last = c.once(ctx, path, body, resp)
 		if last == nil || !retryable(last) || attempt >= c.retries {
-			if attempt > 0 {
-				sp.Annotate("attempts", strconv.Itoa(attempt+1))
-			}
 			return last
 		}
 		delay := c.policy.Delay(path, attempt)
@@ -158,7 +148,6 @@ func (c *Client) once(ctx context.Context, path string, body []byte, resp any) (
 		return 0, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	trace.Inject(ctx, hreq.Header)
 	hresp, err := c.hc.Do(hreq)
 	if err != nil {
 		return 0, err

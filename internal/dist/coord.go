@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"tevot/internal/obs"
-	"tevot/internal/obs/trace"
 	"tevot/internal/runner"
 	"tevot/internal/serve"
 )
@@ -168,13 +167,8 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("/progress", c.handleProgress)
 	mux.HandleFunc("/cluster/metrics", c.handleClusterMetrics)
 	mux.Handle("/metrics", obs.PromHandler(nil))
-	mux.Handle("/debug/traces", trace.DefaultHandler())
-	// Traced with joinOnly: requests carrying a worker's traceparent
-	// (lease, renew, result) join the worker's cell trace; bare polls
-	// from untraced clients don't each mint a trace.
 	return serve.Recover("dist", mHTTPPanics.Inc,
-		serve.Limit(c.cfg.MaxInflight, mHTTPShed.Inc,
-			serve.Traced("dist", true, mux)))
+		serve.Limit(c.cfg.MaxInflight, mHTTPShed.Inc, mux))
 }
 
 // handleClusterMetrics merges the piggybacked per-worker snapshots and
@@ -499,15 +493,17 @@ func (c *Coordinator) Progress() Progress {
 	}
 	dups := 0
 	p := Progress{
-		Sweep:      c.cfg.Spec.Fingerprint(),
-		Cells:      len(c.order),
-		Done:       t.doneCount,
-		Leased:     leased,
-		Pending:    pending,
-		Resumed:    c.resumed,
-		Reissues:   c.reissues,
-		ElapsedSec: time.Since(c.start).Seconds(),
-		Aborted:    c.failure != nil,
+		Sweep:       c.cfg.Spec.Fingerprint(),
+		Cells:       len(c.order),
+		Done:        t.doneCount,
+		Leased:      leased,
+		Pending:     pending,
+		Resumed:     c.resumed,
+		Reissues:    c.reissues,
+		ElapsedSec:  time.Since(c.start).Seconds(),
+		SlowestCell: t.slowestKey,
+		SlowestSec:  t.slowestDur.Seconds(),
+		Aborted:     c.failure != nil,
 		Divergence: func() *Divergence {
 			var d *Divergence
 			if errors.As(c.failure, &d) {

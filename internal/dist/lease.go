@@ -117,8 +117,12 @@ type leaseTable struct {
 	leaseSeq  int64
 	doneCount int
 	durations []time.Duration // completed-cell lease→result times, for straggler median + ETA
-	diverged  *Divergence
-	start     time.Time
+	// slowestKey/slowestDur name the completed cell with the longest
+	// lease→result time (journal-resumed cells don't count).
+	slowestKey string
+	slowestDur time.Duration
+	diverged   *Divergence
+	start      time.Time
 }
 
 func newLeaseTable(order []Cell, ttl time.Duration, factor float64, maxCopies int, now func() time.Time) *leaseTable {
@@ -394,6 +398,9 @@ func (t *leaseTable) complete(worker, leaseID, key string, value json.RawMessage
 	t.dropCellLeases(e, "")
 	if age > 0 {
 		t.durations = append(t.durations, age)
+		if age > t.slowestDur {
+			t.slowestKey, t.slowestDur = key, age
+		}
 	}
 	return completion{accepted: true, entry: e, leaseAge: age, late: !live}, nil
 }

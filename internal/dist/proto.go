@@ -104,17 +104,22 @@ type WorkerProgress struct {
 // Progress is the coordinator's live state, served at /progress and
 // fed to obs run manifests.
 type Progress struct {
-	Sweep      string           `json:"sweep"`
-	Cells      int              `json:"cells"`
-	Done       int              `json:"done"`
-	Leased     int              `json:"leased"`
-	Pending    int              `json:"pending"`
-	Resumed    int              `json:"resumed"`
-	Duplicates int              `json:"duplicates"`
-	Reissues   int              `json:"reissues"`
-	ElapsedSec float64          `json:"elapsed_sec"`
-	ETASec     float64          `json:"eta_sec,omitempty"`
-	Aborted    bool             `json:"aborted,omitempty"`
-	Divergence *Divergence      `json:"divergence,omitempty"`
-	Workers    []WorkerProgress `json:"workers"`
+	Sweep      string  `json:"sweep"`
+	Cells      int     `json:"cells"`
+	Done       int     `json:"done"`
+	Leased     int     `json:"leased"`
+	Pending    int     `json:"pending"`
+	Resumed    int     `json:"resumed"`
+	Duplicates int     `json:"duplicates"`
+	Reissues   int     `json:"reissues"`
+	ElapsedSec float64 `json:"elapsed_sec"`
+	ETASec     float64 `json:"eta_sec,omitempty"`
+	// SlowestCell is the completed cell with the longest lease-to-result
+	// time and SlowestSec that time, in seconds ("" and 0 until a leased
+	// cell completes).
+	SlowestCell string           `json:"slowest_cell,omitempty"`
+	SlowestSec  float64          `json:"slowest_sec,omitempty"`
+	Aborted     bool             `json:"aborted,omitempty"`
+	Divergence  *Divergence      `json:"divergence,omitempty"`
+	Workers     []WorkerProgress `json:"workers"`
 }

@@ -14,7 +14,6 @@ import (
 	"tevot/internal/core"
 	"tevot/internal/experiments"
 	"tevot/internal/obs"
-	"tevot/internal/obs/trace"
 	"tevot/internal/runner"
 )
 
@@ -144,29 +143,19 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	idle := backoff.Policy{Base: 50 * time.Millisecond, Max: 2 * time.Second,
 		Seed: int64(backoff.Hash(1, cfg.ID))}
 	for idleSpins := 0; ; {
-		// Root one trace per lease poll. Polls that come back empty (or
-		// find the sweep done) are discarded so an idle fleet doesn't
-		// flood the trace store; a granted lease keeps its root and the
-		// whole cell — lease RPC, coordinator handling, characterization,
-		// result upload — hangs off this one trace ID.
-		cellCtx, root := trace.Root(ctx, "dist.cell")
-		lr, err := client.Lease(cellCtx, cfg.ID)
+		lr, err := client.Lease(ctx, cfg.ID)
 		switch {
 		case errors.Is(err, ErrRunAborted):
-			root.End()
 			log.Error("run aborted by coordinator", "err", err)
 			return err
 		case err != nil:
-			root.Discard()
 			return fmt.Errorf("dist: worker %s: lease: %w", cfg.ID, err)
 		}
 		switch lr.Status {
 		case leaseDone:
-			root.Discard()
 			log.Info("sweep done; exiting")
 			return nil
 		case leaseNone:
-			root.Discard()
 			idleSpins++
 			delay := idle.Delay("idle", idleSpins)
 			if server := time.Duration(lr.RetryMS) * time.Millisecond; server > delay {
@@ -182,11 +171,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		case leaseGranted:
 			idleSpins = 0
 			wm.leases.Inc()
-			root.Annotate("worker", cfg.ID)
-			root.Annotate("cell", lr.Cell.Key())
-			err := runLease(cellCtx, client, log, lab, opts, cfg, wm, lr)
-			root.End()
-			if err != nil {
+			if err := runLease(ctx, client, log, lab, opts, cfg, wm, lr); err != nil {
 				if errors.Is(err, ErrRunAborted) || errors.Is(err, context.Canceled) {
 					return err
 				}
@@ -196,7 +181,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 				log.Warn("cell not completed", "cell", lr.Cell.Key(), "err", err)
 			}
 		default:
-			root.Discard()
 			return fmt.Errorf("dist: worker %s: unknown lease status %q", cfg.ID, lr.Status)
 		}
 	}
@@ -265,9 +249,7 @@ func runLease(ctx context.Context, client *Client, log *slog.Logger,
 	results, rep, runErr := runner.Run(cellCtx, rcfg, []runner.Task[json.RawMessage]{{
 		Key: key,
 		Run: func(ctx context.Context) (json.RawMessage, error) {
-			cctx, csp := trace.Child(ctx, "dist.characterize")
-			defer csp.End()
-			row, err := RunCell(cctx, lab, cell, opts)
+			row, err := RunCell(ctx, lab, cell, opts)
 			if err != nil {
 				return nil, err
 			}

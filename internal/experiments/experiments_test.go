@@ -120,6 +120,7 @@ func TestFig3ShapeAndPhysics(t *testing.T) {
 	if gap < 0.10 {
 		t.Errorf("random vs sobel mean-delay gap %.1f%%; expected a pronounced workload effect", gap*100)
 	}
+	checkGolden(t, "fig3_small.golden", fig3Golden(rows))
 }
 
 func TestTable3SmallRun(t *testing.T) {
@@ -172,6 +173,7 @@ func TestTable2SmallRun(t *testing.T) {
 			t.Errorf("%s: negative times", r.Method)
 		}
 	}
+	checkGolden(t, "table2_small.golden", table2Golden(results))
 }
 
 func TestSpeedupClaim(t *testing.T) {

@@ -7,11 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"tevot/internal/core"
 )
 
 // update rewrites the golden files instead of comparing against them:
 //
-//	go test -run 'TestTable3SmallRun|TestTable4AndFig4Small' ./internal/experiments -update
+//	go test -run 'TestFig3ShapeAndPhysics|TestTable2SmallRun|TestTable3SmallRun|TestTable4AndFig4Small' ./internal/experiments -update
 //
 // A golden diff changes a paper-facing number; say why in CHANGES.md.
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -40,6 +42,27 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s differs from this run's output:\n--- golden\n%s--- got\n%s", path, want, got)
 	}
+}
+
+// fig3Golden renders Fig. 3 rows one per line: FU, corner, dataset,
+// then the mean, max and static delays in picoseconds.
+func fig3Golden(rows []DelayRow) []byte {
+	var b bytes.Buffer
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%v v=%v t=%v %s mean %v max %v static %v\n",
+			r.FU, r.Corner.V, r.Corner.T, r.Dataset, r.MeanDelay, r.MaxDelay, r.Static)
+	}
+	return b.Bytes()
+}
+
+// table2Golden renders Table II's accuracies one method per line; the
+// train and test times are host readings and stay out.
+func table2Golden(results []core.MethodResult) []byte {
+	var b bytes.Buffer
+	for _, r := range results {
+		fmt.Fprintf(&b, "%s %v\n", r.Method, r.Accuracy)
+	}
+	return b.Bytes()
 }
 
 // table3Golden renders Table III cells one per line, each accuracy in

@@ -79,8 +79,7 @@ func appScale(s Scale) string {
 // returned error is non-nil only for infrastructure problems or context
 // cancellation (partial rows and the Report are still returned).
 func Fig3Run(ctx context.Context, lab *Lab, corners []cells.Corner, cfg runner.Config) ([]DelayRow, *runner.Report, error) {
-	ctx, end := obs.Span(ctx, "experiments.fig3")
-	defer end()
+	defer obs.Time("experiments.fig3")()
 	if len(corners) == 0 {
 		corners = core.Fig3Corners()
 	}
@@ -138,8 +137,7 @@ func table3SweepName(lab *Lab) string {
 // them to the lanes still simulating. Sharding is bit-identical, so the
 // cells do not change.
 func Table3Run(ctx context.Context, lab *Lab, cfg runner.Config) ([]Table3Cell, *runner.Report, error) {
-	ctx, end := obs.Span(ctx, "experiments.table3")
-	defer end()
+	defer obs.Time("experiments.table3")()
 	if cfg.Name == "" {
 		cfg.Name = table3SweepName(lab)
 	}
@@ -252,8 +250,7 @@ func table3ForFU(ctx context.Context, lab *Lab, fu circuits.FU, opts core.Charac
 // semantics for the learning-method comparison. The lone cell gets the
 // whole machine's shards.
 func Table2Run(ctx context.Context, lab *Lab, cfg runner.Config) ([]core.MethodResult, *runner.Report, error) {
-	ctx, end := obs.Span(ctx, "experiments.table2")
-	defer end()
+	defer obs.Time("experiments.table2")()
 	fu := lab.Scale.fus()[0]
 	for _, f := range lab.Scale.fus() {
 		if f == circuits.FPAdd32 {

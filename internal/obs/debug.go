@@ -8,15 +8,12 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"time"
-
-	"tevot/internal/obs/trace"
 )
 
 // DebugServer is the live window into a running CLI: Prometheus
-// exposition, traces, pprof, runtime vars, and a JSON progress view,
-// served on the -debug-addr listener. It is read-only and intended for
-// localhost / trusted-network use, exactly like net/http/pprof's
-// default wiring.
+// exposition, pprof, runtime vars, and a JSON progress view, served on
+// the -debug-addr listener. It is read-only and intended for localhost
+// / trusted-network use, exactly like net/http/pprof's default wiring.
 //
 // Routes:
 //
@@ -24,7 +21,6 @@ import (
 //	/progress     — live progress JSON (runner counters + ETA)
 //	/metrics      — Prometheus exposition format 0.0.4 (every registry
 //	                metric, stage latencies included)
-//	/debug/traces — trace store (list; ?id=<hex> renders one trace)
 //	/debug/vars   — Go runtime vars (memstats, cmdline)
 //	/debug/pprof  — CPU/heap/goroutine profiles for `go tool pprof`
 type DebugServer struct {
@@ -53,13 +49,12 @@ func ServeDebug(addr string, progress func() any) (*DebugServer, error) {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintf(w, "tevot debug endpoint\n\n/progress\n/metrics\n/debug/traces\n/debug/vars\n/debug/pprof/\n")
+		fmt.Fprintf(w, "tevot debug endpoint\n\n/progress\n/metrics\n/debug/vars\n/debug/pprof/\n")
 	})
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, progress())
 	})
 	mux.Handle("/metrics", PromHandler(nil))
-	mux.Handle("/debug/traces", trace.DefaultHandler())
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

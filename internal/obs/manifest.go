@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"time"
-
-	"tevot/internal/obs/trace"
 )
 
 // ManifestFS is the slice of filesystem behaviour the manifest writer
@@ -90,10 +88,6 @@ type Manifest struct {
 	// Notes carries per-command extras (e.g. the final sweep report).
 	Notes   map[string]any   `json:"notes,omitempty"`
 	Metrics RegistrySnapshot `json:"metrics"`
-	// Traces is the trace store's final flush: every retained trace,
-	// including partial ones from an interrupted run — a run killed
-	// mid-stage still records which spans were open and for how long.
-	Traces []trace.Summary `json:"traces,omitempty"`
 }
 
 // write finalizes the snapshots and writes the manifest atomically
@@ -103,9 +97,6 @@ func (m *Manifest) write(path string) error {
 	m.End = time.Now()
 	m.DurationSec = m.End.Sub(m.Start).Seconds()
 	m.Metrics = DefaultSnapshot()
-	if st := trace.Default().Store(); st != nil {
-		m.Traces = st.Summaries()
-	}
 
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {

@@ -1,13 +1,10 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"math"
 	"sync"
 	"testing"
-
-	"tevot/internal/obs/trace"
 )
 
 func TestCounter(t *testing.T) {
@@ -152,25 +149,6 @@ func TestMetricsHotPathAllocs(t *testing.T) {
 	v := 0.0
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(v); v += 0.01 }); n != 0 {
 		t.Errorf("Histogram.Observe allocates %v per op, want 0", n)
-	}
-	// Disabled-tracer span creation is on the same hot paths (obs.Span
-	// in the characterize loop, trace.Child in serve/dist): with no
-	// tracer installed and no span in the context it must stay free.
-	prev := trace.Default()
-	trace.SetDefault(nil)
-	defer trace.SetDefault(prev)
-	ctx := context.Background()
-	if n := testing.AllocsPerRun(1000, func() {
-		_, sp := trace.Child(ctx, "hot")
-		sp.End()
-	}); n != 0 {
-		t.Errorf("disabled trace.Child allocates %v per op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() {
-		_, sp := trace.Root(ctx, "hot")
-		sp.End()
-	}); n != 0 {
-		t.Errorf("disabled trace.Root allocates %v per op, want 0", n)
 	}
 }
 

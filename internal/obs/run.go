@@ -6,11 +6,9 @@ import (
 	"log/slog"
 	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
-	"tevot/internal/obs/trace"
 	"tevot/internal/prof"
 )
 
@@ -21,7 +19,6 @@ import (
 //	-debug-addr host:port              live debug endpoint (":0" = any port)
 //	-run-json path                     run manifest destination ("" disables)
 //	-cpuprofile / -memprofile path     pprof outputs, folded into the manifest
-//	-trace on|off|N                    request-scoped tracing (N = trace-store size)
 type Flags struct {
 	LogLevel   string
 	LogFormat  string
@@ -29,7 +26,6 @@ type Flags struct {
 	RunJSON    string
 	CPUProfile string
 	MemProfile string
-	Trace      string
 
 	fs *flag.FlagSet
 }
@@ -40,28 +36,11 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{fs: fs}
 	fs.StringVar(&f.LogLevel, "log-level", "info", "log threshold: debug, info, warn, error")
 	fs.StringVar(&f.LogFormat, "log-format", "text", "log encoding: text or json")
-	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve /metrics, /progress, /debug/traces and /debug/pprof on this address (\":0\" picks a port)")
+	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve /metrics, /progress and /debug/pprof on this address (\":0\" picks a port)")
 	fs.StringVar(&f.RunJSON, "run-json", "run.json", "write the run manifest to this file (\"\" disables)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file")
-	fs.StringVar(&f.Trace, "trace", "on", "request-scoped tracing: on, off, or a trace-store size (traces retained)")
 	return f
-}
-
-// ParseTraceSetting parses the -trace flag value: "on" (default store
-// size), "off" (tracing disabled), or a positive integer store size.
-func ParseTraceSetting(v string) (enabled bool, storeSize int, err error) {
-	switch v {
-	case "", "on":
-		return true, trace.DefaultRecent, nil
-	case "off":
-		return false, 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n <= 0 {
-		return false, 0, fmt.Errorf("obs: -trace must be on, off, or a positive store size (got %q)", v)
-	}
-	return true, n, nil
 }
 
 // Run is one CLI invocation's observability lifecycle: logging
@@ -90,15 +69,6 @@ type Run struct {
 func (f *Flags) Start(command string, seed int64, progress func() any) (*Run, error) {
 	if err := SetupLogging(f.LogLevel, f.LogFormat, nil); err != nil {
 		return nil, err
-	}
-	traceOn, traceCap, err := ParseTraceSetting(f.Trace)
-	if err != nil {
-		return nil, err
-	}
-	if traceOn {
-		trace.SetDefault(trace.New(seed, trace.NewStore(traceCap, 0)))
-	} else {
-		trace.SetDefault(nil)
 	}
 	ps, err := prof.Start(f.CPUProfile, f.MemProfile)
 	if err != nil {

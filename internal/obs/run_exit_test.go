@@ -1,30 +1,24 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"tevot/internal/obs/trace"
 )
 
-// Satellite audit of the Run exit paths: a run that dies mid-stage
-// (panic unwinding through `defer run.Close()`) must still write a
-// manifest carrying the final metrics snapshot AND the trace store's
-// partial spans — the same sync.Once guarantee profiles already have.
+// A run that dies mid-stage (panic unwinding through
+// `defer run.Close()`) must still write a manifest carrying the final
+// metrics snapshot, with the stage spans that ended before the crash —
+// the same sync.Once guarantee profiles already have.
 func TestManifestCarriesPartialSpansOnPanic(t *testing.T) {
 	resetLogging(t)
-	prevTracer := trace.Default()
-	defer trace.SetDefault(prevTracer)
-
 	dir := t.TempDir()
 	manifest := filepath.Join(dir, "run.json")
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	f := RegisterFlags(fs)
-	if err := fs.Parse([]string{"-run-json", manifest, "-log-level", "error", "-trace", "32"}); err != nil {
+	if err := fs.Parse([]string{"-run-json", manifest, "-log-level", "error"}); err != nil {
 		t.Fatal(err)
 	}
 	run, err := f.Start("obstest", 11, nil)
@@ -32,16 +26,13 @@ func TestManifestCarriesPartialSpansOnPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var id string
 	func() {
 		defer run.Close() // the CLI-side defer that must not be skipped
 		defer func() { recover() }()
 
-		ctx, root := trace.Root(context.Background(), "sweep.cell")
-		id = root.TraceID().String()
-		root.Annotate("cell", "INT_ADD/sobel")
-		// Mid-stage: the stage span is open, never ended.
-		_, _ = Span(ctx, "dta.simulate")
+		Time("exit_test.done")()
+		// Mid-stage: this span is open, never ended.
+		_ = Time("exit_test.open")
 		NewCounter("exit_test.cycles").Add(777)
 		panic("simulated mid-stage crash")
 	}()
@@ -57,65 +48,10 @@ func TestManifestCarriesPartialSpansOnPanic(t *testing.T) {
 	if m.Metrics.Counters["exit_test.cycles"] != 777 {
 		t.Errorf("final metrics snapshot missing: %v", m.Metrics.Counters)
 	}
-	found := false
-	for _, tr := range m.Traces {
-		if tr.ID == id {
-			found = true
-			if tr.State != "active" {
-				t.Errorf("interrupted trace state %q, want active", tr.State)
-			}
-			if tr.Spans != 2 {
-				t.Errorf("interrupted trace has %d spans, want 2 (root + open stage)", tr.Spans)
-			}
-			if tr.Name != "sweep.cell" {
-				t.Errorf("trace name %q", tr.Name)
-			}
-		}
+	if h := m.Metrics.Histograms["stage.exit_test.done.seconds"]; h.Count != 1 {
+		t.Errorf("stage ended before the crash: count %d in the manifest, want 1", h.Count)
 	}
-	if !found {
-		t.Fatalf("manifest traces do not include the interrupted trace %s: %+v", id, m.Traces)
-	}
-
-	// The full span tree (with the un-ended dta.simulate child) is
-	// still retrievable from the store the manifest flushed.
-	rec, ok := trace.Default().Store().Get(id)
-	if !ok {
-		t.Fatal("partial trace evicted from store")
-	}
-	if !rec.Partial {
-		t.Error("interrupted trace not marked partial")
-	}
-	if len(rec.Roots) != 1 || len(rec.Roots[0].Children) != 1 ||
-		rec.Roots[0].Children[0].Name != "dta.simulate" {
-		t.Errorf("partial span tree wrong: %+v", rec.Roots)
-	}
-}
-
-func TestParseTraceSetting(t *testing.T) {
-	cases := []struct {
-		in      string
-		on      bool
-		size    int
-		wantErr bool
-	}{
-		{"on", true, trace.DefaultRecent, false},
-		{"", true, trace.DefaultRecent, false},
-		{"off", false, 0, false},
-		{"64", true, 64, false},
-		{"0", false, 0, true},
-		{"-5", false, 0, true},
-		{"banana", false, 0, true},
-	}
-	for _, c := range cases {
-		on, size, err := ParseTraceSetting(c.in)
-		if c.wantErr {
-			if err == nil {
-				t.Errorf("ParseTraceSetting(%q): no error", c.in)
-			}
-			continue
-		}
-		if err != nil || on != c.on || size != c.size {
-			t.Errorf("ParseTraceSetting(%q) = (%v,%v,%v), want (%v,%v)", c.in, on, size, err, c.on, c.size)
-		}
+	if h := m.Metrics.Histograms["stage.exit_test.open.seconds"]; h.Count != 0 {
+		t.Errorf("stage open at the crash: count %d in the manifest, want 0", h.Count)
 	}
 }

@@ -1,14 +1,10 @@
 package obs
 
 import (
-	"context"
-	"math"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"tevot/internal/obs/trace"
 )
 
 // The default registry has no reset hook, so every span test reads a
@@ -22,7 +18,7 @@ func TestSpanAggregates(t *testing.T) {
 	h := stageHist("test.stage")
 	n0, sum0 := h.Count(), h.Sum()
 	for i := 0; i < 3; i++ {
-		_, end := Span(context.Background(), "test.stage")
+		end := Time("test.stage")
 		time.Sleep(time.Millisecond)
 		end()
 	}
@@ -35,16 +31,6 @@ func TestSpanAggregates(t *testing.T) {
 	}
 	if h.Max() < 0.001 || h.Max() > h.Sum() {
 		t.Errorf("inconsistent aggregates: max %v, sum %v", h.Max(), h.Sum())
-	}
-}
-
-func TestSpanContextUnchanged(t *testing.T) {
-	type key struct{}
-	ctx := context.WithValue(context.Background(), key{}, "v")
-	out, end := Span(ctx, "test.ctx")
-	end()
-	if out.Value(key{}) != "v" {
-		t.Fatal("Span dropped context values")
 	}
 }
 
@@ -105,46 +91,12 @@ func TestSpanConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
-				_, end := Span(context.Background(), "test.conc")
-				end()
+				Time("test.conc")()
 			}
 		}()
 	}
 	wg.Wait()
 	if got := h.Count() - n0; got != 8*200 {
 		t.Fatalf("Count delta = %d, want %d", got, 8*200)
-	}
-}
-
-// TestSpanTraceAndHistogramAgree pins that one Span call feeds the
-// trace tree and the stage histogram the same wall time.
-func TestSpanTraceAndHistogramAgree(t *testing.T) {
-	prev := trace.Default()
-	defer trace.SetDefault(prev)
-	store := trace.NewStore(0, 0)
-	trace.SetDefault(trace.New(1, store))
-
-	h := stageHist("test.traced")
-	sum0 := h.Sum()
-	ctx, root := trace.Root(context.Background(), "test.root")
-	_, end := Span(ctx, "test.traced")
-	time.Sleep(20 * time.Millisecond)
-	end()
-	root.End()
-	histMS := (h.Sum() - sum0) * 1e3
-
-	rec, ok := store.Get(root.TraceID().String())
-	if !ok {
-		t.Fatal("trace not in store")
-	}
-	if len(rec.Roots) != 1 || len(rec.Roots[0].Children) != 1 {
-		t.Fatalf("trace shape = %+v, want one root with one child", rec)
-	}
-	child := rec.Roots[0].Children[0]
-	if child.Name != "test.traced" || !child.Ended {
-		t.Fatalf("child span = %+v, want an ended test.traced", child)
-	}
-	if math.Abs(child.DurationMS-histMS) > 1 {
-		t.Errorf("trace child %.3f ms, histogram sum delta %.3f ms: differ by more than 1 ms", child.DurationMS, histMS)
 	}
 }

@@ -65,7 +65,7 @@ func (e *CellError) Error() string {
 
 func (e *CellError) Unwrap() error { return e.Err }
 
-// DefaultClassify is the retry policy used when Config.Classify is nil:
+// DefaultClassify is the runner's retry policy:
 //
 //   - TransientError and deadline overruns are Transient (the next
 //     attempt may land on a less loaded machine or a longer budget);

@@ -61,15 +61,10 @@ type Config struct {
 	// checkpointing). Resume loads it first and skips completed cells.
 	Checkpoint string
 	Resume     bool
-	// Classify decides whether a failure is retryable; nil means
-	// DefaultClassify.
-	Classify func(error) Class
 	// Inject, when non-nil, is consulted before every attempt; a non-nil
 	// return fails the attempt with that error. Used for deterministic
 	// fault injection in tests.
 	Inject FaultFn
-	// Logf receives progress lines (retries, failures); nil is silent.
-	Logf func(format string, args ...any)
 }
 
 func (c Config) withDefaults() Config {
@@ -84,12 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 5 * time.Second
-	}
-	if c.Classify == nil {
-		c.Classify = DefaultClassify
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
@@ -224,7 +213,6 @@ func Run[R any](ctx context.Context, cfg Config, tasks []Task[R]) (map[string]R,
 		todo = append(todo, t)
 	}
 	if rep.Resumed > 0 {
-		cfg.Logf("resumed %d/%d cells from %s", rep.Resumed, rep.Total, cfg.Checkpoint)
 		log.Info("resumed from checkpoint", "sweep", cfg.Name,
 			"resumed", rep.Resumed, "total", rep.Total, "checkpoint", cfg.Checkpoint)
 	}
@@ -290,10 +278,8 @@ func Run[R any](ctx context.Context, cfg Config, tasks []Task[R]) (map[string]R,
 			rep.SlowestKey, rep.SlowestDur = r.key, r.dur
 		}
 		if r.err != nil {
-			ce := &CellError{Key: r.key, Attempts: r.attempts, Err: r.err}
 			rep.Failed++
-			rep.Failures = append(rep.Failures, ce)
-			cfg.Logf("%v", ce)
+			rep.Failures = append(rep.Failures, &CellError{Key: r.key, Attempts: r.attempts, Err: r.err})
 			log.Warn("cell failed", "sweep", cfg.Name, "cell", r.key,
 				"attempts", r.attempts, "err", r.err)
 			continue
@@ -307,7 +293,6 @@ func Run[R any](ctx context.Context, cfg Config, tasks []Task[R]) (map[string]R,
 			}
 			if err != nil {
 				infraErr = fmt.Errorf("runner: writing checkpoint %s: %w", cfg.Checkpoint, err)
-				cfg.Logf("%v — continuing without checkpointing", infraErr)
 				log.Error("checkpoint write failed; continuing without checkpointing",
 					"sweep", cfg.Name, "checkpoint", cfg.Checkpoint, "err", err)
 			}
@@ -363,13 +348,12 @@ func execute[R any](ctx context.Context, cfg Config, t Task[R], st *progressStat
 		} else if errors.Is(err, context.DeadlineExceeded) {
 			mTimeouts.Inc()
 		}
-		if ctx.Err() != nil || attempt >= cfg.Retries || cfg.Classify(err) != Transient {
+		if ctx.Err() != nil || attempt >= cfg.Retries || DefaultClassify(err) != Transient {
 			return finish(cellResult[R]{key: t.Key, attempts: attempt + 1, err: lastErr})
 		}
 		mRetries.Inc()
 		st.retried.Add(1)
 		d := backoffDelay(cfg, t.Key, attempt)
-		cfg.Logf("cell %s attempt %d failed (%v); retrying in %v", t.Key, attempt+1, err, d)
 		obs.Logger("runner").Debug("retrying cell", "sweep", cfg.Name, "cell", t.Key,
 			"attempt", attempt+1, "backoff", d, "err", err)
 		if !sleepCtx(ctx, d) {

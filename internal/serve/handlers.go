@@ -55,10 +55,8 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("/metrics", obs.PromHandler(nil))
 	// Panic isolation via the shared middleware (middleware.go); the
 	// coalescer admission for /v1/predict stays inside handlePredict
-	// because shedding happens after validation there. Traced sits
-	// inside Recover so a panicking traced request still ends cleanly,
-	// and roots a trace per request (the serving SLO exemplar source).
-	return Recover("serve", mPanics.Inc, Traced("serve", false, mux))
+	// because shedding happens after validation there.
+	return Recover("serve", mPanics.Inc, mux)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -6,7 +6,6 @@ import (
 	"runtime/debug"
 
 	"tevot/internal/obs"
-	"tevot/internal/obs/trace"
 )
 
 // Reusable HTTP building blocks. The prediction server below and the
@@ -18,7 +17,7 @@ import (
 // Recover converts a handler-goroutine panic into a 500 plus a log line
 // and an optional callback (metrics) instead of a dead connection:
 // net/http would recover the panic anyway, but only after killing the
-// connection, and without a trace of it in the serving metrics.
+// connection, and without a record of it in the serving metrics.
 func Recover(component string, onPanic func(), next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
@@ -35,52 +34,6 @@ func Recover(component string, onPanic func(), next http.Handler) http.Handler {
 		}()
 		next.ServeHTTP(w, r)
 	})
-}
-
-// Traced runs each request under a trace span on the process-default
-// tracer. A request carrying a traceparent header joins the caller's
-// trace (that is how a worker's cell span reaches the coordinator);
-// otherwise a new trace is rooted — unless joinOnly is set, which is
-// the coordinator's flood control: lease polls from untraced clients
-// should not each mint a trace. With no tracer installed the wrapper
-// is a pass-through with zero allocations beyond the closure call.
-func Traced(component string, joinOnly bool, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var sp *trace.Span
-		ctx := r.Context()
-		if id, parent, ok := trace.ParseHeader(r.Header.Get(trace.Header)); ok {
-			ctx, sp = trace.Join(ctx, "http "+r.URL.Path, id, parent)
-		} else if !joinOnly {
-			ctx, sp = trace.Root(ctx, "http "+r.URL.Path)
-		}
-		if sp == nil {
-			next.ServeHTTP(w, r)
-			return
-		}
-		defer sp.End()
-		sp.Annotate("component", component)
-		sp.Annotate("method", r.Method)
-		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r.WithContext(ctx))
-		if sw.status != 0 {
-			sp.Annotate("status", fmt.Sprint(sw.status))
-		}
-	})
-}
-
-// statusWriter records the first status code written. The handlers
-// behind Traced use plain Write/WriteHeader (no hijacking/flushing),
-// so the thin wrapper loses nothing.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
 }
 
 // Limit caps concurrent in-flight requests at n; excess requests are

@@ -23,7 +23,7 @@ sh scripts/lintobs.sh
 echo "== observability smoke: -debug-addr endpoint + run manifest"
 go test -run 'TestDebugEndpointSmoke' ./cmd/tevot-sweep
 
-echo "== metrics exposition smoke: /metrics strict-parses mid-run, tracing on"
+echo "== metrics exposition smoke: /metrics strict-parses mid-run"
 go test -run 'TestMetricsExpositionSmoke' ./cmd/tevot-sweep
 
 echo "== serve smoke: boot, predict, shed under tiny queue, corrupt reload, SIGTERM drain"
@@ -54,8 +54,8 @@ go test -run 'TestMemoHitRateImagingStreams|TestMemoDropOnRandomStreams' ./inter
 echo "== tail labelling: re-simulating only the cycles that reach the clock equals full labelling, every FU"
 go test -run 'TestLabel' ./internal/core
 
-echo "== paper goldens: Table III cells, Table IV points, Fig. 4 PSNRs"
-go test -run 'TestTable3SmallRun|TestTable4AndFig4Small' ./internal/experiments
+echo "== paper goldens: Fig. 3 rows, Table II accuracies, Table III cells, Table IV points, Fig. 4 PSNRs"
+go test -run 'TestFig3ShapeAndPhysics|TestTable2SmallRun|TestTable3SmallRun|TestTable4AndFig4Small' ./internal/experiments
 
 echo "== forest fit: binned split search reproduces the pinned forests, per-worker scratch (race)"
 go test -race -run 'TestForestFitDigests|TestForestDeterministicAcrossWorkerCounts' ./internal/ml
@@ -66,7 +66,7 @@ go test -race -short -run \
 	./internal/core
 
 echo "== distributed sweep: local cluster under race, kills + forced expiry, fleet telemetry"
-go test -race -run 'TestLocalClusterByteIdentical|TestCoordinatorResumesFromJournal|TestClusterTelemetryAndTracing' ./internal/dist
+go test -race -run 'TestLocalClusterByteIdentical|TestCoordinatorResumesFromJournal|TestClusterTelemetry' ./internal/dist
 
 echo "== distributed sweep smoke: real processes, SIGKILL a worker mid-run"
 sh scripts/cluster_smoke.sh
