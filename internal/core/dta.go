@@ -18,10 +18,17 @@ import (
 // per cycle — TestMetricsHotPathAllocs pins the primitive at 0 allocs,
 // and BenchmarkCharacterizeParallel gates the cost); a characterization
 // merges events once per shard, Label adds them per re-simulated cycle.
-// The simulate/merge/label spans feed the stage.dta.* histograms.
+// Both count the cycles and events memo hits replay. The cascade
+// counters count only what the event kernel ran (sim.Runner's
+// CascadeStats: memo misses, and every cycle once the memo is off),
+// flushed once per characterization and per Label, so with
+// stage.dta.simulate.seconds they price a simulated event. The
+// simulate/merge/label spans feed the stage.dta.* histograms.
 var (
 	mCyclesSimulated = obs.NewCounter("core.cycles_simulated")
 	mSimEvents       = obs.NewCounter("core.sim_events")
+	mCascadeCycles   = obs.NewCounter("sim.cascade_cycles")
+	mCascadeEvents   = obs.NewCounter("sim.cascade_events")
 
 	// Transition-memo accounting, merged once per characterization from
 	// the per-shard runners; the gauge tracks the latest run's mean
@@ -252,6 +259,7 @@ func CharacterizeOptsContext(ctx context.Context, u *FUnit, corner cells.Corner,
 	endSim := obs.Time("dta.simulate")
 	err = runShards(shards, func(sh *shard) error { return sh.simulate(ctx, s, clocks, tr) })
 	endSim()
+	flushCascade(shards)
 	if err != nil {
 		return nil, err
 	}
@@ -297,6 +305,16 @@ type shard struct {
 	events   int
 	maxDelay float64
 	memo     sim.MemoStats // the memo's counters when the shard dropped it or ended
+}
+
+// flushCascade adds the shards' event-kernel cycles and events to the
+// sim.cascade_* counters.
+func flushCascade(shards []shard) {
+	for _, sh := range shards {
+		c, e := sh.r.CascadeStats()
+		mCascadeCycles.Add(c)
+		mCascadeEvents.Add(e)
+	}
 }
 
 // newShards splits n cycles into opts.shardCount(n) contiguous shards
@@ -503,6 +521,7 @@ func Label(ctx context.Context, u *FUnit, tr *Trace, clocks []float64, opts Char
 		}
 		return nil
 	})
+	flushCascade(shards)
 	if err != nil {
 		return nil, err
 	}

@@ -136,3 +136,39 @@ func TestMemoDropOnRandomStreams(t *testing.T) {
 		}
 	}
 }
+
+// TestCascadeCounters pins the per-tier counters: sim.cascade_cycles
+// counts the cycles the event kernel ran, so with the memo hits it makes
+// up a characterization's cycles, and on a random stream, where the memo
+// never hits, sim.cascade_events is the trace's event total.
+func TestCascadeCounters(t *testing.T) {
+	corner := cells.Corner{V: 0.90, T: 25}
+	u, err := NewFUnit(circuits.IntMul32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		stream *workload.Stream
+	}{
+		{"sobel", recordAppStream(t, inject.SobelApp, circuits.IntMul32, 600)},
+		{"random", workload.Random(false, memoProbeCycles+100, 3)},
+	} {
+		c0, e0 := mCascadeCycles.Value(), mCascadeEvents.Value()
+		tr, err := CharacterizeOpts(u, corner, tc.stream, nil, CharacterizeOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles, events := mCascadeCycles.Value()-c0, mCascadeEvents.Value()-e0
+		if cycles+tr.MemoHits != int64(tr.Cycles()) {
+			t.Errorf("%s: %d cascade cycles + %d memo hits != %d cycles", tc.name, cycles, tr.MemoHits, tr.Cycles())
+		}
+		switch {
+		case tc.name == "sobel" && (tr.MemoHits == 0 || events >= int64(tr.Events)):
+			t.Errorf("sobel: %d memo hits, %d cascade events of %d; hits must replay events the kernel did not run",
+				tr.MemoHits, events, tr.Events)
+		case tc.name == "random" && events != int64(tr.Events):
+			t.Errorf("random: %d cascade events, trace has %d", events, tr.Events)
+		}
+	}
+}

@@ -2,18 +2,26 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"tevot/internal/cells"
+	"tevot/internal/circuits"
 	"tevot/internal/core"
+	"tevot/internal/imaging"
+	"tevot/internal/inject"
+	"tevot/internal/workload"
 )
 
 // update rewrites the golden files instead of comparing against them:
 //
-//	go test -run 'TestFig3ShapeAndPhysics|TestTable2SmallRun|TestTable3SmallRun|TestTable4AndFig4Small' ./internal/experiments -update
+//	go test -run 'TestFig3ShapeAndPhysics|TestTable2SmallRun|TestTable3SmallRun|TestTable4AndFig4Small|TestDTADigest' ./internal/experiments -update
 //
 // A golden diff changes a paper-facing number; say why in CHANGES.md.
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -97,4 +105,78 @@ func table4Golden(rows []Table4Row, fig4 []Fig4Output) []byte {
 		fmt.Fprintf(&b, "fig4 %s %v\n", o.Model, o.PSNR)
 	}
 	return b.Bytes()
+}
+
+// TestDTADigest pins the gate-level simulator's output per FU: one
+// fixed-seed characterization of a random stream on each of the four
+// units, plus an INT_MUL Sobel stream on which the memo hits and the
+// bitslice windows re-settle, each hashed by dtaDigest. A kernel
+// rewrite must leave every line unchanged.
+func TestDTADigest(t *testing.T) {
+	corner := cells.Corner{V: 0.85, T: 50}
+	type dtaCase struct {
+		name   string
+		fu     circuits.FU
+		stream *workload.Stream
+	}
+	var cases []dtaCase
+	for _, fu := range circuits.AllFUs {
+		cases = append(cases, dtaCase{"random", fu, workload.Random(fu.IsFloat(), 321, 17)})
+	}
+	rec := inject.NewRecording(600)
+	for _, img := range imaging.SyntheticSet(2, 16, 16) {
+		inject.SobelApp.Run(img, rec)
+	}
+	sobel, err := rec.Stream(circuits.IntMul32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, dtaCase{"sobel", circuits.IntMul32, sobel})
+
+	var b bytes.Buffer
+	for _, c := range cases {
+		u, err := core.NewFUnit(c.fu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		static, err := u.Static(corner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clocks := []float64{0.5 * static.Delay, 0.7 * static.Delay, 0.9 * static.Delay}
+		// One shard: a random stream runs past the memo probe and drops
+		// the memo; the Sobel stream keeps it and its windows.
+		tr, err := core.CharacterizeOpts(u, corner, c.stream, clocks, core.CharacterizeOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.name == "sobel" && (tr.MemoHits == 0 || tr.SliceWindows == 0) {
+			t.Fatalf("sobel stream ran %d memo hits and %d windows; the case must exercise both", tr.MemoHits, tr.SliceWindows)
+		}
+		fmt.Fprintf(&b, "%v %s v=%v t=%v cycles=%d %s\n", c.fu, c.name, corner.V, corner.T, tr.Cycles(), dtaDigest(tr))
+	}
+	checkGolden(t, "dta_small.golden", b.Bytes())
+}
+
+// dtaDigest is a SHA-256 over a trace's delay bits, its event total and
+// its error verdicts at each clock, in hex.
+func dtaDigest(tr *core.Trace) string {
+	h := sha256.New()
+	var w [8]byte
+	for _, d := range tr.Delays {
+		binary.LittleEndian.PutUint64(w[:], math.Float64bits(d))
+		h.Write(w[:])
+	}
+	binary.LittleEndian.PutUint64(w[:], uint64(tr.Events))
+	h.Write(w[:])
+	for _, errs := range tr.Errors {
+		for _, e := range errs {
+			if e {
+				h.Write([]byte{1})
+			} else {
+				h.Write([]byte{0})
+			}
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }

@@ -15,20 +15,21 @@ import (
 //
 // The window serves the memo cache's miss path. After a memo hit the
 // Runner's event state (val, and the fast kernel's packed per-gate
-// input bitsets) still reflects an older vector; a subsequent miss must
-// re-settle before simulating. Without a window that settle is a full
-// zero-delay re-evaluation (Netlist.EvalInto) plus a complete
-// input-bitset rebuild — O(gates) LUT work per miss. With a window the
-// settle becomes pure bit extraction: flip exactly the nets whose lane
-// bits differ between the settled-at position and the target position,
-// fixing each reading gate's packed inputs with the same XOR-per-edge
-// walk the event kernel uses. Nets whose lane is constant across the
-// window are dropped from the dirty list up front, and gates reading
-// only constant-lane nets are pruned from the prepass entirely — the
-// SliceStats pruned-gate counters quantify how much of the netlist the
-// window proves cold. (Event scheduling itself is untouched: a cycle
-// that misses the cache still processes its exact event set, which is
-// what keeps memo-on results bit-identical.)
+// input bitsets and per-net projected bits) still reflects an older
+// vector; a subsequent miss must re-settle before simulating. Without
+// a window that settle is a full zero-delay re-evaluation
+// (Netlist.EvalInto) plus a complete input-bitset rebuild — O(gates)
+// LUT work per miss. With a window the settle becomes pure bit
+// extraction: flip exactly the nets whose lane bits differ between
+// the settled-at position and the target position, fixing each
+// reading gate's packed inputs with the same XOR-per-edge walk the
+// event kernel uses. Nets whose lane is constant across the window
+// are dropped from the dirty list up front, and gates reading only
+// constant-lane nets are pruned from the prepass entirely — the
+// SliceStats pruned-gate counters quantify how much of the netlist
+// the window proves cold. (Event scheduling itself is untouched: a
+// cycle that misses the cache still processes its exact event set,
+// which is what keeps memo-on results bit-identical.)
 //
 // The prepass is exact, not approximate: zero-delay settled values are
 // free of timing, so evaluating 64 vectors as 64 bit-lanes through the
@@ -165,7 +166,7 @@ func (r *Runner) BeginWindow(vecs [][]bool) error {
 		if n := csr.GateIn[base+2]; n >= 0 {
 			in2 = lanes[n]
 		}
-		lut := r.lut[gi]
+		lut := r.gates[gi].lut
 		var out uint64
 		for m := uint8(0); m < 8; m++ {
 			if lut>>m&1 == 0 {
@@ -207,8 +208,9 @@ func (r *Runner) BeginWindow(vecs [][]bool) error {
 		}
 	}
 
-	// Pruned-gate accounting: gates none of whose input nets are dirty.
-	r.curStamp++
+	// Pruned-gate accounting: gates none of whose input nets are dirty,
+	// counted once each through a fresh visit stamp.
+	r.newBatch()
 	active := 0
 	for _, net := range s.dirty {
 		for e := csr.FanoutStart[net]; e < csr.FanoutStart[net+1]; e++ {
@@ -298,13 +300,14 @@ func (r *Runner) sliceSettle(target int) {
 	s.valPos = target
 }
 
-// xorFan fixes each reading gate's packed input bitset after val[net]
-// flipped outside event processing — the settle-time counterpart of
-// fanout, without batch marking.
+// xorFan fixes each reading gate's packed input bitset, and the net's
+// projected bit, after val[net] flipped outside event processing — the
+// settle-time counterpart of fanout, without batch marking.
 func (r *Runner) xorFan(net netlist.NetID) {
+	r.ng[net] ^= 1
 	csr := r.csr
 	for e := csr.FanoutStart[net]; e < csr.FanoutStart[net+1]; e++ {
 		edge := csr.FanoutEdges[e]
-		r.inVal[edge>>2] ^= 1 << uint(edge&3)
+		r.gates[edge>>2].in ^= 1 << uint(edge&3)
 	}
 }

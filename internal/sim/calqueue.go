@@ -12,8 +12,9 @@ package sim
 // bucket holds 23 events on average on the imaging streams (p99 122)
 // and 49 on random vectors (max 316). sortCur therefore orders a
 // bucket in linear time: a counting-sort spread over equal slices of
-// the bucket's span, then an insertion sort that only fixes order
-// inside each slice.
+// the bucket's span into a scratch buffer that then takes the bucket's
+// place in the ring (see spread), then an insertion sort that only
+// fixes order inside each slice.
 //
 // Correctness rests on the bucket map b(t) = int64(t/width) being
 // non-decreasing in t with equal times sharing a bucket: the earliest
@@ -46,14 +47,14 @@ type calQueue struct {
 	pos    int   // consume position inside buckets[cur&mask]
 	sorted bool  // buckets[cur&mask] has been sorted and entered
 
-	count  int // all queued events, including later-cancelled ones
-	wheelN int // events currently in the wheel (count - len(over))
+	wheelN int // events in the wheel, including later-cancelled ones
 
 	over    []event // far-future overflow, unsorted
 	overMin int64   // earliest bucket present in over; valid when len(over) > 0
 
-	tmp []event // spread's scatter target
-	cnt []int32 // spread's per-slot counts (shifted by one), then slot cursors
+	tmp  []event // spread's scatter target, swapped with the bucket it sorts
+	slot []int32 // spread's slot per event
+	cnt  []int32 // spread's per-slot counts (shifted by one), then slot cursors
 }
 
 // maxBuckets caps the wheel so a pathological delay ratio cannot
@@ -79,7 +80,7 @@ func (q *calQueue) init(minD, maxD float64) {
 // reset empties the queue for a new cycle. Buckets were already
 // truncated to zero length as the previous cycle drained them.
 func (q *calQueue) reset() {
-	q.cur, q.pos, q.count, q.wheelN = 0, 0, 0, 0
+	q.cur, q.pos, q.wheelN = 0, 0, 0
 	q.sorted = false
 	q.over = q.over[:0]
 }
@@ -91,7 +92,6 @@ func (q *calQueue) bucketOf(t float64) int64 { return int64(t * q.invW) }
 // push enqueues an event.
 func (q *calQueue) push(e event) {
 	b := q.bucketOf(e.t)
-	q.count++
 	if b-q.cur > q.mask {
 		// Beyond the wheel horizon: overflow.
 		if len(q.over) == 0 || b < q.overMin {
@@ -137,7 +137,7 @@ func (q *calQueue) next() bool {
 		if len(b) > 0 {
 			q.buckets[q.cur&q.mask] = b[:0]
 		}
-		if q.count == 0 {
+		if q.wheelN == 0 && len(q.over) == 0 {
 			return false
 		}
 		q.pos = 0
@@ -166,7 +166,6 @@ func (q *calQueue) bucket() []event { return q.buckets[q.cur&q.mask] }
 func (q *calQueue) take() event {
 	e := q.buckets[q.cur&q.mask][q.pos]
 	q.pos++
-	q.count--
 	q.wheelN--
 	return e
 }
@@ -203,7 +202,7 @@ func (q *calQueue) migrate() {
 func (q *calQueue) sortCur() {
 	b := q.buckets[q.cur&q.mask]
 	if len(b) > 24 {
-		q.spread(b)
+		b = q.spread(b)
 	}
 	for i := 1; i < len(b); i++ {
 		e := b[i]
@@ -217,32 +216,50 @@ func (q *calQueue) sortCur() {
 }
 
 // spread counting-sorts the current bucket b into len(b) equal slices
-// of its time span, stably, through scratch that grows geometrically
-// and is reused across buckets and cycles. Only the insertion sort in
-// sortCur decides the order: a slot index that float rounding pushes
-// past either end is clamped, which can cost time but never order.
-func (q *calQueue) spread(b []event) {
+// of its time span, stably, and returns the result, which is now the
+// current bucket. Each event's slot is computed once. The events are
+// scattered into the scratch buffer, which then replaces the bucket in
+// the ring, and b's array becomes the scratch: no copy back. The swap
+// happens only when b's array is at least as large as the scratch, and
+// a smaller b is copied back instead, so the scratch never shrinks.
+// The scratch grows geometrically to hold the largest bucket spread so
+// far, so a bucket that receives it only outgrows it by setting a new
+// record, and the steady state allocates nothing. Only the insertion
+// sort in sortCur decides the order: a slot index that float rounding
+// pushes past either end is clamped, which can cost time but never
+// order.
+func (q *calQueue) spread(b []event) []event {
 	n := len(b)
 	if cap(q.tmp) < n {
-		c := max(n, 2*cap(q.tmp))
-		q.tmp = make([]event, c)
+		q.tmp = make([]event, max(n, 2*cap(q.tmp)))
+	}
+	if cap(q.slot) < n {
+		c := max(n, 2*cap(q.slot))
+		q.slot = make([]int32, c)
 		q.cnt = make([]int32, c+1)
 	}
-	tmp, cnt := q.tmp[:n], q.cnt[:n+1]
+	tmp, slot, cnt := q.tmp[:n], q.slot[:n], q.cnt[:n+1]
 	clear(cnt)
 	base, fn := float64(q.cur), float64(n)
-	for _, e := range b {
-		cnt[slotOf(e.t*q.invW-base, fn, n)+1]++
+	for i, e := range b {
+		k := slotOf(e.t*q.invW-base, fn, n)
+		slot[i] = int32(k)
+		cnt[k+1]++
 	}
 	for k := 1; k < n; k++ {
 		cnt[k] += cnt[k-1] // cnt[k] is now slot k's first index
 	}
-	for _, e := range b {
-		k := slotOf(e.t*q.invW-base, fn, n)
+	for i, e := range b {
+		k := slot[i]
 		tmp[cnt[k]] = e
 		cnt[k]++
 	}
-	copy(b, tmp)
+	if cap(b) < cap(q.tmp) {
+		copy(b, tmp)
+		return b
+	}
+	q.buckets[q.cur&q.mask], q.tmp = tmp, b[:0]
+	return tmp
 }
 
 // slotOf maps x, an event's offset into the bucket in bucket widths

@@ -153,7 +153,6 @@ func TestCalQueueRandomOrder(t *testing.T) {
 	for i, tt := range []float64{-1.5 * w / float64(n), -w / float64(n), w, w * (1 + 0.5/float64(n))} {
 		e := event{t: tt, net: netlist.NetID(i)}
 		q.buckets[0] = append(q.buckets[0], e)
-		q.count++
 		q.wheelN++
 		evs = append(evs, e)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -255,5 +256,57 @@ func TestKernelDiffExtremeDelayRatio(t *testing.T) {
 			}
 		}
 		runKernelDiff(t, nl, delays, seed+900, 20)
+	}
+}
+
+// TestKernelDiffStampWrap runs the fast kernel across the wrap of the
+// per-batch visit stamp against a reference runner far from it, on
+// equal gate delays so that most batches hold many events and go
+// through mark: a gate whose stamp happens to equal the wrapped value
+// must still be evaluated. Each start offset puts the wrap at another
+// batch of the run.
+func TestKernelDiffStampWrap(t *testing.T) {
+	nl, err := netlist.Random(netlist.RandomOptions{Inputs: 8, Gates: 200, Outputs: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delays := make([]float64, nl.NumGates())
+	for gi := range delays {
+		delays[gi] = 1
+	}
+	for off := uint32(1); off <= 40; off++ {
+		fast, err := NewRunner(nl, delays)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewRefRunner(nl, delays)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast.curStamp = math.MaxUint32 - off
+		rng := rand.New(rand.NewSource(5))
+		prev := make([]bool, len(nl.PrimaryInputs))
+		for cycle := 0; cycle < 10; cycle++ {
+			cur := make([]bool, len(prev))
+			for i := range cur {
+				cur[i] = rng.Intn(2) == 1
+			}
+			var prevArg []bool
+			if cycle == 0 {
+				prevArg = prev
+			}
+			fr, err := fast.Cycle(prevArg, cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rr, err := ref.Cycle(prevArg, cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareCycles(t, fmt.Sprintf("fast (stamp offset %d)", off), cycle, fr, rr)
+		}
+		if fast.curStamp > math.MaxUint32/2 {
+			t.Fatalf("offset %d: the stamp did not wrap (curStamp %d)", off, fast.curStamp)
+		}
 	}
 }

@@ -2,13 +2,17 @@ package sim
 
 import "tevot/internal/netlist"
 
-// event is one pending net transition.
+// event is one pending net transition, in 16 bytes: gv packs the
+// net's scheduling generation above the new value (gen<<1 | val). The
+// event is live while its generation is the net's current one.
 type event struct {
 	t   float64
 	net netlist.NetID
-	val bool
-	gen uint32 // must match gen[net] at pop time, else the event is dead
+	gv  uint32
 }
+
+// val is the value the event drives its net to.
+func (e event) val() bool { return e.gv&1 != 0 }
 
 // eventHeap is a binary min-heap on (t, net) implemented directly on a
 // slice to avoid interface dispatch in the simulator's hot loop. Ties on

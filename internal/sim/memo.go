@@ -33,11 +33,11 @@ import "encoding/binary"
 // DefaultMemoSize is the transition-cache entry cap EnableMemo applies
 // when the caller passes size <= 0. At 64 Ki transitions the cache
 // covers the repeat set of the imaging operand streams with room to
-// spare. An entry copies the cycle's toggles, so a full cache is large
-// on the toggle-heavy multipliers: measured on random streams, an
-// entry holds about 1.1 KB of live heap on INT_ADD, 1.4 KB on FP_ADD,
-// 7.5 KB on INT_MUL and 6.0 KB on FP_MUL, so 64 Ki entries are about
-// 72, 92, 490 and 390 MB, per Runner.
+// spare. An entry holds the cycle's toggle times, so a full cache is
+// large on the toggle-heavy multipliers: measured on workload.Random
+// streams, an entry holds about 0.48 KB of live heap on INT_ADD,
+// 0.98 KB on FP_ADD, 2.80 KB on INT_MUL and 2.87 KB on FP_MUL, so
+// 64 Ki entries are about 32, 64, 183 and 188 MB, per Runner.
 const DefaultMemoSize = 1 << 16
 
 // MemoStats is a point-in-time snapshot of a Runner's transition-cache
@@ -60,18 +60,21 @@ func (s MemoStats) HitRate() float64 {
 }
 
 // memoEntry is one cached transition outcome. Toggles are flattened
-// into one slice with per-output offsets so an entry costs two slice
-// headers instead of one per output.
+// into one slice of times with per-output offsets, so an entry costs
+// two slice headers instead of one per output. Their values are not
+// stored, nor the settled outputs: an output's toggles alternate
+// starting from its initial value and end at its settled one (every
+// applied event changes its net; TestTogglesAlternate), so rehydrate
+// rebuilds both from init.
 type memoEntry struct {
-	key     string // packed prev|cur vectors, raw little-endian bytes
-	delay   float64
-	events  int
-	init    []bool // output values at cycle start (settled at prev)
-	settled []bool
-	toggles []Toggle
-	togOff  []int32 // len(outputs)+1 offsets into toggles
-	prev    int32   // LRU links (entry indices; -1 terminates)
-	next    int32
+	key    string // packed prev|cur vectors, raw little-endian bytes
+	delay  float64
+	events int
+	init   []bool    // output values at cycle start (settled at prev)
+	times  []float64 // every output's toggle times, output by output
+	togOff []int32   // len(outputs)+1 offsets into times
+	prev   int32     // LRU links (entry indices; -1 terminates)
+	next   int32
 }
 
 // memoCache is the bounded LRU map from transition key to cycle record.
@@ -117,8 +120,10 @@ func (c *memoCache) lookup(key []byte) *memoEntry {
 // store records a just-simulated cycle under key, evicting the
 // least-recently-used entry (and reusing its storage) when full. Called
 // only on the miss path, so its allocations (the key string, the map
-// slot, first-use slice growth) are amortized against a full event
-// simulation.
+// slot, a new entry's slices) are amortized against a full event
+// simulation. Each slice is sized once: the toggle times take one
+// allocation of exactly the cycle's toggle count, or none when an
+// evicted entry's storage holds them.
 func (c *memoCache) store(key []byte, res *CycleResult, init []bool) {
 	var idx int32
 	if len(c.ents) < c.capEntries {
@@ -135,14 +140,25 @@ func (c *memoCache) store(key []byte, res *CycleResult, init []bool) {
 	e.delay = res.Delay
 	e.events = res.Events
 	e.init = append(e.init[:0], init...)
-	e.settled = append(e.settled[:0], res.Settled...)
-	e.toggles = e.toggles[:0]
+	n := 0
+	for _, ts := range res.Toggles {
+		n += len(ts)
+	}
+	if cap(e.times) < n {
+		e.times = make([]float64, n)
+	}
+	if e.togOff == nil {
+		e.togOff = make([]int32, 0, len(res.Toggles)+1)
+	}
+	e.times = e.times[:0]
 	e.togOff = e.togOff[:0]
 	for _, ts := range res.Toggles {
-		e.togOff = append(e.togOff, int32(len(e.toggles)))
-		e.toggles = append(e.toggles, ts...)
+		e.togOff = append(e.togOff, int32(len(e.times)))
+		for _, tg := range ts {
+			e.times = append(e.times, tg.T)
+		}
 	}
-	e.togOff = append(e.togOff, int32(len(e.toggles)))
+	e.togOff = append(e.togOff, int32(len(e.times)))
 	c.m[e.key] = idx
 	c.attachFront(idx)
 }
@@ -262,9 +278,13 @@ func (r *Runner) rehydrate(e *memoEntry) {
 	res := &r.res
 	res.Delay = e.delay
 	res.Events = e.events
-	copy(res.Settled, e.settled)
 	copy(r.initOut, e.init)
 	for i := range res.Toggles {
-		res.Toggles[i] = append(res.Toggles[i][:0], e.toggles[e.togOff[i]:e.togOff[i+1]]...)
+		ts, v := res.Toggles[i][:0], e.init[i]
+		for _, t := range e.times[e.togOff[i]:e.togOff[i+1]] {
+			v = !v
+			ts = append(ts, Toggle{t, v})
+		}
+		res.Toggles[i], res.Settled[i] = ts, v
 	}
 }

@@ -10,15 +10,15 @@ package sim
 
 // cycleRef runs one cycle's event processing with the heap kernel. The
 // caller (Runner.Cycle) has already settled val, reset the result, and
-// seeded proj/initOut.
+// seeded initOut.
 func (r *Runner) cycleRef(cur []bool) {
 	nl := r.nl
 	res := &r.res
 	r.heap = r.heap[:0]
+	copy(r.proj, r.val)
 
 	// Apply the new vector at t = 0 and seed the first gate batch.
-	r.curStamp++
-	r.batch = r.batch[:0]
+	r.newBatch()
 	for i, pi := range nl.PrimaryInputs {
 		if r.val[pi] != cur[i] {
 			r.val[pi] = cur[i]
@@ -41,23 +41,23 @@ func (r *Runner) cycleRef(cur []bool) {
 	// Event loop: drain strictly increasing time batches.
 	for len(r.heap) > 0 {
 		t := r.heap[0].t
-		r.curStamp++
-		r.batch = r.batch[:0]
+		r.newBatch()
 		for len(r.heap) > 0 && r.heap[0].t == t {
 			ev := r.heap.pop()
-			if ev.gen != r.gen[ev.net] {
+			if ev.gv&^1 != r.gen[ev.net] {
 				continue // cancelled by a later re-evaluation
 			}
-			if r.val[ev.net] == ev.val {
+			v := ev.val()
+			if r.val[ev.net] == v {
 				continue
 			}
-			r.val[ev.net] = ev.val
+			r.val[ev.net] = v
 			res.Events++
 			if r.observer != nil {
-				r.observer(ev.net, t, ev.val)
+				r.observer(ev.net, t, v)
 			}
 			if oi := r.outIndex[ev.net]; oi != 0 {
-				res.Toggles[oi-1] = append(res.Toggles[oi-1], Toggle{t, ev.val})
+				res.Toggles[oi-1] = append(res.Toggles[oi-1], Toggle{t, v})
 				if t > res.Delay {
 					res.Delay = t
 				}
@@ -85,11 +85,16 @@ func (r *Runner) evalBatchRef(t float64) {
 			continue
 		}
 		// Inertial model: cancel any pending event and either schedule
-		// the new transition or swallow the pulse entirely.
-		r.gen[out]++
+		// the new transition or swallow the pulse entirely. gen counts
+		// in steps of two, leaving the event's low bit to the value.
+		r.gen[out] += 2
 		r.proj[out] = v
 		if v != r.val[out] {
-			r.heap.push(event{t: t + r.delays[gi], net: out, val: v, gen: r.gen[out]})
+			gv := r.gen[out]
+			if v {
+				gv |= 1
+			}
+			r.heap.push(event{t: t + r.delays[gi], net: out, gv: gv})
 		}
 	}
 }

@@ -16,6 +16,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tevot/internal/netlist"
 )
@@ -137,9 +138,7 @@ type Runner struct {
 	nl     *netlist.Netlist
 	delays []float64
 
-	val  []bool   // current value per net
-	proj []bool   // projected value per net after pending events
-	gen  []uint32 // event generation per net, for inertial cancellation
+	val []bool // current value per net
 
 	outIndex []int32 // net -> primary-output index + 1, or 0
 	initOut  []bool  // output values at cycle start (previous settled)
@@ -165,14 +164,20 @@ type Runner struct {
 	lastVec  []bool
 	slice    bitslice // fast kernel: zero-delay window prepass (bitslice.go)
 
+	// Event-kernel effort: the cycles (and their events) that ran the
+	// kernel rather than replaying a memo entry.
+	cascadeCycles, cascadeEvents int64
+
 	// refKernel selects the heap oracle; the fields below it belong to
 	// one kernel each.
 	refKernel bool
 	heap      eventHeap // ref kernel: pending-event min-heap
+	proj      []bool    // ref kernel: projected value per net after pending events
+	gen       []uint32  // ref kernel: event generation per net, in steps of two
 
 	csr   *netlist.CSR // fast kernel: flattened fanout/pin arrays
-	lut   []uint8      // fast kernel: per-gate packed truth table
-	inVal []uint8      // fast kernel: per-gate packed input values
+	gates []gateRec    // fast kernel: per-gate delay, output, LUT and inputs
+	ng    []uint32     // fast kernel: per-net gen<<1 | projected value
 	cq    calQueue     // fast kernel: calendar-queue scheduler
 }
 
@@ -207,8 +212,6 @@ func newRunner(nl *netlist.Netlist, delays []float64, refKernel bool) (*Runner, 
 		nl:        nl,
 		delays:    delays,
 		val:       make([]bool, nl.NumNets()),
-		proj:      make([]bool, nl.NumNets()),
-		gen:       make([]uint32, nl.NumNets()),
 		outIndex:  make([]int32, nl.NumNets()),
 		initOut:   make([]bool, len(nl.PrimaryOutputs)),
 		stamp:     make([]uint32, nl.NumGates()),
@@ -219,27 +222,22 @@ func newRunner(nl *netlist.Netlist, delays []float64, refKernel bool) (*Runner, 
 	}
 	r.res.Settled = make([]bool, len(nl.PrimaryOutputs))
 	r.res.Toggles = make([][]Toggle, len(nl.PrimaryOutputs))
-	if !refKernel {
-		r.csr = nl.CSR()
-		r.lut = make([]uint8, nl.NumGates())
-		r.inVal = make([]uint8, nl.NumGates())
-		minD, maxD := 1.0, 1.0
-		if len(delays) > 0 {
-			minD, maxD = delays[0], delays[0]
-			for _, d := range delays[1:] {
-				if d < minD {
-					minD = d
-				}
-				if d > maxD {
-					maxD = d
-				}
-			}
-		}
-		r.cq.init(minD, maxD)
-		for gi := range nl.Gates {
-			r.lut[gi] = nl.Gates[gi].Kind.LUT()
-		}
+	if refKernel {
+		r.proj = make([]bool, nl.NumNets())
+		r.gen = make([]uint32, nl.NumNets())
+		return r, nil
 	}
+	r.csr = nl.CSR()
+	r.ng = make([]uint32, nl.NumNets())
+	r.gates = make([]gateRec, nl.NumGates())
+	for gi, d := range delays {
+		r.gates[gi] = gateRec{delay: d, out: nl.Gates[gi].Output, lut: nl.Gates[gi].Kind.LUT()}
+	}
+	minD, maxD := 1.0, 1.0
+	if len(delays) > 0 {
+		minD, maxD = slices.Min(delays), slices.Max(delays)
+	}
+	r.cq.init(minD, maxD)
 	return r, nil
 }
 
@@ -336,7 +334,6 @@ func (r *Runner) Cycle(prev, cur []bool) (*CycleResult, error) {
 		}
 		r.valStale = false
 	}
-	copy(r.proj, r.val)
 	for i, po := range nl.PrimaryOutputs {
 		r.initOut[i] = r.val[po]
 	}
@@ -352,6 +349,8 @@ func (r *Runner) Cycle(prev, cur []bool) (*CycleResult, error) {
 	} else {
 		r.cycleFast(cur)
 	}
+	r.cascadeCycles++
+	r.cascadeEvents += int64(res.Events)
 
 	for i, po := range nl.PrimaryOutputs {
 		res.Settled[i] = r.val[po]
@@ -378,6 +377,25 @@ func (r *Runner) finishMemo(cur []bool) {
 	r.packPrev, r.packCur = r.packCur, r.packPrev
 	r.keyValid = true
 	copy(r.lastVec, cur)
+}
+
+// CascadeStats reports the cycles, and their events, that ran the event
+// kernel: every Cycle call that was not served by the transition memo.
+// The counts survive DisableMemo.
+func (r *Runner) CascadeStats() (cycles, events int64) {
+	return r.cascadeCycles, r.cascadeEvents
+}
+
+// newBatch opens an evaluation batch: an empty gate list and a fresh
+// visit stamp. When the stamp wraps, every gate's stamp is cleared, so
+// no gate can carry the new stamp from 2³² batches ago.
+func (r *Runner) newBatch() {
+	r.batch = r.batch[:0]
+	r.curStamp++
+	if r.curStamp == 0 {
+		clear(r.stamp)
+		r.curStamp = 1
+	}
 }
 
 // mark queues a gate for re-evaluation in the current batch, once: the

@@ -44,18 +44,18 @@ sh scripts/loadgen_smoke.sh
 echo "== signal handling: SIGTERM flushes checkpoint + finalizes manifest"
 go test -run 'TestSigtermFlushesCheckpointAndManifest' ./cmd/tevot-sweep
 
-echo "== kernel equivalence: calendar-queue vs reference heap, every FU; calendar-queue drain order, dense buckets included"
-go test -run 'TestKernelDiffFUs|TestCalQueue' ./internal/sim
+echo "== kernel equivalence: calendar-queue vs reference heap, every FU, overflow and rebase, stamp wrap; calendar-queue drain order, dense buckets included; simulator vs zero-delay evaluation"
+go test -run 'TestKernelDiffFUs|TestKernelDiffExtremeDelayRatio|TestKernelDiffStampWrap|TestCalQueue|TestFuzzSimulatorAgainstEval' ./internal/sim
 
-echo "== memo equivalence: transition memo + bitslice windows vs uncached kernels; per-shard drop rule"
+echo "== memo equivalence: transition memo + bitslice windows vs uncached kernels; per-shard drop rule; per-tier cascade counters"
 go test -run 'TestKernelDiffRandom|TestMemo|TestBeginWindowErrors' ./internal/sim
-go test -run 'TestMemoHitRateImagingStreams|TestMemoDropOnRandomStreams' ./internal/core
+go test -run 'TestMemoHitRateImagingStreams|TestMemoDropOnRandomStreams|TestCascadeCounters' ./internal/core
 
 echo "== tail labelling: re-simulating only the cycles that reach the clock equals full labelling, every FU"
 go test -run 'TestLabel' ./internal/core
 
-echo "== paper goldens: Fig. 3 rows, Table II accuracies, Table III cells, Table IV points, Fig. 4 PSNRs"
-go test -run 'TestFig3ShapeAndPhysics|TestTable2SmallRun|TestTable3SmallRun|TestTable4AndFig4Small' ./internal/experiments
+echo "== paper goldens: Fig. 3 rows, Table II accuracies, Table III cells, Table IV points, Fig. 4 PSNRs, DTA digests per FU"
+go test -run 'TestFig3ShapeAndPhysics|TestTable2SmallRun|TestTable3SmallRun|TestTable4AndFig4Small|TestDTADigest' ./internal/experiments
 
 echo "== forest fit: binned split search reproduces the pinned forests, per-worker scratch (race)"
 go test -race -run 'TestForestFitDigests|TestForestDeterministicAcrossWorkerCounts' ./internal/ml
