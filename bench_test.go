@@ -220,9 +220,11 @@ func BenchmarkFig4SobelOutputs(b *testing.B) {
 
 // BenchmarkSpeedupVsGateLevel quantifies §V.C's claim that TEVoT
 // inference is ~100x faster than back-annotated gate-level simulation,
-// on the largest functional unit (FP multiplier). It reports the median
-// over its iterations of the simulation and inference times per cycle
-// and of their ratio; run it with -benchtime Nx, N > 1.
+// on the largest functional unit (FP multiplier). The forest is trained
+// once, before the timer starts; each iteration times one simulation of
+// the test stream and its inference walks. It reports the median over
+// its iterations of the simulation and inference times per cycle and of
+// their ratio; run it with -benchtime Nx, N > 1.
 func BenchmarkSpeedupVsGateLevel(b *testing.B) {
 	scale := benchScale()
 	scale.FUs = []circuits.FU{circuits.FPMul32}
@@ -232,10 +234,14 @@ func BenchmarkSpeedupVsGateLevel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	bench, err := experiments.NewSpeedupBench(lab, circuits.FPMul32)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var speedup, simNS, predNS []float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Speedup(lab, circuits.FPMul32)
+		res, err := bench.Run()
 		if err != nil {
 			b.Fatal(err)
 		}

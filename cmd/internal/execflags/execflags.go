@@ -4,10 +4,13 @@
 //
 //	-shards N          simulation shards per characterization (0 = auto)
 //	-task-timeout D    per-task deadline on the runner (0 = none)
-//	-retries N         retries per task for transient failures
 //	-checkpoint path   JSONL checkpoint, written as tasks complete
 //	-resume            skip tasks already in -checkpoint
 //	-workers N         concurrent tasks (0 = GOMAXPROCS)
+//
+// A task runs once per run: one that fails, overruns -task-timeout or is
+// cut short by SIGINT or SIGTERM is not checkpointed, and a rerun with
+// -checkpoint and -resume runs it again.
 //
 // It also holds the end those CLIs share for a run on the runner: the
 // interrupted-run exit (resume hint, code 130) and the report tail.
@@ -34,8 +37,8 @@ type Shape int
 const (
 	// Sim is -shards alone: characterizations off the runner.
 	Sim Shape = iota
-	// OneTask adds -task-timeout, -retries, -checkpoint and -resume: a
-	// run of one runner task.
+	// OneTask adds -task-timeout, -checkpoint and -resume: a run of one
+	// runner task.
 	OneTask
 	// ManyTasks adds the runner's -workers pool size.
 	ManyTasks
@@ -46,7 +49,6 @@ type Flags struct {
 	Workers     int
 	Shards      int
 	TaskTimeout time.Duration
-	Retries     int
 	Checkpoint  string
 	Resume      bool
 }
@@ -60,7 +62,6 @@ func Register(fs *flag.FlagSet, shape Shape) *Flags {
 		return f
 	}
 	fs.DurationVar(&f.TaskTimeout, "task-timeout", 0, "per-task deadline (0 = none), e.g. 5m")
-	fs.IntVar(&f.Retries, "retries", 1, "retries per task for transient failures")
 	fs.StringVar(&f.Checkpoint, "checkpoint", "", "JSONL checkpoint file (written as tasks complete)")
 	fs.BoolVar(&f.Resume, "resume", false, "skip tasks already in -checkpoint")
 	if shape == ManyTasks {
@@ -70,12 +71,10 @@ func Register(fs *flag.FlagSet, shape Shape) *Flags {
 }
 
 // Runner returns the runner configuration the flags describe.
-func (f *Flags) Runner(seed int64) runner.Config {
+func (f *Flags) Runner() runner.Config {
 	return runner.Config{
 		Workers:     f.Workers,
 		TaskTimeout: f.TaskTimeout,
-		Retries:     f.Retries,
-		Seed:        seed,
 		Checkpoint:  f.Checkpoint,
 		Resume:      f.Resume,
 	}

@@ -185,7 +185,7 @@ func main() {
 			return characterize(ctx, u, corner, stream, shmooN, opts)
 		},
 	}
-	cfg := ex.Runner(*seed)
+	cfg := ex.Runner()
 	cfg.Name = fmt.Sprintf("dta fu=%s v=%.4f t=%g cycles=%d seed=%d shmoo=%d",
 		fu, corner.V, corner.T, *cycles, *seed, shmooN)
 	results, rep, err := runner.Run(ctx, cfg, []runner.Task[dtaResult]{task})

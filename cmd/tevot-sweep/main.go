@@ -64,10 +64,10 @@ import (
 // mode's flag makes the modes mutually exclusive.
 var ignored = map[string][]string{
 	"":            {"id", "lease-ttl"},
-	"coordinator": {"workers", "task-timeout", "retries", "fault-rate", "id", "join", "cluster"},
+	"coordinator": {"workers", "task-timeout", "id", "join", "cluster"},
 	"join": {"cycles", "fu", "grid", "images", "imgsize", "workers", "shards",
-		"checkpoint", "resume", "fault-rate", "out", "lease-ttl", "cluster"},
-	"cluster": {"workers", "fault-rate", "id"},
+		"checkpoint", "resume", "out", "lease-ttl", "cluster"},
+	"cluster": {"workers", "id"},
 }
 
 func main() {
@@ -79,9 +79,7 @@ func main() {
 		full    = flag.Bool("grid", false, "sweep the full Table I grid instead of the Fig. 3 subset")
 		images  = flag.Int("images", 3, "synthetic images for application datasets")
 		imgSize = flag.Int("imgsize", 24, "synthetic image side length")
-
-		faultRate = flag.Float64("fault-rate", 0, "inject deterministic transient faults into this fraction of cells (testing)")
-		seed      = flag.Int64("seed", 1, "seed for workloads, retry jitter, and fault injection")
+		seed    = flag.Int64("seed", 1, "workload seed")
 
 		coordAddr = flag.String("coordinator", "", "run as distributed-sweep coordinator on this address (e.g. 127.0.0.1:7077)")
 		joinURL   = flag.String("join", "", "run as a worker of the coordinator at this URL (e.g. http://127.0.0.1:7077)")
@@ -151,9 +149,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfg := ex.Runner(*seed)
-	cfg.Inject = runner.NewFaultInjector(*seed, *faultRate)
-	rows, rep, err := dist.SingleProcessMerged(ctx, spec, cfg, *outPath)
+	rows, rep, err := dist.SingleProcessMerged(ctx, spec, ex.Runner(), *outPath)
 	ex.Check(run, rep, err)
 
 	fmt.Println("FU       (V, T)          dataset        mean(ps)   max(ps)  static(ps)")
@@ -230,7 +226,6 @@ func workerMain(obsFlags *obs.Flags, ex *execflags.Flags, url, id string, seed i
 		ID:          id,
 		Coordinator: url,
 		TaskTimeout: ex.TaskTimeout,
-		Retries:     ex.Retries,
 	})
 	switch {
 	case errors.Is(err, context.Canceled):
@@ -263,7 +258,7 @@ func clusterMain(obsFlags *obs.Flags, ex *execflags.Flags, spec dist.Spec, n int
 			Out:      out,
 		},
 		Workers: n,
-		Worker:  dist.WorkerConfig{TaskTimeout: ex.TaskTimeout, Retries: ex.Retries},
+		Worker:  dist.WorkerConfig{TaskTimeout: ex.TaskTimeout},
 	})
 	switch {
 	case errors.Is(err, context.Canceled):

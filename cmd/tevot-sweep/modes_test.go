@@ -28,7 +28,7 @@ func TestModesRefuseUnreadFlags(t *testing.T) {
 		flag string
 	}{
 		{[]string{"-lease-ttl", "5s"}, "lease-ttl"},
-		{[]string{"-coordinator", "127.0.0.1:0", "-retries", "2"}, "retries"},
+		{[]string{"-coordinator", "127.0.0.1:0", "-task-timeout", "1m"}, "task-timeout"},
 		{[]string{"-join", "http://127.0.0.1:1", "-shards", "2"}, "shards"},
 		{[]string{"-cluster", "2", "-out", filepath.Join(dir, "out.jsonl"), "-workers", "3"}, "workers"},
 	} {

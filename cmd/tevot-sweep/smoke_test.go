@@ -101,8 +101,9 @@ func TestDebugEndpointSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/metrics rejected by the strict exposition parser: %v", err)
 	}
-	if _, ok := fams["tevot_runner_retries_total"]; !ok {
-		t.Errorf("/metrics missing tevot_runner_retries_total (%d families)", len(fams))
+	// The runner.cells_total counter, plus the exposition's "_total".
+	if _, ok := fams["tevot_runner_cells_total_total"]; !ok {
+		t.Errorf("/metrics missing tevot_runner_cells_total_total (%d families)", len(fams))
 	}
 
 	done := make(chan error, 1)

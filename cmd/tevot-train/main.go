@@ -94,7 +94,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfg := ex.Runner(*seed)
+	cfg := ex.Runner()
 
 	if *saveDir != "" {
 		saveModels(ctx, run, ex, lab, cfg, *saveDir)

@@ -1,8 +1,8 @@
 // Package backoff is the repo's one shared retry-delay policy:
 // exponential backoff with deterministic, per-(key, attempt) jitter.
-// It is used by internal/runner for cell retries and by internal/dist
-// for the coordinator/worker HTTP client, so a sweep's retry schedule
-// is reproducible end to end from the run seed alone.
+// internal/dist uses it for the coordinator/worker HTTP client's RPC
+// retries and a worker's idle polling, so a sweep's retry schedule is
+// reproducible from the worker's identity alone.
 //
 // The jitter is intentionally NOT drawn from a math/rand source. A
 // *rand.Rand is not safe for concurrent use, and the global rand makes
@@ -35,8 +35,8 @@ type Policy struct {
 
 // Delay returns the wait before retry number attempt (0-based: the
 // delay after the first failed attempt is Delay(key, 0)). The key
-// decorrelates concurrent retriers — cells of a sweep, requests to an
-// endpoint — so they do not thundering-herd on the same schedule.
+// decorrelates concurrent retriers — requests to an endpoint, idle
+// workers — so they do not thundering-herd on the same schedule.
 func (p Policy) Delay(key string, attempt int) time.Duration {
 	d := p.Base
 	for i := 0; i < attempt && d < p.Max; i++ {

@@ -235,7 +235,6 @@ func Soak(ctx context.Context, cfg SoakConfig, sched Schedule) (SoakResult, erro
 					Metrics:        regs[i],
 					Transport:      transport,
 					HeartbeatEvery: hb,
-					Retries:        1,
 				})
 				if err == nil || errors.Is(err, context.Canceled) ||
 					errors.Is(err, context.DeadlineExceeded) || errors.Is(err, dist.ErrRunAborted) {

@@ -35,6 +35,18 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	// A second fit on the same traces and seed serialises identically.
+	again, err := Train(circuits.IntAdd32, []*Trace{tr}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf2 bytes.Buffer
+	if err := again.Save(&buf2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+		t.Fatalf("two same-seed fits saved different bytes (%d vs %d)", buf.Len(), buf2.Len())
+	}
 	loaded, err := LoadModel(&buf)
 	if err != nil {
 		t.Fatal(err)

@@ -395,7 +395,7 @@ func TestDivergenceAbortsClusterRun(t *testing.T) {
 	raw, _ := MarshalRow(row)
 	if _, err := client.Report(ctx, resultRequest{
 		Worker: "honest", LeaseID: lr.LeaseID, Key: lr.Cell.Key(),
-		Value: raw, Hash: HashValue(raw), Attempts: 1,
+		Value: raw, Hash: HashValue(raw),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestDivergenceAbortsClusterRun(t *testing.T) {
 	bad := json.RawMessage(`{"corrupt":true}`)
 	_, err = client.Report(ctx, resultRequest{
 		Worker: "flaky", LeaseID: "L999999", Key: lr.Cell.Key(),
-		Value: bad, Hash: HashValue(bad), Attempts: 1,
+		Value: bad, Hash: HashValue(bad),
 	})
 	if !errors.Is(err, ErrRunAborted) {
 		t.Fatalf("divergent report returned %v, want ErrRunAborted", err)

@@ -136,7 +136,7 @@ func NewCoordinator(cfg CoordConfig, now func() time.Time) (*Coordinator, error)
 		}
 		c.jnl = jnl
 		for key, raw := range doneCells {
-			if err := c.table.markDone(key, raw, 0); err != nil {
+			if err := c.table.markDone(key, raw); err != nil {
 				jnl.Close()
 				return nil, err
 			}
@@ -325,7 +325,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	if req.Metrics != nil {
 		c.workerMetrics[req.Worker] = req.Metrics
 	}
-	comp, err := c.table.complete(req.Worker, req.LeaseID, req.Key, req.Value, req.Hash, req.Attempts)
+	comp, err := c.table.complete(req.Worker, req.LeaseID, req.Key, req.Value, req.Hash)
 	var div *Divergence
 	if errors.As(err, &div) {
 		c.failLocked(div)
@@ -334,7 +334,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		if comp.late {
 			c.lates++
 		}
-		if jerr := c.journalLocked(req.Key, req.Attempts, req.Value); jerr != nil {
+		if jerr := c.journalLocked(req.Key, req.Value); jerr != nil {
 			// A journal that stops persisting voids the resume guarantee;
 			// better to abort loudly than complete a run whose checkpoint
 			// silently diverged from reality.
@@ -389,11 +389,11 @@ func (c *Coordinator) handleProgress(w http.ResponseWriter, r *http.Request) {
 // journalLocked appends an accepted result to the journal (if any).
 // Caller holds mu; the fsync inside Record is acceptable at
 // coordination traffic rates.
-func (c *Coordinator) journalLocked(key string, attempts int, value []byte) error {
+func (c *Coordinator) journalLocked(key string, value []byte) error {
 	if c.jnl == nil {
 		return nil
 	}
-	return c.jnl.Record(key, attempts, value)
+	return c.jnl.Record(key, value)
 }
 
 // failLocked records the terminal failure and releases waiters.

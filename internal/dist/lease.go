@@ -86,11 +86,10 @@ type cellEntry struct {
 	// keyed by lease id.
 	leases map[string]*lease
 	// Completed state.
-	value    json.RawMessage
-	hash     string
-	attempts int
-	worker   string // who completed it ("journal" for resumed cells)
-	issues   int    // total grants over the cell's lifetime
+	value  json.RawMessage
+	hash   string
+	worker string // who completed it ("journal" for resumed cells)
+	issues int    // total grants over the cell's lifetime
 }
 
 type workerEntry struct {
@@ -148,7 +147,7 @@ func newLeaseTable(order []Cell, ttl time.Duration, factor float64, maxCopies in
 }
 
 // markDone records a journal-resumed cell without any lease ceremony.
-func (t *leaseTable) markDone(key string, value json.RawMessage, attempts int) error {
+func (t *leaseTable) markDone(key string, value json.RawMessage) error {
 	e, ok := t.cells[key]
 	if !ok {
 		return fmt.Errorf("dist: journal entry %q is not a cell of this sweep", key)
@@ -159,7 +158,6 @@ func (t *leaseTable) markDone(key string, value json.RawMessage, attempts int) e
 	e.status = cellDone
 	e.value = value
 	e.hash = HashValue(value)
-	e.attempts = attempts
 	e.worker = "journal"
 	t.doneCount++
 	return nil
@@ -339,16 +337,14 @@ func (t *leaseTable) renew(worker, leaseID string) error {
 type completion struct {
 	accepted  bool // first result for the cell
 	duplicate bool // byte-identical re-execution
-	// entry/attempts are set when accepted, for journaling.
-	entry    *cellEntry
-	leaseAge time.Duration
-	late     bool // no live lease backed this result
+	leaseAge  time.Duration
+	late      bool // no live lease backed this result
 }
 
 // complete records a result for a cell. The lease may be live, expired,
 // or foreign — determinism makes the result valid regardless; only the
 // bytes are judged.
-func (t *leaseTable) complete(worker, leaseID, key string, value json.RawMessage, hash string, attempts int) (completion, error) {
+func (t *leaseTable) complete(worker, leaseID, key string, value json.RawMessage, hash string) (completion, error) {
 	if t.diverged != nil {
 		return completion{}, errAborted
 	}
@@ -391,7 +387,6 @@ func (t *leaseTable) complete(worker, leaseID, key string, value json.RawMessage
 	e.status = cellDone
 	e.value = value
 	e.hash = hash
-	e.attempts = attempts
 	e.worker = worker
 	t.doneCount++
 	w.cellsDone++
@@ -402,7 +397,7 @@ func (t *leaseTable) complete(worker, leaseID, key string, value json.RawMessage
 			t.slowestKey, t.slowestDur = key, age
 		}
 	}
-	return completion{accepted: true, entry: e, leaseAge: age, late: !live}, nil
+	return completion{accepted: true, leaseAge: age, late: !live}, nil
 }
 
 // dropCellLeases removes every active lease on e (all copies are moot

@@ -83,7 +83,7 @@ func TestLateResultRacesExpiry(t *testing.T) {
 
 	// w1's late result: its lease is gone but the cell isn't done.
 	v := val("x")
-	comp, err := tb.complete("w1", r1.lease.id, key, v, HashValue(v), 1)
+	comp, err := tb.complete("w1", r1.lease.id, key, v, HashValue(v))
 	if err != nil {
 		t.Fatalf("late result rejected: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestLateResultRacesExpiry(t *testing.T) {
 	}
 
 	// w2 finishes too: byte-identical → harmless duplicate.
-	comp2, err := tb.complete("w2", r2.lease.id, key, v, HashValue(v), 1)
+	comp2, err := tb.complete("w2", r2.lease.id, key, v, HashValue(v))
 	if err != nil {
 		t.Fatalf("duplicate rejected: %v", err)
 	}
@@ -118,10 +118,10 @@ func TestDoubleIssueDivergenceAborts(t *testing.T) {
 	r2 := mustGrant(t, tb, "w2")
 
 	v1, v2 := val("a"), val("b")
-	if _, err := tb.complete("w1", r1.lease.id, key, v1, HashValue(v1), 1); err != nil {
+	if _, err := tb.complete("w1", r1.lease.id, key, v1, HashValue(v1)); err != nil {
 		t.Fatalf("first result: %v", err)
 	}
-	_, err := tb.complete("w2", r2.lease.id, key, v2, HashValue(v2), 1)
+	_, err := tb.complete("w2", r2.lease.id, key, v2, HashValue(v2))
 	var div *Divergence
 	if !errors.As(err, &div) {
 		t.Fatalf("divergent result returned %v, want *Divergence", err)
@@ -180,7 +180,7 @@ func TestElasticJoinMidRun(t *testing.T) {
 	mustGrant(t, tb, "w1")
 	v := val("r")
 	r2 := mustGrant(t, tb, "w1")
-	if _, err := tb.complete("w1", r2.lease.id, r2.cell.Key(), v, HashValue(v), 1); err != nil {
+	if _, err := tb.complete("w1", r2.lease.id, r2.cell.Key(), v, HashValue(v)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -234,7 +234,7 @@ func TestSpeculativeReissueBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := val(r.cell.Key())
-		if _, err := tb.complete("w2", r.lease.id, r.cell.Key(), v, HashValue(v), 1); err != nil {
+		if _, err := tb.complete("w2", r.lease.id, r.cell.Key(), v, HashValue(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,10 +259,10 @@ func TestSpeculativeReissueBounded(t *testing.T) {
 
 	// First result in wins; the other copy's result is a duplicate.
 	v := val("straggler")
-	if comp, err := tb.complete("w3", res.lease.id, res.cell.Key(), v, HashValue(v), 1); err != nil || !comp.accepted {
+	if comp, err := tb.complete("w3", res.lease.id, res.cell.Key(), v, HashValue(v)); err != nil || !comp.accepted {
 		t.Fatalf("speculative winner: %+v err=%v", comp, err)
 	}
-	if comp, err := tb.complete("w1", r1.lease.id, r1.cell.Key(), v, HashValue(v), 1); err != nil || !comp.duplicate {
+	if comp, err := tb.complete("w1", r1.lease.id, r1.cell.Key(), v, HashValue(v)); err != nil || !comp.duplicate {
 		t.Fatalf("loser should be duplicate: %+v err=%v", comp, err)
 	}
 }
@@ -293,7 +293,7 @@ func TestCompleteRejectsBadHash(t *testing.T) {
 	tb := testTable(1, clk)
 	r := mustGrant(t, tb, "w1")
 	v := val("x")
-	if _, err := tb.complete("w1", r.lease.id, r.cell.Key(), v, "deadbeef", 1); err == nil {
+	if _, err := tb.complete("w1", r.lease.id, r.cell.Key(), v, "deadbeef"); err == nil {
 		t.Fatal("mismatched content hash should be rejected")
 	}
 	if tb.cells[r.cell.Key()].status == cellDone {
@@ -307,7 +307,7 @@ func TestAcquireWhenAllDone(t *testing.T) {
 	tb := testTable(1, clk)
 	r := mustGrant(t, tb, "w1")
 	v := val("x")
-	if _, err := tb.complete("w1", r.lease.id, r.cell.Key(), v, HashValue(v), 1); err != nil {
+	if _, err := tb.complete("w1", r.lease.id, r.cell.Key(), v, HashValue(v)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := tb.acquire("w2")

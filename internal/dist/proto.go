@@ -65,12 +65,11 @@ type renewResponse struct {
 }
 
 type resultRequest struct {
-	Worker   string          `json:"worker"`
-	LeaseID  string          `json:"lease_id"`
-	Key      string          `json:"key"`
-	Value    json.RawMessage `json:"value"`
-	Hash     string          `json:"hash"` // sha256 of Value bytes
-	Attempts int             `json:"attempts"`
+	Worker  string          `json:"worker"`
+	LeaseID string          `json:"lease_id"`
+	Key     string          `json:"key"`
+	Value   json.RawMessage `json:"value"`
+	Hash    string          `json:"hash"` // sha256 of Value bytes
 	// Metrics rides the result upload too: a snapshot taken after the
 	// cell's counters were bumped, so an accepted result is always
 	// covered by a coordinator-held snapshot even if the worker dies

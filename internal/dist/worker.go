@@ -26,10 +26,8 @@ type WorkerConfig struct {
 	ID string
 	// Coordinator is the coordinator's base URL (http://host:port).
 	Coordinator string
-	// TaskTimeout is the per-attempt cell deadline (0 = none).
+	// TaskTimeout is the per-cell deadline (0 = none).
 	TaskTimeout time.Duration
-	// Retries is the extra attempts per cell for transient failures.
-	Retries int
 	// Lab, when non-nil, is a pre-built lab shared by in-process
 	// workers (FUnits are safe for concurrent characterization). nil
 	// means build one from the coordinator's spec — the once-per-process
@@ -56,9 +54,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 			host = "local"
 		}
 		c.ID = fmt.Sprintf("w-%s-%d", host, os.Getpid())
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
 	}
 	return c
 }
@@ -177,7 +172,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 				}
 				// Cell failed or lease was lost: log and move on — the
 				// lease expires and the coordinator re-issues the cell
-				// (possibly right back to us, where retry may succeed).
+				// (possibly right back to us), up to its issue limit.
 				log.Warn("cell not completed", "cell", lr.Cell.Key(), "err", err)
 			}
 		default:
@@ -188,8 +183,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 
 // runLease executes one leased cell: heartbeat renewals keep the lease
 // alive while the (potentially minutes-long) characterization runs
-// through internal/runner for panic isolation, per-attempt deadlines,
-// and transient retries; the result ships back with its content hash.
+// through internal/runner for panic isolation and the per-cell
+// deadline; the result ships back with its content hash.
 func runLease(ctx context.Context, client *Client, log *slog.Logger,
 	lab *experiments.Lab, opts core.CharacterizeOptions, cfg WorkerConfig,
 	wm *workerMetrics, lr leaseResponse) error {
@@ -243,8 +238,6 @@ func runLease(ctx context.Context, client *Client, log *slog.Logger,
 		Name:        "dist-worker " + cfg.ID,
 		Workers:     1,
 		TaskTimeout: cfg.TaskTimeout,
-		Retries:     cfg.Retries,
-		Seed:        int64(backoff.Hash(2, cfg.ID)),
 	}
 	results, rep, runErr := runner.Run(cellCtx, rcfg, []runner.Task[json.RawMessage]{{
 		Key: key,
@@ -310,7 +303,7 @@ func runLease(ctx context.Context, client *Client, log *slog.Logger,
 	// late results for incomplete cells.
 	dup, err := client.Report(ctx, resultRequest{
 		Worker: cfg.ID, LeaseID: lr.LeaseID, Key: key,
-		Value: raw, Hash: HashValue(raw), Attempts: 1 + rep.Retried,
+		Value: raw, Hash: HashValue(raw),
 		Metrics: wm.snapshot(),
 	})
 	if err != nil {

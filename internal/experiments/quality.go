@@ -246,13 +246,21 @@ type SpeedupResult struct {
 // timer read is mostly host noise; the median of these walks is not.
 const speedupWalks = 21
 
-// Speedup measures per-cycle gate-level simulation time against TEVoT
-// inference time on the same stream: one simulation against the median
-// of speedupWalks inference walks. The simulation runs on one shard, so
-// the ratio compares one core with one core, independent of the host's
-// core count, as long as the forest walks the stream inline (fewer than
-// 1024 rows).
-func Speedup(lab *Lab, fu circuits.FU) (*SpeedupResult, error) {
+// SpeedupBench is one §V.C comparison, trained and ready to time: a
+// forest fitted on the FU's training stream at the lab's first corner,
+// and the test stream it is timed on. Training happens once, in
+// NewSpeedupBench; each Run times only the simulation and the walks.
+type SpeedupBench struct {
+	fu     circuits.FU
+	u      *core.FUnit
+	corner cells.Corner
+	test   *workload.Stream
+	model  *core.Model
+}
+
+// NewSpeedupBench characterizes fu's random training stream at the
+// lab's first corner and fits the forest that Run times.
+func NewSpeedupBench(lab *Lab, fu circuits.FU) (*SpeedupBench, error) {
 	u, ok := lab.Units[fu]
 	if !ok {
 		return nil, fmt.Errorf("experiments: no unit for %v", fu)
@@ -274,9 +282,18 @@ func Speedup(lab *Lab, fu circuits.FU) (*SpeedupResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return &SpeedupBench{fu: fu, u: u, corner: corner, test: test, model: model}, nil
+}
 
+// Run measures per-cycle gate-level simulation time against TEVoT
+// inference time on the test stream: one simulation against the median
+// of speedupWalks inference walks. The simulation runs on one shard, so
+// the ratio compares one core with one core, independent of the host's
+// core count, as long as the forest walks the stream inline (fewer than
+// 1024 rows).
+func (b *SpeedupBench) Run() (*SpeedupResult, error) {
 	t0 := time.Now()
-	if _, err := core.CharacterizeOpts(u, corner, test, nil, core.CharacterizeOptions{Workers: 1}); err != nil {
+	if _, err := core.CharacterizeOpts(b.u, b.corner, b.test, nil, core.CharacterizeOptions{Workers: 1}); err != nil {
 		return nil, err
 	}
 	simT := time.Since(t0)
@@ -284,7 +301,7 @@ func Speedup(lab *Lab, fu circuits.FU) (*SpeedupResult, error) {
 	walks := make([]time.Duration, speedupWalks)
 	for i := range walks {
 		t0 = time.Now()
-		if _, err := model.PredictDelays(corner, test); err != nil {
+		if _, err := b.model.PredictDelays(b.corner, b.test); err != nil {
 			return nil, err
 		}
 		walks[i] = time.Since(t0)
@@ -292,9 +309,9 @@ func Speedup(lab *Lab, fu circuits.FU) (*SpeedupResult, error) {
 	slices.Sort(walks)
 	predT := walks[len(walks)/2]
 
-	n := test.Len() - 1
+	n := b.test.Len() - 1
 	res := &SpeedupResult{
-		FU:           fu,
+		FU:           b.fu,
 		SimPerCycle:  simT / time.Duration(n),
 		PredPerCycle: predT / time.Duration(n),
 	}
@@ -302,4 +319,13 @@ func Speedup(lab *Lab, fu circuits.FU) (*SpeedupResult, error) {
 		res.Speedup = float64(simT) / float64(predT)
 	}
 	return res, nil
+}
+
+// Speedup trains a SpeedupBench for fu and runs it once.
+func Speedup(lab *Lab, fu circuits.FU) (*SpeedupResult, error) {
+	b, err := NewSpeedupBench(lab, fu)
+	if err != nil {
+		return nil, err
+	}
+	return b.Run()
 }

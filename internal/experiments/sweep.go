@@ -14,10 +14,10 @@ import (
 
 // This file routes the paper's sweeps through internal/runner, the
 // fault-tolerant executor: every (FU, dataset, corner) cell runs on a
-// bounded worker pool with panic isolation, per-task deadlines, retries
-// for transient failures, and JSONL checkpointing — so a paper-scale
-// run (100 corners × 4 FUs, hours of simulation) survives single-cell
-// failures and process kills. Results are reassembled in canonical
+// bounded worker pool with panic isolation, per-task deadlines and
+// JSONL checkpointing — so a paper-scale run (100 corners × 4 FUs,
+// hours of simulation) survives single-cell failures and process kills,
+// and a resumed run re-runs only the cells that failed or never ran. Results are reassembled in canonical
 // sweep order regardless of completion order, so a resumed run is
 // indistinguishable from an uninterrupted one.
 
@@ -39,7 +39,7 @@ func Fig3CellKey(fu circuits.FU, dataset string, c cells.Corner) string {
 // operand stream is regenerated from the lab's seed, so any process
 // holding the same Scale reproduces the identical DelayRow — the
 // property that makes distributed execution (internal/dist) safe to
-// retry anywhere.
+// re-run anywhere.
 func Fig3Cell(ctx context.Context, lab *Lab, fu circuits.FU, dataset string, corner cells.Corner, opts core.CharacterizeOptions) (DelayRow, error) {
 	u, ok := lab.Units[fu]
 	if !ok {
@@ -246,7 +246,7 @@ func table3ForFU(ctx context.Context, lab *Lab, fu circuits.FU, opts core.Charac
 }
 
 // Table2Run is Table2 on the fault-tolerant runner: one cell (one FU at
-// one corner), gaining panic isolation, deadline, retry, and resume
+// one corner), gaining panic isolation, deadline and resume
 // semantics for the learning-method comparison. The lone cell gets the
 // whole machine's shards.
 func Table2Run(ctx context.Context, lab *Lab, cfg runner.Config) ([]core.MethodResult, *runner.Report, error) {

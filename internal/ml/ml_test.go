@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -162,6 +163,16 @@ func TestForestDeterministicAcrossWorkerCounts(t *testing.T) {
 		if f1.Predict(Xt[i]) != f2.Predict(Xt[i]) {
 			t.Fatalf("row %d: forest prediction differs across worker counts", i)
 		}
+	}
+	var b1, b2 bytes.Buffer
+	if err := f1.Save(&b1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f2.Save(&b2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+		t.Fatalf("saved forests differ across worker counts (%d vs %d bytes)", b1.Len(), b2.Len())
 	}
 }
 

@@ -136,12 +136,17 @@ func treeFromDTO(dto treeDTO) (*DecisionTree, error) {
 	return t, nil
 }
 
-// Save serializes the fitted forest with encoding/gob.
+// Save serializes the fitted forest with encoding/gob. The config's
+// Workers is how the fit ran, not what it learned, so it is saved as 0:
+// same-seed fits save the same bytes at any worker count, and a loaded
+// forest predicts with the default fan-out.
 func (f *RandomForest) Save(w io.Writer) error {
 	if len(f.trees) == 0 {
 		return fmt.Errorf("ml: cannot save an unfitted forest")
 	}
-	dto := forestDTO{Version: forestFormatVersion, Cfg: f.cfg, Trees: make([]treeDTO, len(f.trees))}
+	cfg := f.cfg
+	cfg.Workers = 0
+	dto := forestDTO{Version: forestFormatVersion, Cfg: cfg, Trees: make([]treeDTO, len(f.trees))}
 	for i, t := range f.trees {
 		dto.Trees[i] = t.toDTO()
 	}

@@ -67,7 +67,7 @@ func SetManifestFS(fsys ManifestFS) (restore func()) {
 // values, seed, Go version), when, how it ended, and the final metrics
 // snapshot, whose stage.<name>.seconds histograms carry the per-stage
 // latencies. An operator can reconstruct — days later — which corner
-// grid a sweep covered, how many retries it burned, and where its
+// grid a sweep covered, which cells failed, and where its
 // hours went, without having kept the terminal output.
 type Manifest struct {
 	Command     string            `json:"command"`

@@ -13,15 +13,16 @@ import (
 // Checkpoint / journal file format: one JSON document per line.
 //
 //	{"format":"tevot-checkpoint","version":1,"sweep":"<name>"}
-//	{"key":"fig3/INT_ADD/random_data/v0.810/t0","attempts":1,"value":{...}}
+//	{"key":"fig3/INT_ADD/random_data/v0.810/t0","value":{...}}
 //	...
 //
 // The header pins the sweep identity (name + scale fingerprint) so a
 // checkpoint cannot be resumed against a differently sized sweep. One
 // entry is appended and fsynced per completed cell, so a killed process
 // loses at most the in-flight cells. Only successes are recorded —
-// failed cells are re-attempted on resume (at-least-once delivery per
-// cell).
+// failed cells are re-run on resume (at-least-once delivery per cell).
+// Files written before entries lost their "attempts" count still load:
+// an entry's unknown fields are ignored.
 //
 // A kill can land mid-append, leaving a torn final line (partial bytes,
 // or a full line missing its terminating newline). Loading detects the
@@ -45,9 +46,8 @@ type checkpointHeader struct {
 
 // JournalEntry is one completed cell as recorded in the file.
 type JournalEntry struct {
-	Key      string          `json:"key"`
-	Attempts int             `json:"attempts"`
-	Value    json.RawMessage `json:"value"`
+	Key   string          `json:"key"`
+	Value json.RawMessage `json:"value"`
 }
 
 // loadResult carries what a load pass learned about the file.
@@ -246,8 +246,8 @@ func writeHeader(f File, sweep string) error {
 // Record appends one completed cell and fsyncs, so the entry survives a
 // process kill. Cells cost seconds to hours each; one fsync per cell is
 // noise next to that.
-func (j *Journal) Record(key string, attempts int, value json.RawMessage) error {
-	b, err := json.Marshal(JournalEntry{Key: key, Attempts: attempts, Value: value})
+func (j *Journal) Record(key string, value json.RawMessage) error {
+	b, err := json.Marshal(JournalEntry{Key: key, Value: value})
 	if err != nil {
 		return err
 	}

@@ -145,31 +145,40 @@ func canonical(m map[string]cellValue) []cellValue {
 }
 
 // TestCheckpointToleratesTruncatedTail: a kill mid-append leaves a
-// partial final line; resume must drop it and redo just that cell.
+// partial final line; resume must drop it and redo just that cell. The
+// second input is the same checkpoint in the entry format written before
+// entries lost their attempt count ({"key":…,"attempts":1,"value":…}):
+// it must resume the same way, to the same results.
 func TestCheckpointToleratesTruncatedTail(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "sweep.ckpt")
-	if _, rep, err := Run(context.Background(), Config{Name: "tail", Checkpoint: ckpt}, sweepTasks(6, nil)); err != nil || rep.Failed != 0 {
-		t.Fatalf("seed run: %v", err)
-	}
-	// Simulate a mid-write kill: chop the file inside the last line.
-	b, err := os.ReadFile(ckpt)
+	want, _, err := Run(context.Background(), Config{Name: "tail"}, sweepTasks(6, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	trimmed := strings.TrimRight(string(b), "\n")
-	cut := trimmed[:len(trimmed)-7]
-	if err := os.WriteFile(ckpt, []byte(cut), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for name, format := range map[string]func(string) string{
+		"current":       func(s string) string { return s },
+		"with-attempts": func(s string) string { return strings.ReplaceAll(s, `,"value":`, `,"attempts":1,"value":`) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
+			if _, rep, err := Run(context.Background(), Config{Name: "tail", Checkpoint: ckpt}, sweepTasks(6, nil)); err != nil || rep.Failed != 0 {
+				t.Fatalf("seed run: %v", err)
+			}
+			// Simulate a mid-write kill: chop the file inside the last line.
+			trimmed := strings.TrimRight(format(readFile(t, ckpt)), "\n")
+			writeFile(t, ckpt, trimmed[:len(trimmed)-7])
 
-	var executed atomic.Int32
-	_, rep, err := Run(context.Background(), Config{Name: "tail", Checkpoint: ckpt, Resume: true}, sweepTasks(6, &executed))
-	if err != nil {
-		t.Fatalf("resume over truncated tail: %v", err)
-	}
-	if rep.Resumed != 5 || executed.Load() != 1 {
-		t.Fatalf("resumed=%d executed=%d, want 5/1:\n%s", rep.Resumed, executed.Load(), rep.Summary())
+			var executed atomic.Int32
+			got, rep, err := Run(context.Background(), Config{Name: "tail", Checkpoint: ckpt, Resume: true}, sweepTasks(6, &executed))
+			if err != nil {
+				t.Fatalf("resume over truncated tail: %v", err)
+			}
+			if rep.Resumed != 5 || executed.Load() != 1 {
+				t.Fatalf("resumed=%d executed=%d, want 5/1:\n%s", rep.Resumed, executed.Load(), rep.Summary())
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("resumed results differ from uninterrupted run")
+			}
+		})
 	}
 }
 

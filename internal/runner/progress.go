@@ -10,15 +10,14 @@ import (
 // Observability: the runner maintains cumulative metrics in the obs
 // registry (visible at /metrics and in the run manifest) plus a live
 // per-sweep progress view served by the CLIs' -debug-addr /progress
-// route — which corner cells are done, how much retry budget is burned,
-// and an ETA extrapolated from the trailing cell-latency histogram.
+// route — which corner cells are done or failed, and an ETA
+// extrapolated from the trailing cell-latency histogram.
 var (
 	mCellsTotal    = obs.NewCounter("runner.cells_total")
 	mCellsOK       = obs.NewCounter("runner.cells_ok")
 	mCellsFailed   = obs.NewCounter("runner.cells_failed")
 	mCellsResumed  = obs.NewCounter("runner.cells_resumed")
 	mAttempts      = obs.NewCounter("runner.attempts")
-	mRetries       = obs.NewCounter("runner.retries")
 	mPanics        = obs.NewCounter("runner.panics")
 	mTimeouts      = obs.NewCounter("runner.timeouts")
 	mCkptFlushes   = obs.NewCounter("runner.checkpoint_flushes")
@@ -29,16 +28,14 @@ var (
 // progressState is the live state of the most recent sweep; counters
 // are atomics so workers update them without coordination.
 type progressState struct {
-	sweep       string
-	total       int64
-	workers     int64
-	retryBudget int64
-	start       time.Time
+	sweep   string
+	total   int64
+	workers int64
+	start   time.Time
 
 	resumed   atomic.Int64
 	done      atomic.Int64
 	failed    atomic.Int64
-	retried   atomic.Int64
 	running   atomic.Int64
 	sumCellNs atomic.Int64
 	finished  atomic.Bool
@@ -63,11 +60,6 @@ type Progress struct {
 	Failed  int `json:"failed"`
 	Running int `json:"running"`
 
-	// Retried is the retry budget spent (extra attempts executed);
-	// RetryBudget is the total available (retries-per-cell × cells).
-	Retried     int `json:"retried"`
-	RetryBudget int `json:"retry_budget"`
-
 	ElapsedSec  float64 `json:"elapsed_sec"`
 	CellsPerSec float64 `json:"cells_per_sec"`
 	MeanCellSec float64 `json:"mean_cell_sec"`
@@ -89,19 +81,17 @@ func LiveProgress() any {
 	failed := int(st.failed.Load())
 	resumed := int(st.resumed.Load())
 	p := Progress{
-		Status:      "running",
-		Sweep:       st.sweep,
-		Workers:     int(st.workers),
-		Total:       int(st.total),
-		Resumed:     resumed,
-		Done:        done,
-		Failed:      failed,
-		Running:     int(st.running.Load()),
-		Retried:     int(st.retried.Load()),
-		RetryBudget: int(st.retryBudget),
-		ElapsedSec:  time.Since(st.start).Seconds(),
-		P50CellSec:  hCellSeconds.Quantile(0.50),
-		P95CellSec:  hCellSeconds.Quantile(0.95),
+		Status:     "running",
+		Sweep:      st.sweep,
+		Workers:    int(st.workers),
+		Total:      int(st.total),
+		Resumed:    resumed,
+		Done:       done,
+		Failed:     failed,
+		Running:    int(st.running.Load()),
+		ElapsedSec: time.Since(st.start).Seconds(),
+		P50CellSec: hCellSeconds.Quantile(0.50),
+		P95CellSec: hCellSeconds.Quantile(0.95),
 	}
 	if st.finished.Load() {
 		p.Status = "done"

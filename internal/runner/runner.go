@@ -7,18 +7,20 @@
 //     deadlines;
 //   - panic recovery, converting panics deep inside a cell (netlist
 //     building, simulation, training) into typed per-cell errors;
-//   - retry with exponential backoff + deterministic jitter for failures
-//     classified as transient, plus a seeded fault-injection hook so the
-//     retry/timeout paths are testable in CI without flakiness;
 //   - graceful degradation: failed cells are recorded in the Report and
 //     the sweep continues;
 //   - JSON-lines checkpointing: each completed cell is appended and
 //     fsynced, and a resumed run skips already-done cells, producing
 //     results identical to an uninterrupted run.
 //
-// Every cell runs at least once (failed cells are re-attempted on
-// resume); cell results must therefore be deterministic functions of
-// their key, which all TEVoT characterization cells are.
+// A cell runs once per run and ends in one of three states: ok; failed
+// (an error, a panic or a deadline overrun); or skipped, because the
+// sweep was cancelled before or while it ran. There is no in-run retry:
+// cell results are deterministic functions of their key, which all
+// TEVoT characterization cells are, so a second attempt on the same
+// host under the same deadline repeats the same work. Failed and
+// skipped cells re-run on resume, and in a distributed sweep when the
+// coordinator re-leases them.
 package runner
 
 import (
@@ -33,7 +35,6 @@ import (
 	"sync"
 	"time"
 
-	"tevot/internal/backoff"
 	"tevot/internal/obs"
 )
 
@@ -44,27 +45,12 @@ type Config struct {
 	Name string
 	// Workers bounds concurrent cells; <= 0 means GOMAXPROCS.
 	Workers int
-	// TaskTimeout is the per-attempt deadline; 0 means none.
+	// TaskTimeout is the per-cell deadline; 0 means none.
 	TaskTimeout time.Duration
-	// Retries is the number of extra attempts granted to failures
-	// classified as Transient.
-	Retries int
-	// Backoff is the base delay before the first retry (default 100ms);
-	// it doubles per attempt up to MaxBackoff (default 5s), with
-	// deterministic per-cell jitter in [0.5x, 1.5x).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// Seed drives the backoff jitter (and, by convention, fault
-	// injectors), keeping runs reproducible.
-	Seed int64
 	// Checkpoint is the path of the JSONL checkpoint file ("" disables
 	// checkpointing). Resume loads it first and skips completed cells.
 	Checkpoint string
 	Resume     bool
-	// Inject, when non-nil, is consulted before every attempt; a non-nil
-	// return fails the attempt with that error. Used for deterministic
-	// fault injection in tests.
-	Inject FaultFn
 }
 
 func (c Config) withDefaults() Config {
@@ -73,12 +59,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 100 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 5 * time.Second
 	}
 	return c
 }
@@ -101,12 +81,9 @@ type Report struct {
 	Resumed   int
 	Succeeded int
 	Failed    int
-	// Skipped cells were never attempted, or had an attempt or backoff
-	// cut short, because the sweep context was cancelled; a resumed run
-	// executes them.
+	// Skipped cells were never started, or were cut short, because the
+	// sweep context was cancelled; a resumed run executes them.
 	Skipped int
-	// Retried is the total number of extra attempts spent across cells.
-	Retried int
 	// Failures lists failed cells, sorted by key.
 	Failures []*CellError
 	// Interrupted reports that the sweep context was cancelled.
@@ -133,12 +110,12 @@ func (r *Report) Err() error {
 }
 
 // Summary renders a one-line (plus per-failure lines) human report:
-// cell totals, retry spend, wall time, and the slowest cell — the
-// lines the CLIs print at the end of a sweep.
+// cell totals, wall time, and the slowest cell — the lines the CLIs
+// print at the end of a sweep.
 func (r *Report) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "sweep %q: %d cells — %d ok, %d resumed, %d failed, %d skipped (%d retries)",
-		r.Sweep, r.Total, r.Succeeded, r.Resumed, r.Failed, r.Skipped, r.Retried)
+	fmt.Fprintf(&b, "sweep %q: %d cells — %d ok, %d resumed, %d failed, %d skipped",
+		r.Sweep, r.Total, r.Succeeded, r.Resumed, r.Failed, r.Skipped)
 	if r.Elapsed > 0 {
 		fmt.Fprintf(&b, " in %v", r.Elapsed.Round(time.Millisecond))
 	}
@@ -146,7 +123,7 @@ func (r *Report) Summary() string {
 		fmt.Fprintf(&b, "\n  slowest cell: %s (%v)", r.SlowestKey, r.SlowestDur.Round(time.Millisecond))
 	}
 	for _, f := range r.Failures {
-		fmt.Fprintf(&b, "\n  FAILED %s after %d attempt(s): %v", f.Key, f.Attempts, f.Err)
+		fmt.Fprintf(&b, "\n  FAILED %s: %v", f.Key, f.Err)
 	}
 	return b.String()
 }
@@ -155,12 +132,11 @@ func (r *Report) Summary() string {
 // collector. A cell the sweep's cancellation cut short is skipped, not
 // failed: nothing went wrong with it.
 type cellResult[R any] struct {
-	key      string
-	value    R
-	attempts int
-	dur      time.Duration
-	err      error
-	skipped  bool
+	key     string
+	value   R
+	dur     time.Duration
+	err     error
+	skipped bool
 }
 
 // Run executes the tasks on a bounded worker pool and returns the
@@ -225,11 +201,10 @@ func Run[R any](ctx context.Context, cfg Config, tasks []Task[R]) (map[string]R,
 	// Publish the live progress state before the first worker starts so
 	// a /progress poll never races an inconsistent half-sweep.
 	st := &progressState{
-		sweep:       cfg.Name,
-		total:       int64(len(tasks)),
-		workers:     int64(nw),
-		retryBudget: int64(cfg.Retries) * int64(len(todo)),
-		start:       start,
+		sweep:   cfg.Name,
+		total:   int64(len(tasks)),
+		workers: int64(nw),
+		start:   start,
 	}
 	st.resumed.Store(int64(rep.Resumed))
 	liveSweep.Store(st)
@@ -270,7 +245,6 @@ func Run[R any](ctx context.Context, cfg Config, tasks []Task[R]) (map[string]R,
 
 	var infraErr error
 	for r := range resCh {
-		rep.Retried += r.attempts - 1
 		if r.skipped {
 			continue
 		}
@@ -279,9 +253,8 @@ func Run[R any](ctx context.Context, cfg Config, tasks []Task[R]) (map[string]R,
 		}
 		if r.err != nil {
 			rep.Failed++
-			rep.Failures = append(rep.Failures, &CellError{Key: r.key, Attempts: r.attempts, Err: r.err})
-			log.Warn("cell failed", "sweep", cfg.Name, "cell", r.key,
-				"attempts", r.attempts, "err", r.err)
+			rep.Failures = append(rep.Failures, &CellError{Key: r.key, Err: r.err})
+			log.Warn("cell failed", "sweep", cfg.Name, "cell", r.key, "err", r.err)
 			continue
 		}
 		results[r.key] = r.value
@@ -289,7 +262,7 @@ func Run[R any](ctx context.Context, cfg Config, tasks []Task[R]) (map[string]R,
 		if jnl != nil && infraErr == nil {
 			raw, err := json.Marshal(r.value)
 			if err == nil {
-				err = jnl.Record(r.key, r.attempts, raw)
+				err = jnl.Record(r.key, raw)
 			}
 			if err != nil {
 				infraErr = fmt.Errorf("runner: writing checkpoint %s: %w", cfg.Checkpoint, err)
@@ -302,7 +275,7 @@ func Run[R any](ctx context.Context, cfg Config, tasks []Task[R]) (map[string]R,
 	rep.Skipped = rep.Total - rep.Resumed - rep.Succeeded - rep.Failed
 	log.Debug("sweep finished", "sweep", cfg.Name, "ok", rep.Succeeded,
 		"resumed", rep.Resumed, "failed", rep.Failed, "skipped", rep.Skipped,
-		"retries", rep.Retried, "elapsed", time.Since(start).Round(time.Millisecond))
+		"elapsed", time.Since(start).Round(time.Millisecond))
 	if ctx.Err() != nil {
 		rep.Interrupted = true
 		return results, rep, ctx.Err()
@@ -310,117 +283,59 @@ func Run[R any](ctx context.Context, cfg Config, tasks []Task[R]) (map[string]R,
 	return results, rep, infraErr
 }
 
-// execute runs one cell to its final outcome: attempts until success, a
-// permanent failure, retry exhaustion, or cancellation. The per-cell
-// wall time (across all attempts and backoffs) of a cell that finished
-// feeds the cell-latency histogram the /progress ETA is extrapolated
-// from; a cell cancellation cut short is returned skipped and uncounted.
-func execute[R any](ctx context.Context, cfg Config, t Task[R], st *progressState) cellResult[R] {
-	start := time.Now()
-	finish := func(r cellResult[R]) cellResult[R] {
-		if r.err != nil && ctx.Err() != nil {
-			r.skipped = true
-			return r
-		}
-		r.dur = time.Since(start)
-		hCellSeconds.Observe(r.dur.Seconds())
-		st.sumCellNs.Add(r.dur.Nanoseconds())
-		if r.err != nil {
-			st.failed.Add(1)
-			mCellsFailed.Inc()
-		} else {
-			st.done.Add(1)
-			mCellsOK.Inc()
-		}
-		return r
-	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		mAttempts.Inc()
-		v, err := runAttempt(ctx, cfg, t, attempt)
-		if err == nil {
-			return finish(cellResult[R]{key: t.Key, value: v, attempts: attempt + 1})
-		}
-		lastErr = err
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			mPanics.Inc()
-		} else if errors.Is(err, context.DeadlineExceeded) {
-			mTimeouts.Inc()
-		}
-		if ctx.Err() != nil || attempt >= cfg.Retries || DefaultClassify(err) != Transient {
-			return finish(cellResult[R]{key: t.Key, attempts: attempt + 1, err: lastErr})
-		}
-		mRetries.Inc()
-		st.retried.Add(1)
-		d := backoffDelay(cfg, t.Key, attempt)
-		obs.Logger("runner").Debug("retrying cell", "sweep", cfg.Name, "cell", t.Key,
-			"attempt", attempt+1, "backoff", d, "err", err)
-		if !sleepCtx(ctx, d) {
-			return finish(cellResult[R]{key: t.Key, attempts: attempt + 1, err: lastErr})
-		}
-	}
-}
-
-// runAttempt executes one attempt in its own goroutine so that a task
-// that overruns its deadline (or ignores ctx entirely) cannot stall the
+// execute runs one cell once, in its own goroutine so that a task that
+// overruns its deadline (or ignores ctx entirely) cannot stall the
 // worker: the worker abandons it at the deadline and moves on, and the
 // stray goroutine finishes in the background into a buffered channel.
-func runAttempt[R any](ctx context.Context, cfg Config, t Task[R], attempt int) (R, error) {
-	var zero R
-	if cfg.Inject != nil {
-		if err := cfg.Inject(t.Key, attempt); err != nil {
-			return zero, err
-		}
-	}
-	actx := ctx
+// The wall time of a cell that finished feeds the cell-latency histogram
+// the /progress ETA is extrapolated from; a cell the sweep's
+// cancellation cut short is returned skipped and uncounted.
+func execute[R any](ctx context.Context, cfg Config, t Task[R], st *progressState) cellResult[R] {
+	start := time.Now()
+	mAttempts.Inc()
+	cctx := ctx
 	cancel := func() {}
 	if cfg.TaskTimeout > 0 {
-		actx, cancel = context.WithTimeout(ctx, cfg.TaskTimeout)
+		cctx, cancel = context.WithTimeout(ctx, cfg.TaskTimeout)
 	}
 	defer cancel()
 
-	type outcome struct {
-		v   R
-		err error
-	}
-	ch := make(chan outcome, 1)
+	ch := make(chan cellResult[R], 1)
 	go func() {
 		defer func() {
 			if p := recover(); p != nil {
-				ch <- outcome{err: &PanicError{Value: fmt.Sprint(p), Stack: string(debug.Stack())}}
+				ch <- cellResult[R]{err: &PanicError{Value: fmt.Sprint(p), Stack: string(debug.Stack())}}
 			}
 		}()
-		v, err := t.Run(actx)
-		ch <- outcome{v: v, err: err}
+		v, err := t.Run(cctx)
+		ch <- cellResult[R]{value: v, err: err}
 	}()
+	var r cellResult[R]
 	select {
-	case o := <-ch:
-		return o.v, o.err
-	case <-actx.Done():
-		return zero, actx.Err()
+	case r = <-ch:
+	case <-cctx.Done():
+		r.err = cctx.Err()
 	}
-}
-
-// backoffDelay is Backoff·2^attempt capped at MaxBackoff, scaled by a
-// deterministic per-(key, attempt) jitter factor in [0.5, 1.5) —
-// reproducible across runs, decorrelated across cells. The schedule
-// lives in internal/backoff, shared with the distributed-sweep HTTP
-// client so one seed reproduces both layers' retry timing.
-func backoffDelay(cfg Config, key string, attempt int) time.Duration {
-	p := backoff.Policy{Base: cfg.Backoff, Max: cfg.MaxBackoff, Seed: cfg.Seed}
-	return p.Delay(key, attempt)
-}
-
-// sleepCtx sleeps for d or until ctx is cancelled; it reports whether
-// the full sleep elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
+	r.key = t.Key
+	var pe *PanicError
+	if errors.As(r.err, &pe) {
+		mPanics.Inc()
+	} else if errors.Is(r.err, context.DeadlineExceeded) {
+		mTimeouts.Inc()
 	}
+	if r.err != nil && ctx.Err() != nil {
+		r.skipped = true
+		return r
+	}
+	r.dur = time.Since(start)
+	hCellSeconds.Observe(r.dur.Seconds())
+	st.sumCellNs.Add(r.dur.Nanoseconds())
+	if r.err != nil {
+		st.failed.Add(1)
+		mCellsFailed.Inc()
+	} else {
+		st.done.Add(1)
+		mCellsOK.Inc()
+	}
+	return r
 }

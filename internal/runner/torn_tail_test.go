@@ -21,8 +21,10 @@ const tornSweep = "torn-tail-sweep v1"
 
 func tornKey(i int) string { return fmt.Sprintf("cell-%02d", i) }
 
+// tornValue is a row-like cell value. Its length sets how many byte
+// offsets the final record has: one subtest, cut-NN, per offset.
 func tornValue(i int) json.RawMessage {
-	return json.RawMessage(fmt.Sprintf(`{"row":%d}`, i))
+	return json.RawMessage(fmt.Sprintf(`{"row":%d,"mean_ps":%d.5}`, i, 400+i))
 }
 
 // seedJournal writes a header plus entries 0..n-1 on the real
@@ -35,7 +37,7 @@ func seedJournal(t *testing.T, dir string, name string, n int) string {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := j.Record(tornKey(i), 1, tornValue(i)); err != nil {
+		if err := j.Record(tornKey(i), tornValue(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,7 +59,7 @@ func TestTornTailRecoveryAtEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rec runner.JournalEntry
-	rec.Key, rec.Attempts, rec.Value = tornKey(entries-1), 1, tornValue(entries-1)
+	rec.Key, rec.Value = tornKey(entries-1), tornValue(entries-1)
 	recBytes, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +86,7 @@ func TestTornTailRecoveryAtEveryOffset(t *testing.T) {
 			if len(done) != entries-1 {
 				t.Fatalf("chaos open recovered %d entries, want %d", len(done), entries-1)
 			}
-			if err := j.Record(tornKey(entries-1), 1, tornValue(entries-1)); err != nil {
+			if err := j.Record(tornKey(entries-1), tornValue(entries-1)); err != nil {
 				t.Fatalf("torn write must lie success, got %v", err)
 			}
 			j.Close()
@@ -112,7 +114,7 @@ func TestTornTailRecoveryAtEveryOffset(t *testing.T) {
 
 			// Re-run the torn cell; the journal must now be whole and
 			// byte-identical to the intact one.
-			if err := j2.Record(tornKey(entries-1), 1, tornValue(entries-1)); err != nil {
+			if err := j2.Record(tornKey(entries-1), tornValue(entries-1)); err != nil {
 				t.Fatalf("re-append after tear: %v", err)
 			}
 			j2.Close()

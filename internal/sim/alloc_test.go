@@ -9,12 +9,9 @@ import (
 	"tevot/internal/sta"
 )
 
-// steadyRunner builds a warmed-up runner and a pool of input vectors for
-// allocation measurements.
-func steadyRunner(t testing.TB, fu circuits.FU) (*Runner, [][]bool) {
-	return steadyKernelRunner(t, fu, false)
-}
-
+// steadyKernelRunner builds a warmed-up runner (the reference kernel's
+// when ref is set) and a pool of input vectors for allocation
+// measurements.
 func steadyKernelRunner(t testing.TB, fu circuits.FU, ref bool) (*Runner, [][]bool) {
 	nl, err := fu.Build()
 	if err != nil {
@@ -78,10 +75,11 @@ func TestCycleSteadyStateNoAllocs(t *testing.T) {
 	}
 }
 
-// steadyMemoRunner is steadyRunner with the transition memo enabled and
-// every transition of the vector ring already cached: two full warm-up
-// passes populate the cache (and grow the rehydration buffers), so
-// subsequent streaming cycles are pure hits.
+// steadyMemoRunner is steadyKernelRunner's fast runner with the
+// transition memo enabled and every transition of the vector ring
+// already cached: two full warm-up passes populate the cache (and grow
+// the rehydration buffers), so subsequent streaming cycles are pure
+// hits.
 func steadyMemoRunner(t testing.TB, fu circuits.FU) (*Runner, [][]bool) {
 	nl, err := fu.Build()
 	if err != nil {
@@ -171,35 +169,5 @@ func TestWindowScratchNoAllocs(t *testing.T) {
 	}
 	if s := r.SliceStats(); s.Windows < 50 {
 		t.Fatalf("windows did not engage during the measurement: %+v", s)
-	}
-}
-
-// TestSampledIntoMatchesSampled checks the no-alloc sampling variant
-// against the allocating one across candidate clocks, and that it does
-// not allocate.
-func TestSampledIntoMatchesSampled(t *testing.T) {
-	r, vecs := steadyRunner(t, circuits.IntAdd32)
-	dst := make([]bool, len(r.Netlist().PrimaryOutputs))
-	for i := 0; i < len(vecs); i++ {
-		res, err := r.Cycle(nil, vecs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		init := r.InitialOutputs()
-		for _, tclk := range []float64{0, res.Delay / 2, res.Delay, res.Delay * 2} {
-			want := res.Sampled(init, tclk)
-			got := res.SampledInto(dst, init, tclk)
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("cycle %d tclk %v: SampledInto[%d] = %v, Sampled = %v", i, tclk, k, got[k], want[k])
-				}
-			}
-		}
-		allocs := testing.AllocsPerRun(50, func() {
-			res.SampledInto(dst, init, res.Delay/2)
-		})
-		if allocs != 0 {
-			t.Fatalf("SampledInto allocates %.1f times per call; want 0", allocs)
-		}
 	}
 }

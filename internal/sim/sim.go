@@ -4,8 +4,8 @@
 // file) it simulates one clock cycle at a time — the circuit settled at
 // the previous input vector, the new vector applied at t = 0 — and
 // reports the cycle's dynamic delay (time of the last primary-output
-// toggle), the settled output values, and the value that a capture
-// register would sample at any candidate clock period.
+// toggle), the settled output values, and whether a capture register
+// clocked at any candidate period would latch a wrong value.
 //
 // Gates use the inertial delay model: a scheduled output change is
 // cancelled if the gate re-evaluates to its present value before the
@@ -43,35 +43,11 @@ type CycleResult struct {
 	Events int
 }
 
-// Sampled returns the values a capture register clocked with period tclk
-// (ps) would latch: for each output, the last toggle strictly before tclk
-// applied on top of the cycle's initial output values (transitions at the
-// sampling instant are missed).
-func (r *CycleResult) Sampled(initial []bool, tclk float64) []bool {
-	return r.SampledInto(make([]bool, len(initial)), initial, tclk)
-}
-
-// SampledInto is Sampled writing into the caller-provided dst (which
-// must have len(initial) entries and may alias initial), so a
-// characterization loop can sample every cycle without allocating. It
-// returns dst.
-func (r *CycleResult) SampledInto(dst, initial []bool, tclk float64) []bool {
-	copy(dst, initial)
-	for i, ts := range r.Toggles {
-		for _, tg := range ts {
-			if tg.T < tclk {
-				dst[i] = tg.Val
-			} else {
-				break
-			}
-		}
-	}
-	return dst
-}
-
 // ErrorAt reports whether sampling at clock period tclk (ps) yields any
 // output bit different from the settled value — a timing error in the
-// paper's sense.
+// paper's sense. A capture register latches, per output, the last toggle
+// strictly before tclk (a transition at the sampling instant is missed)
+// on top of initial, the outputs' values at the cycle start.
 func (r *CycleResult) ErrorAt(initial []bool, tclk float64) bool {
 	for i, ts := range r.Toggles {
 		v := initial[i]
@@ -87,27 +63,6 @@ func (r *CycleResult) ErrorAt(initial []bool, tclk float64) bool {
 		}
 	}
 	return false
-}
-
-// SampledValue packs the sampled output bits at tclk into a uint32
-// (outputs beyond bit 31 are ignored); initial must hold the outputs'
-// values at the cycle start.
-func (r *CycleResult) SampledValue(initial []bool, tclk float64) uint32 {
-	var v uint32
-	for i, ts := range r.Toggles {
-		bit := initial[i]
-		for _, tg := range ts {
-			if tg.T < tclk {
-				bit = tg.Val
-			} else {
-				break
-			}
-		}
-		if bit && i < 32 {
-			v |= 1 << i
-		}
-	}
-	return v
 }
 
 // Clone deep-copies the result so it survives subsequent Cycle calls.

@@ -44,6 +44,10 @@ sh scripts/loadgen_smoke.sh
 echo "== signal handling: SIGTERM flushes checkpoint + finalizes manifest"
 go test -run 'TestSigtermFlushesCheckpointAndManifest' ./cmd/tevot-sweep
 
+echo "== recovery: failed and interrupted cells re-run on -resume (race)"
+go test -race -run 'TestFailedCellsNotCheckpointed|TestCancellationSkipsRemaining|TestCheckpointToleratesTruncatedTail' ./internal/runner
+go test -race -run 'TestFig3RunResumeReproducesUninterruptedRun' ./internal/experiments
+
 echo "== kernel equivalence: calendar-queue vs reference heap, every FU, overflow and rebase, stamp wrap; calendar-queue drain order, dense buckets included; simulator vs zero-delay evaluation"
 go test -run 'TestKernelDiffFUs|TestKernelDiffExtremeDelayRatio|TestKernelDiffStampWrap|TestCalQueue|TestFuzzSimulatorAgainstEval' ./internal/sim
 
