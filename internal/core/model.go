@@ -67,9 +67,9 @@ func Train(fu circuits.FU, traces []*Trace, cfg Config) (*Model, error) {
 		cfg.Forest = ml.DefaultForestConfig(ml.Regression)
 	}
 	cfg.Forest.Tree.Mode = ml.Regression
-	dim := features.Dim
+	nbits := features.PackedBits
 	if !cfg.History {
-		dim = features.DimNH
+		nbits = features.PackedBitsNH
 	}
 	total := 0
 	for _, tr := range traces {
@@ -78,28 +78,22 @@ func Train(fu circuits.FU, traces []*Trace, cfg Config) (*Model, error) {
 		}
 		total += tr.Cycles()
 	}
-	// One contiguous backing array for all rows: cheaper to fill and much
-	// friendlier to the forest's split scans than n separate row allocs.
+	// The forest trains on the packed rows its predictions walk: 32
+	// bytes a cycle, with the operand bits as bit features.
 	endFeat := obs.Time("features.extract")
-	X := featureRows(total, dim)
+	rows := make([]ml.PackedRow, total)
 	y := make([]float64, 0, total)
-	row := 0
 	for _, tr := range traces {
 		pairs := tr.Stream.Pairs
 		for i := 0; i < tr.Cycles(); i++ {
-			if cfg.History {
-				features.VectorInto(X[row], tr.Corner, pairs[i+1], pairs[i])
-			} else {
-				features.VectorNHInto(X[row], tr.Corner, pairs[i+1])
-			}
-			row++
+			pack(&rows[len(y)], cfg.History, tr.Corner, pairs[i+1], pairs[i])
 			y = append(y, tr.Delays[i])
 		}
 	}
 	endFeat()
 	forest := ml.NewRandomForest(cfg.Forest)
 	endFit := obs.Time("forest.fit")
-	err := forest.Fit(X, y)
+	err := forest.FitPacked(rows, nbits, y)
 	endFit()
 	if err != nil {
 		return nil, err
@@ -107,9 +101,10 @@ func Train(fu circuits.FU, traces []*Trace, cfg Config) (*Model, error) {
 	return newModel(fu, cfg.History, forest)
 }
 
-// pack writes the packed row of applying cur after prev at corner.
-func (m *Model) pack(dst *ml.PackedRow, corner cells.Corner, cur, prev workload.OperandPair) {
-	if m.History {
+// pack writes the packed row of applying cur after prev at corner, with
+// history or without.
+func pack(dst *ml.PackedRow, history bool, corner cells.Corner, cur, prev workload.OperandPair) {
+	if history {
 		features.PackInto(dst, corner, cur, prev)
 	} else {
 		features.PackNHInto(dst, corner, cur)
@@ -120,7 +115,7 @@ func (m *Model) pack(dst *ml.PackedRow, corner cells.Corner, cur, prev workload.
 // prev at the given corner. For history-free models prev is ignored.
 func (m *Model) PredictDelay(corner cells.Corner, cur, prev workload.OperandPair) float64 {
 	var row ml.PackedRow
-	m.pack(&row, corner, cur, prev)
+	pack(&row, m.History, corner, cur, prev)
 	return m.forest.PredictPacked(row, m.nbits)
 }
 
@@ -213,7 +208,7 @@ func (m *Model) FillPackedRows(rows []ml.PackedRow, corner cells.Corner, pairs [
 		return fmt.Errorf("core: scratch holds %d rows, need %d", len(rows), n)
 	}
 	for i := range rows[:n] {
-		m.pack(&rows[i], corner, pairs[i+1], pairs[i])
+		pack(&rows[i], m.History, corner, pairs[i+1], pairs[i])
 	}
 	return nil
 }
@@ -237,7 +232,7 @@ func (m *Model) PredictDelays(corner cells.Corner, s *workload.Stream) ([]float6
 	endFeat := obs.Time("features.extract")
 	rows := make([]ml.PackedRow, s.Len()-1)
 	for i := range rows {
-		m.pack(&rows[i], corner, s.Pairs[i+1], s.Pairs[i])
+		pack(&rows[i], m.History, corner, s.Pairs[i+1], s.Pairs[i])
 	}
 	endFeat()
 	endPred := obs.Time("forest.predict")

@@ -177,7 +177,7 @@ func (c *Client) once(ctx context.Context, path string, body []byte, resp any) (
 // Register announces the worker and returns the sweep spec.
 func (c *Client) Register(ctx context.Context, worker string) (Spec, int, error) {
 	var resp registerResponse
-	err := c.post(ctx, "/v1/register", registerRequest{Worker: worker}, &resp)
+	err := c.post(ctx, "/v1/register", registerRequest{Worker: worker, Version: protocolVersion}, &resp)
 	return resp.Spec, resp.ReleasedLeases, err
 }
 

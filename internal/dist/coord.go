@@ -222,6 +222,15 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, "invalid_request", "worker id required")
 		return
 	}
+	if req.Version != protocolVersion {
+		msg := fmt.Sprintf("worker speaks protocol version %d, coordinator version %d: run a worker of the coordinator's build", req.Version, protocolVersion)
+		if req.Version == 0 {
+			msg = fmt.Sprintf("worker sent no protocol version (a build before version 1), coordinator speaks version %d: run a worker of the coordinator's build", protocolVersion)
+		}
+		obs.Logger("dist").Warn("worker refused at register", "worker", req.Worker, "version", req.Version, "want", protocolVersion)
+		serve.WriteError(w, http.StatusBadRequest, "protocol_version", msg)
+		return
+	}
 	c.mu.Lock()
 	known := c.table.workers[req.Worker] != nil
 	released := c.table.register(req.Worker)

@@ -21,8 +21,16 @@ import (
 // flow never parses numeric codes; HTTP error codes are reserved for
 // the exceptional paths (410 lease gone, 409 aborted, 429 shed).
 
+// protocolVersion is the wire protocol this build's coordinator and
+// workers speak. The coordinator refuses at register a worker that
+// sends another version, or none (builds before the field), so a worker
+// of another build exits before it computes a cell whose result the
+// coordinator would refuse. Bump it with any change to the wire types.
+const protocolVersion = 1
+
 type registerRequest struct {
-	Worker string `json:"worker"`
+	Worker  string `json:"worker"`
+	Version int    `json:"version"`
 }
 
 type registerResponse struct {

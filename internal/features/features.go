@@ -3,9 +3,10 @@
 // 64-bit operand pair, the previous operand pair (path sensitization
 // depends on the state the previous vector left behind), and the
 // operating condition. For a 2×32-bit functional unit the vector has
-// 64 + 64 + 2 = 130 dimensions. Training and Table II's baselines take
-// it as 130 float64s (Vector); prediction takes the same row packed
-// into 32 bytes (PackInto), which the compiled forest walks directly.
+// 64 + 64 + 2 = 130 dimensions. Table II's baselines take it as 130
+// float64s (Vector); TEVoT's training and prediction take the same row
+// packed into 32 bytes (PackInto), which the forest fits and walks
+// directly.
 package features
 
 import (
@@ -57,8 +58,8 @@ func VectorNHInto(dst []float64, corner cells.Corner, cur workload.OperandPair) 
 }
 
 // PackedBits and PackedBitsNH are the bit-feature counts of the packed
-// layouts (the nbits of ml.RandomForest.PredictPackedInto): with
-// history, and without.
+// layouts (the nbits of ml.RandomForest.FitPacked and
+// PredictPackedInto): with history, and without.
 const (
 	PackedBits   = 128
 	PackedBitsNH = 64

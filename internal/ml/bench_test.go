@@ -30,16 +30,29 @@ func benchData(n int, seed int64) ([][]float64, []float64) {
 	return X, y
 }
 
+// BenchmarkForestFit fits the default forest on TEVoT-shaped rows, from
+// float rows (Table II's RFC; Fit takes their 128 leading 0/1 columns as
+// bits) and from the same rows packed (core.Train). Both grow the same
+// trees.
 func BenchmarkForestFit(b *testing.B) {
 	X, y := benchData(5000, 1)
+	rows := packRows(X, 128)
 	cfg := DefaultForestConfig(Regression)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := NewRandomForest(cfg)
-		if err := f.Fit(X, y); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		fit  func(*RandomForest) error
+	}{
+		{"float", func(f *RandomForest) error { return f.Fit(X, y) }},
+		{"packed", func(f *RandomForest) error { return f.FitPacked(rows, 128, y) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.fit(NewRandomForest(cfg)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

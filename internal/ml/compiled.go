@@ -152,8 +152,8 @@ func (cf *compiledForest) leavesPacked(root int32, rows []PackedRow, nbits int32
 // exact for every row a PackedRow can hold: each split on a bit feature has its
 // threshold in [0, 1), and each split feature lies inside the row.
 func (cf *compiledForest) checkPacked(nbits int) error {
-	if nbits < 0 || nbits > 64*len(PackedRow{}.Bits) {
-		return fmt.Errorf("ml: packed rows hold at most %d bit features, got %d", 64*len(PackedRow{}.Bits), nbits)
+	if err := checkBits(nbits); err != nil {
+		return err
 	}
 	width := int32(nbits + len(PackedRow{}.Tail))
 	for i, n := range cf.nodes {
@@ -168,12 +168,24 @@ func (cf *compiledForest) checkPacked(nbits int) error {
 	return nil
 }
 
-// rowSet is the rows of one predict call: packed rows with nbits bit
-// features when packed is non-nil, else float rows.
+// checkBits refuses a bit-feature count a PackedRow cannot hold.
+func checkBits(nbits int) error {
+	if nbits < 0 || nbits > 64*len(PackedRow{}.Bits) {
+		return fmt.Errorf("ml: packed rows hold at most %d bit features, got %d", 64*len(PackedRow{}.Bits), nbits)
+	}
+	return nil
+}
+
+// rowSet is the rows of one fit or predict call: packed rows with nbits
+// bit features when packed is non-nil, else float rows. A fit's float
+// rows have their leading 0/1 columns as bit features (floatRows); a
+// predict call's have none.
 type rowSet struct {
 	float  [][]float64
 	packed []PackedRow
 	nbits  int32
+	// floatBits[i] is float row i's bit features as words (fits only).
+	floatBits [][2]uint64
 }
 
 func (s rowSet) len() int {
@@ -181,6 +193,61 @@ func (s rowSet) len() int {
 		return len(s.packed)
 	}
 	return len(s.float)
+}
+
+// width is the feature count of a row of the non-empty s.
+func (s rowSet) width() int {
+	if s.packed != nil {
+		return int(s.nbits) + len(PackedRow{}.Tail)
+	}
+	return len(s.float[0])
+}
+
+// value is float feature f (f >= nbits) of row i.
+func (s rowSet) value(i, f int) float64 {
+	if s.packed != nil {
+		return s.packed[i].Tail[f-int(s.nbits)]
+	}
+	return s.float[i][f]
+}
+
+// floatRows is the fit rowSet of float rows X. Its bit features are
+// the leading columns, up to the bits a PackedRow holds, in which every
+// row holds 0 or 1. Fitting such a column as a bit grows the trees that
+// fitting it as a float does: its one candidate is the midpoint 0.5, and
+// a row's bucket among that candidate is its value.
+func floatRows(X [][]float64) rowSet {
+	nbits := 64 * len(PackedRow{}.Bits)
+	for _, x := range X {
+		nbits = min(nbits, len(x))
+		for f, v := range x[:nbits] {
+			if v != 0 && v != 1 {
+				nbits = f
+				break
+			}
+		}
+	}
+	s := rowSet{float: X, nbits: int32(nbits)}
+	if nbits > 0 {
+		s.floatBits = make([][2]uint64, len(X))
+		for i, x := range X {
+			for f, v := range x[:nbits] {
+				if v == 1 {
+					s.floatBits[i][f>>6] |= 1 << (f & 63)
+				}
+			}
+		}
+	}
+	return s
+}
+
+// bits is the words of row i's bit features. Bits at and above nbits
+// are unspecified.
+func (s rowSet) bits(i int) [2]uint64 {
+	if s.packed != nil {
+		return s.packed[i].Bits
+	}
+	return s.floatBits[i]
 }
 
 // slice is the rows lo..hi-1 of s.

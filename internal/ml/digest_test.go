@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"testing"
@@ -75,21 +76,90 @@ func classData(n int, seed int64) ([][]float64, []float64) {
 	return X, y
 }
 
-// TestForestFitDigests pins fitted forests bit for bit: each digest was
-// recorded from the linear-search split finder, and the binned one must
-// reproduce every tree exactly, at any worker count.
+// nhData is benchData in the TEVoT-NH layout: 64 bit features (the
+// current operand pair) plus V and T.
+func nhData(n int, seed int64) ([][]float64, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	X := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range X {
+		x := randomRow(rng, 64)
+		X[i] = x
+		v := 0.0
+		for j := 24; j < 32; j++ {
+			v += x[j] * float64(j)
+		}
+		y[i] = (100 + 20*v + 5*x[50]) * (2 - x[64])
+	}
+	return X, y
+}
+
+// appData is an application-shaped set in the TEVoT layout: most
+// operands are 8-bit pixels, so their high bits are zero in most rows
+// and constant over many nodes; one row in ten carries a full 32-bit
+// operand pair.
+func appData(n int, seed int64) ([][]float64, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	operand := func() uint64 {
+		if rng.Intn(10) == 0 {
+			return uint64(rng.Uint32())
+		}
+		return uint64(rng.Intn(256))
+	}
+	X := make([][]float64, n)
+	y := make([]float64, n)
+	prev := operand() | operand()<<32
+	for i := range X {
+		cur := operand() | operand()<<32
+		x := make([]float64, 130)
+		for j := 0; j < 64; j++ {
+			x[j] = float64(cur >> j & 1)
+			x[64+j] = float64(prev >> j & 1)
+		}
+		x[128] = 0.81 + float64(rng.Intn(20))*0.01
+		x[129] = float64(rng.Intn(5)) * 25
+		X[i] = x
+		// Delay grows with the carry chain's reach: the top set bit of
+		// the sum, and a little with what the previous pair left behind.
+		sum := cur&0xffffffff + cur>>32
+		y[i] = (50 + 12*float64(bits.Len64(sum)) + 3*float64(bits.OnesCount64(cur^prev)%7)) * (2 - x[128])
+		prev = cur
+	}
+	return X, y
+}
+
+// packRows is X in the packed layout with nbits bit features.
+func packRows(X [][]float64, nbits int) []PackedRow {
+	rows := make([]PackedRow, len(X))
+	for i, x := range X {
+		rows[i] = packRow(x, nbits)
+	}
+	return rows
+}
+
+// TestForestFitDigests pins fitted forests bit for bit: each recorded
+// digest was taken from the linear-search split finder, and the binned
+// one must reproduce every tree exactly, at any worker count. Fit bins
+// a case's leading 0/1 columns as bits; each case is fitted a second
+// time with every column binned as a float, and a case with nbits > 0 a
+// third time from the same rows packed with nbits bit features
+// (FitPacked), with junk in the bits above them. All must grow the same
+// trees. A case without a recorded
+// digest pins every fit to the all-float fit at one worker.
 func TestForestFitDigests(t *testing.T) {
 	cases := []struct {
-		name string
-		data func() ([][]float64, []float64)
-		cfg  ForestConfig
-		want string
+		name  string
+		data  func() ([][]float64, []float64)
+		cfg   ForestConfig
+		nbits int
+		want  string
 	}{
 		{
-			name: "bench-regression-default",
-			data: func() ([][]float64, []float64) { return benchData(1200, 21) },
-			cfg:  DefaultForestConfig(Regression),
-			want: "cdd7beff9b5d44d97392794f796e4a7160a4b89fac767a2f433605c88df57470",
+			name:  "bench-regression-default",
+			data:  func() ([][]float64, []float64) { return benchData(1200, 21) },
+			cfg:   DefaultForestConfig(Regression),
+			nbits: 128,
+			want:  "cdd7beff9b5d44d97392794f796e4a7160a4b89fac767a2f433605c88df57470",
 		},
 		{
 			name: "bench-regression-limits",
@@ -100,7 +170,8 @@ func TestForestFitDigests(t *testing.T) {
 				Bootstrap: true,
 				Seed:      5,
 			},
-			want: "b6857f74475b80edf24cf2168c240063cb4a3b9011325f3d002b23d48571b54c",
+			nbits: 128,
+			want:  "b6857f74475b80edf24cf2168c240063cb4a3b9011325f3d002b23d48571b54c",
 		},
 		{
 			name: "continuous-regression",
@@ -109,24 +180,124 @@ func TestForestFitDigests(t *testing.T) {
 			want: "fe47ed7bc785759e2ed3041acd86595f7bfc88dc1ec35af0398d9c8f648fc74e",
 		},
 		{
-			name: "gini-classification",
-			data: func() ([][]float64, []float64) { return classData(1200, 24) },
-			cfg:  DefaultForestConfig(Classification),
-			want: "d4969bf78a8e0d27072be2df4f8b43cb70bc2d97f2fb329febb2600de57926ae",
+			name:  "gini-classification",
+			data:  func() ([][]float64, []float64) { return classData(1200, 24) },
+			cfg:   DefaultForestConfig(Classification),
+			nbits: 128,
+			want:  "d4969bf78a8e0d27072be2df4f8b43cb70bc2d97f2fb329febb2600de57926ae",
+		},
+		{
+			name: "nh-regression-limits",
+			data: func() ([][]float64, []float64) { return nhData(1200, 25) },
+			cfg: ForestConfig{
+				Trees:     6,
+				Tree:      TreeConfig{Mode: Regression, MaxFeatures: 20, MinLeaf: 2},
+				Bootstrap: true,
+				Seed:      6,
+			},
+			nbits: 64,
+		},
+		{
+			name:  "app-regression-default",
+			data:  func() ([][]float64, []float64) { return appData(1500, 26) },
+			cfg:   DefaultForestConfig(Regression),
+			nbits: 128,
 		},
 	}
 	for _, tc := range cases {
 		X, y := tc.data()
+		if got := floatRows(X).nbits; int(got) != tc.nbits {
+			t.Fatalf("%s: Fit finds %d leading 0/1 columns, want %d", tc.name, got, tc.nbits)
+		}
+		fits := []struct {
+			name string
+			fit  func(*RandomForest) error
+		}{
+			{"all-float", func(f *RandomForest) error { return f.fit(rowSet{float: X}, y) }},
+			{"float", func(f *RandomForest) error { return f.Fit(X, y) }},
+		}
+		if tc.nbits > 0 {
+			rows := packRows(X, tc.nbits)
+			// FitPacked ignores the bits at and above nbits: set some.
+			for i := range rows {
+				for f := tc.nbits; f < 128; f++ {
+					if (i+f)%3 == 0 {
+						rows[i].Bits[f>>6] |= 1 << (f & 63)
+					}
+				}
+			}
+			fits = append(fits, struct {
+				name string
+				fit  func(*RandomForest) error
+			}{"packed", func(f *RandomForest) error { return f.FitPacked(rows, tc.nbits, y) }})
+		}
+		want := tc.want
 		for _, workers := range []int{1, 4} {
-			cfg := tc.cfg
-			cfg.Workers = workers
-			f := NewRandomForest(cfg)
-			if err := f.Fit(X, y); err != nil {
-				t.Fatal(err)
+			for _, fc := range fits {
+				cfg := tc.cfg
+				cfg.Workers = workers
+				f := NewRandomForest(cfg)
+				if err := fc.fit(f); err != nil {
+					t.Fatal(err)
+				}
+				got := forestDigest(f)
+				if want == "" {
+					want = got
+				}
+				if got != want {
+					t.Errorf("%s, workers %d, %s: digest %s, want %s", tc.name, workers, fc.name, got, want)
+				}
 			}
-			if got := forestDigest(f); got != tc.want {
-				t.Errorf("%s, workers %d: digest %s, want %s", tc.name, workers, got, tc.want)
-			}
+		}
+	}
+}
+
+// TestFloatRowsBitPrefix checks which leading columns Fit takes as bit
+// features: those holding only 0 and 1 in every row, at most 128.
+func TestFloatRowsBitPrefix(t *testing.T) {
+	ones := func(n int) []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = 1
+		}
+		return x
+	}
+	for _, tc := range []struct {
+		name string
+		X    [][]float64
+		want int32
+	}{
+		{"0/1 then a float", [][]float64{{0, 1, 1, 0.85}, {1, 0, 1, 0.9}}, 3},
+		{"a 2 in one row", [][]float64{{0, 1, 1, 0.85}, {1, 2, 1, 0.9}}, 1},
+		{"NaN", [][]float64{{0, math.NaN(), 1}}, 1},
+		{"negative zero is 0", [][]float64{{math.Copysign(0, -1), 1, 3}}, 2},
+		{"float first", [][]float64{{0.5, 1, 1}}, 0},
+		{"all 0/1", [][]float64{{0, 1}, {1, 1}}, 2},
+		{"capped at 128", [][]float64{ones(200)}, 128},
+	} {
+		if got := floatRows(tc.X).nbits; got != tc.want {
+			t.Errorf("%s: %d bit features, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestFitPackedRefusesBadInput checks FitPacked's argument checks.
+func TestFitPackedRefusesBadInput(t *testing.T) {
+	rows := make([]PackedRow, 4)
+	y := make([]float64, 4)
+	for _, tc := range []struct {
+		name  string
+		rows  []PackedRow
+		nbits int
+		y     []float64
+	}{
+		{"negative nbits", rows, -1, y},
+		{"nbits past the row", rows, 129, y},
+		{"label count", rows, 128, y[:3]},
+		{"no rows", nil, 128, nil},
+	} {
+		if err := NewRandomForest(DefaultForestConfig(Regression)).FitPacked(tc.rows, tc.nbits, tc.y); err == nil {
+			t.Errorf("%s: FitPacked accepted it", tc.name)
 		}
 	}
 }

@@ -67,15 +67,33 @@ func NewRandomForest(cfg ForestConfig) *RandomForest {
 
 // Fit trains every member tree, in parallel, each on its own bootstrap
 // sample. Deterministic for a fixed Seed regardless of worker count: a
-// tree's seed and bootstrap depend only on its index.
+// tree's seed and bootstrap depend only on its index. The leading
+// columns of X that hold only 0 and 1 are fitted as bit features
+// (floatRows), as FitPacked fits packed bits.
 func (f *RandomForest) Fit(X [][]float64, y []float64) error {
-	if len(X) == 0 {
+	return f.fit(floatRows(X), y)
+}
+
+// FitPacked is Fit over packed rows with nbits bit features: it grows,
+// bit for bit, the trees Fit grows from the rows' float form. Bits at
+// and above nbits are ignored. Training from the 32-byte rows that
+// prediction walks needs no float matrix.
+func (f *RandomForest) FitPacked(rows []PackedRow, nbits int, y []float64) error {
+	if err := checkBits(nbits); err != nil {
+		return err
+	}
+	return f.fit(rowSet{packed: rows, nbits: int32(nbits)}, y)
+}
+
+// fit is Fit over the rows of s.
+func (f *RandomForest) fit(s rowSet, y []float64) error {
+	n := s.len()
+	if n == 0 {
 		return fmt.Errorf("ml: empty training set")
 	}
-	if len(X) != len(y) {
-		return fmt.Errorf("ml: %d rows but %d labels", len(X), len(y))
+	if n != len(y) {
+		return fmt.Errorf("ml: %d rows but %d labels", n, len(y))
 	}
-	n := len(X)
 	fitStart := time.Now()
 	f.trees = make([]*DecisionTree, f.cfg.Trees)
 	errs := make([]error, f.cfg.Trees)
@@ -86,14 +104,15 @@ func (f *RandomForest) Fit(X [][]float64, y []float64) error {
 	}
 	workers = min(workers, f.cfg.Trees)
 	// Each worker pulls tree indices and keeps one bootstrap buffer and
-	// one fitScratch (bin matrix, histograms) for all the trees it fits.
+	// one fitScratch (bit words, bin matrix, histograms) for all the
+	// trees it fits.
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := new(fitScratch)
+			sc := new(fitScratch)
 			idx := make([]int, n)
 			for {
 				ti := int(next.Add(1)) - 1
@@ -113,7 +132,7 @@ func (f *RandomForest) Fit(X [][]float64, y []float64) error {
 						idx[i] = i
 					}
 				}
-				errs[ti] = tree.fitIndices(X, y, idx, s)
+				errs[ti] = tree.fitIndices(s, y, idx, sc)
 				f.trees[ti] = tree
 			}
 		}()

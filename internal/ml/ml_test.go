@@ -148,31 +148,45 @@ func TestForestRegressionBeatsSingleTreeOOB(t *testing.T) {
 	}
 }
 
+// TestForestDeterministicAcrossWorkerCounts fits the same forest at 1
+// and 4 workers, from float rows and from packed rows, and requires
+// identical predictions and saved bytes.
 func TestForestDeterministicAcrossWorkerCounts(t *testing.T) {
 	X, y := synthXOR(300, 9)
-	f1 := NewRandomForest(ForestConfig{Trees: 5, Tree: TreeConfig{Mode: Classification}, Bootstrap: true, Seed: 3, Workers: 1})
-	f2 := NewRandomForest(ForestConfig{Trees: 5, Tree: TreeConfig{Mode: Classification}, Bootstrap: true, Seed: 3, Workers: 4})
-	if err := f1.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if err := f2.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
 	Xt, _ := synthXOR(100, 10)
-	for i := range Xt {
-		if f1.Predict(Xt[i]) != f2.Predict(Xt[i]) {
-			t.Fatalf("row %d: forest prediction differs across worker counts", i)
+	Xb, yb := classData(300, 9)
+	rows := packRows(Xb, 128)
+	for _, fc := range []struct {
+		name string
+		fit  func(*RandomForest) error
+		test [][]float64
+	}{
+		{"float", func(f *RandomForest) error { return f.Fit(X, y) }, Xt},
+		{"packed", func(f *RandomForest) error { return f.FitPacked(rows, 128, yb) }, Xb},
+	} {
+		f1 := NewRandomForest(ForestConfig{Trees: 5, Tree: TreeConfig{Mode: Classification}, Bootstrap: true, Seed: 3, Workers: 1})
+		f2 := NewRandomForest(ForestConfig{Trees: 5, Tree: TreeConfig{Mode: Classification}, Bootstrap: true, Seed: 3, Workers: 4})
+		if err := fc.fit(f1); err != nil {
+			t.Fatal(err)
 		}
-	}
-	var b1, b2 bytes.Buffer
-	if err := f1.Save(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := f2.Save(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatalf("saved forests differ across worker counts (%d vs %d bytes)", b1.Len(), b2.Len())
+		if err := fc.fit(f2); err != nil {
+			t.Fatal(err)
+		}
+		for i := range fc.test {
+			if f1.Predict(fc.test[i]) != f2.Predict(fc.test[i]) {
+				t.Fatalf("%s, row %d: forest prediction differs across worker counts", fc.name, i)
+			}
+		}
+		var b1, b2 bytes.Buffer
+		if err := f1.Save(&b1); err != nil {
+			t.Fatal(err)
+		}
+		if err := f2.Save(&b2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+			t.Fatalf("%s: saved forests differ across worker counts (%d vs %d bytes)", fc.name, b1.Len(), b2.Len())
+		}
 	}
 }
 

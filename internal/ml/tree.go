@@ -6,7 +6,8 @@
 //
 // All learners share the convention that feature vectors are []float64
 // and labels are float64 (class labels are small non-negative integers
-// stored in float64, exact below 2^53).
+// stored in float64, exact below 2^53). The random forest also fits and
+// predicts packed rows (PackedRow), whose 0/1 features are bits.
 package ml
 
 import (
@@ -47,6 +48,11 @@ type TreeConfig struct {
 // quantiles thresholds is at most quantiles, so it fits a uint8.
 const quantiles = 8
 
+// bitThreshold is a bit feature's one split candidate: the midpoint of
+// its two values, 0 and 1, which is what globalThresholds computes for
+// a 0/1 column.
+const bitThreshold = 0.5
+
 func (c TreeConfig) withDefaults() TreeConfig {
 	if c.MinLeaf <= 0 {
 		c.MinLeaf = 1
@@ -63,12 +69,13 @@ type node struct {
 	value     float64 // leaf prediction
 }
 
-// DecisionTree is a CART tree with binned split search. Split
-// candidates are fixed per feature once per fit (globalThresholds), and
-// every distinct training row is binned once among them into a uint8
-// matrix. Each node then builds the bin histograms of every feature in
-// one pass over its rows and sweeps the candidates of each feature it
-// examines from its histogram.
+// DecisionTree is a CART tree with binned split search. Bit features
+// (a packed row's bits, a float row's leading 0/1 columns) are their
+// own bins. Every other feature's split candidates are fixed once per
+// fit (globalThresholds), and every distinct training row is binned
+// once among them into a uint8 matrix. Each node then builds the
+// histograms of its features and sweeps the candidates of each feature
+// it examines from its histogram.
 type DecisionTree struct {
 	cfg        TreeConfig
 	nodes      []node
@@ -81,26 +88,27 @@ func NewDecisionTree(cfg TreeConfig) *DecisionTree {
 	return &DecisionTree{cfg: cfg.withDefaults()}
 }
 
-// Fit builds the tree on the given samples. In Classification mode the
+// Fit builds the tree on the given samples, fitting X's leading 0/1
+// columns as bit features (floatRows). In Classification mode the
 // labels must be small non-negative integers.
 func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
 	idx := make([]int, len(X))
 	for i := range idx {
 		idx[i] = i
 	}
-	return t.fitIndices(X, y, idx, new(fitScratch))
+	return t.fitIndices(floatRows(X), y, idx, new(fitScratch))
 }
 
-// fitIndices builds the tree on the rows in idx (indices may repeat, as
-// in a bootstrap sample), with its working buffers taken from s, which
-// a forest worker reuses across the trees it fits. The idx slice is
-// consumed.
-func (t *DecisionTree) fitIndices(X [][]float64, y []float64, idx []int, s *fitScratch) error {
-	if len(idx) == 0 || len(X) == 0 {
+// fitIndices builds the tree on the rows of rs listed in idx (indices
+// may repeat, as in a bootstrap sample), with its working buffers taken
+// from s, which a forest worker reuses across the trees it fits. The
+// idx slice is consumed.
+func (t *DecisionTree) fitIndices(rs rowSet, y []float64, idx []int, s *fitScratch) error {
+	if len(idx) == 0 || rs.len() == 0 {
 		return fmt.Errorf("ml: empty training set")
 	}
-	if len(X) != len(y) {
-		return fmt.Errorf("ml: %d rows but %d labels", len(X), len(y))
+	if rs.len() != len(y) {
+		return fmt.Errorf("ml: %d rows but %d labels", rs.len(), len(y))
 	}
 	t.classes = 0
 	if t.cfg.Mode == Classification {
@@ -114,38 +122,54 @@ func (t *DecisionTree) fitIndices(X [][]float64, y []float64, idx []int, s *fitS
 			}
 		}
 	}
-	nf := len(X[0])
-	t.nodes = t.nodes[:0]
+	nf := rs.width()
 	t.importance = make([]float64, nf)
 	s.compact(idx, y)
+	t.nodes = make([]node, 0, t.maxNodes(len(s.rows), len(idx)))
 	b := &treeBuilder{
-		t:   t,
-		y:   s.y,
-		nf:  nf,
-		rng: rand.New(rand.NewSource(t.cfg.Seed)),
-		ths: globalThresholds(X, s.rows),
-		s:   s,
+		t:     t,
+		y:     s.y,
+		nf:    nf,
+		nbits: int(rs.nbits),
+		rng:   rand.New(rand.NewSource(t.cfg.Seed)),
+		ths:   globalThresholds(rs, s.rows),
+		s:     s,
 	}
-	s.reset(X, b.ths, t.classes)
+	s.reset(rs, b.ths, t.classes)
 	b.grow(idx, 0)
 	return nil
 }
 
-// globalThresholds computes the per-feature split candidates once from
-// the training rows (each listed once: only the distinct values count):
-// midpoints between consecutive distinct values when there are few, else
-// quantile midpoints. One scratch buffer serves every feature — raw
-// values, distinct values, and midpoints all share its storage — and
-// only the final candidate list is copied out, exactly sized, because
-// ths outlives this call. Each feature's candidates are non-decreasing.
-func globalThresholds(X [][]float64, rows []int) [][]float64 {
-	nf := len(X[0])
-	ths := make([][]float64, nf)
+// maxNodes bounds the nodes of a tree over n samples holding d distinct
+// rows. Every split sends each distinct row, with all its copies, to one
+// side and leaves both sides at least MinLeaf samples, so the leaves
+// partition the distinct rows: at most d of them, at most n/MinLeaf, and
+// at most 2^MaxDepth. A binary tree with L leaves has 2L-1 nodes, so
+// grow's appends never reallocate.
+func (t *DecisionTree) maxNodes(d, n int) int {
+	leaves := min(d, max(1, n/t.cfg.MinLeaf))
+	if md := t.cfg.MaxDepth; md > 0 && md < 62 {
+		leaves = min(leaves, 1<<md)
+	}
+	return 2*leaves - 1
+}
+
+// globalThresholds computes the split candidates of every float
+// feature of rs (feature rs.nbits+c is entry c) once from the training
+// rows (each listed once: only the distinct values count): midpoints
+// between consecutive distinct values when there are few, else quantile
+// midpoints. One scratch buffer serves every feature — raw values,
+// distinct values, and midpoints all share its storage — and only the
+// final candidate list is copied out, exactly sized, because ths
+// outlives this call. Each feature's candidates are non-decreasing.
+func globalThresholds(rs rowSet, rows []int) [][]float64 {
+	nbits := int(rs.nbits)
+	ths := make([][]float64, rs.width()-nbits)
 	scratch := make([]float64, 0, len(rows))
-	for f := 0; f < nf; f++ {
+	for c := range ths {
 		vals := scratch[:0]
 		for _, i := range rows {
-			vals = append(vals, X[i][f])
+			vals = append(vals, rs.value(i, nbits+c))
 		}
 		sort.Float64s(vals)
 		// Distinct values, in place.
@@ -171,9 +195,9 @@ func globalThresholds(X [][]float64, rows []int) [][]float64 {
 			for k := range strided {
 				strided[k] = mids[k*len(mids)/quantiles]
 			}
-			ths[f] = strided
+			ths[c] = strided
 		} else {
-			ths[f] = append([]float64(nil), mids...)
+			ths[c] = append([]float64(nil), mids...)
 		}
 	}
 	return ths
@@ -232,20 +256,26 @@ type binStats struct {
 	sum, sq float64
 }
 
-// fitScratch holds a tree fit's working buffers. RandomForest.Fit gives
-// each of its workers one and reuses it for every tree the worker fits.
+// fitScratch holds a tree fit's working buffers. RandomForest's fits
+// give each of their workers one and reuse it for every tree the worker
+// fits.
 type fitScratch struct {
-	// pos maps a row of X to its compact id; rows maps back, and y
+	// pos maps a training row to its compact id; rows maps back, and y
 	// holds the compact rows' labels. Only rows the tree trains on get
 	// an id: a bootstrap of n draws holds about 0.63n distinct rows.
 	pos  []int
 	rows []int
 	y    []float64
-	// bins is the row-major bin matrix over the compact rows: bins[c*nf+f]
-	// is the bucket of X[rows[c]][f] among the tree's candidates for f.
+	// words[j][c] is word j of the bit features of compact row c. The
+	// fill and the partition read only its bits below nbits.
+	words [2][]uint64
+	// bins is the row-major bin matrix of the float features over the
+	// compact rows: bins[c*nt+k] is the bucket of feature nbits+k of row
+	// rows[c] among the tree's candidates ths[k], for nt float features.
 	bins []uint8
-	// off[f] is the first histogram slot of feature f, which owns
-	// len(ths[f])+1 consecutive slots, one per bucket.
+	// Histogram layout: bit feature f owns slots 2f (bit clear) and
+	// 2f+1 (bit set); float feature nbits+k owns len(ths[k])+1
+	// consecutive slots from off[k], one per bucket.
 	off []int
 	// all lists every feature, in order.
 	all []int
@@ -285,35 +315,48 @@ func (s *fitScratch) compact(idx []int, y []float64) {
 	}
 }
 
-// reset lays out the histograms for thresholds ths and bins the compact
-// rows. A row's bucket is the number of candidates strictly below its
-// value, so bucket <= k exactly when the value is <= ths[k] (the
-// candidates are non-decreasing).
-func (s *fitScratch) reset(X [][]float64, ths [][]float64, classes int) {
-	nf := len(ths)
-	s.off = resize(s.off, nf)
-	s.all = resize(s.all, nf)
-	slots := 0
-	for f, th := range ths {
-		s.off[f] = slots
-		s.all[f] = f
+// reset lays out the histograms for rs's bit features and float
+// candidates ths, copies the compact rows' bit words, and bins their
+// float features. A row's bucket is the number of candidates strictly
+// below its value, so bucket <= k exactly when the value is <= ths[k]
+// (the candidates are non-decreasing). A bit's bucket is the bit: 0.5
+// is its only candidate.
+func (s *fitScratch) reset(rs rowSet, ths [][]float64, classes int) {
+	nbits := int(rs.nbits)
+	s.off = resize(s.off, len(ths))
+	slots := 2 * nbits
+	for k, th := range ths {
+		s.off[k] = slots
 		slots += len(th) + 1
+	}
+	s.all = resize(s.all, nbits+len(ths))
+	for f := range s.all {
+		s.all[f] = f
 	}
 	s.hist = resize(s.hist, slots)
 	s.cls = resize(s.cls, slots*classes)
 	s.totClass = resize(s.totClass, classes)
 	s.classL = resize(s.classL, classes)
-	s.bins = resize(s.bins, len(s.rows)*nf)
+	if nbits > 0 {
+		for j := range s.words {
+			s.words[j] = resize(s.words[j], len(s.rows))
+		}
+		for c, r := range s.rows {
+			w := rs.bits(r)
+			s.words[0][c], s.words[1][c] = w[0], w[1]
+		}
+	}
+	nt := len(ths)
+	s.bins = resize(s.bins, len(s.rows)*nt)
 	for c, r := range s.rows {
-		row := s.bins[c*nf : c*nf+nf]
-		x := X[r]
-		for f, th := range ths {
-			v := x[f]
-			k := 0
-			for k < len(th) && v > th[k] {
-				k++
+		row := s.bins[c*nt : c*nt+nt]
+		for k, th := range ths {
+			v := rs.value(r, nbits+k)
+			b := 0
+			for b < len(th) && v > th[b] {
+				b++
 			}
-			row[f] = uint8(k)
+			row[k] = uint8(b)
 		}
 	}
 }
@@ -328,13 +371,16 @@ func resize[T any](s []T, n int) []T {
 }
 
 // treeBuilder grows one tree over compact row ids (fitScratch.compact).
+// Features below nbits are bits (fitScratch.words); the others are
+// float features with candidates ths[f-nbits] (fitScratch.bins).
 type treeBuilder struct {
-	t   *DecisionTree
-	y   []float64 // labels by compact id
-	nf  int
-	rng *rand.Rand
-	ths [][]float64 // global per-feature candidates
-	s   *fitScratch
+	t     *DecisionTree
+	y     []float64 // labels by compact id
+	nf    int
+	nbits int
+	rng   *rand.Rand
+	ths   [][]float64 // global candidates of the float features
+	s     *fitScratch
 }
 
 // grow recursively builds the subtree over idx and returns its node index.
@@ -357,25 +403,49 @@ func (b *treeBuilder) grow(idx []int, depth int) int32 {
 	}
 	t.importance[feat] += gain
 
-	// Partition in place: bin <= k is exactly X <= ths[k].
-	bins, nf, k := b.s.bins, b.nf, uint8(bin)
+	lo := b.partition(idx, feat, bin)
+	if lo < cfg.MinLeaf || len(idx)-lo < cfg.MinLeaf {
+		return self
+	}
+
+	threshold := bitThreshold
+	if feat >= b.nbits {
+		threshold = b.ths[feat-b.nbits][bin]
+	}
+	left := b.grow(idx[:lo], depth+1)
+	right := b.grow(idx[lo:], depth+1)
+	t.nodes[self] = node{feature: int32(feat), threshold: threshold, left: left, right: right, value: leafValue}
+	return self
+}
+
+// partition reorders idx in place so the rows that go left come first,
+// and returns their count: a bit feature sends its clear rows left, a
+// float feature the rows in buckets <= bin, which are exactly those
+// with X <= ths[bin].
+func (b *treeBuilder) partition(idx []int, feat, bin int) int {
 	lo, hi := 0, len(idx)
+	if feat < b.nbits {
+		words, sh := b.s.words[feat>>6], uint(feat&63)
+		for lo < hi {
+			if words[idx[lo]]>>sh&1 == 0 {
+				lo++
+			} else {
+				hi--
+				idx[lo], idx[hi] = idx[hi], idx[lo]
+			}
+		}
+		return lo
+	}
+	bins, nt, col, k := b.s.bins, len(b.ths), feat-b.nbits, uint8(bin)
 	for lo < hi {
-		if bins[idx[lo]*nf+feat] <= k {
+		if bins[idx[lo]*nt+col] <= k {
 			lo++
 		} else {
 			hi--
 			idx[lo], idx[hi] = idx[hi], idx[lo]
 		}
 	}
-	if lo < cfg.MinLeaf || len(idx)-lo < cfg.MinLeaf {
-		return self
-	}
-
-	left := b.grow(idx[:lo], depth+1)
-	right := b.grow(idx[lo:], depth+1)
-	t.nodes[self] = node{feature: int32(feat), threshold: b.ths[feat][bin], left: left, right: right, value: leafValue}
-	return self
+	return lo
 }
 
 // leafStats returns the leaf prediction and the node impurity (SSE for
@@ -414,28 +484,37 @@ func (b *treeBuilder) leafStats(idx []int) (value, impurity float64) {
 }
 
 // bestSplit finds the split of (a subset of) features with the largest
-// impurity decrease: one pass over idx fills every feature's histogram,
-// then the examined features are swept in featureOrder order, ties
-// going to the first. It returns the feature and the bucket k of its
-// threshold ths[k].
+// impurity decrease: it fills the histograms of every feature, then
+// sweeps the examined features in featureOrder order, ties going to the
+// first. A bit's two slots are a sweep's one-candidate case; a bit
+// constant over the node leaves one of them empty, and the sweep's
+// MinLeaf check refuses it. It returns the feature and the bucket k of
+// its threshold (ths[k], or 0.5 for a bit, whose k is 0).
 func (b *treeBuilder) bestSplit(idx []int, parent float64) (feat, bin int, gain float64) {
-	if b.t.cfg.Mode == Regression {
+	regression := b.t.cfg.Mode == Regression
+	if regression {
 		b.fillRegression(idx)
 	} else {
 		b.fillGini(idx)
 	}
 	feat = -1
 	for _, f := range b.featureOrder() {
-		if len(b.ths[f]) == 0 {
-			continue
-		}
 		var g float64
 		var k int
 		var ok bool
-		if b.t.cfg.Mode == Regression {
-			g, k, ok = b.sweepRegression(f, parent)
-		} else {
-			g, k, ok = b.sweepGini(f, parent)
+		switch {
+		case f < b.nbits:
+			if regression {
+				g, k, ok = b.sweepRegression(2*f, 1, parent)
+			} else {
+				g, k, ok = b.sweepGini(2*f, 1, parent)
+			}
+		case len(b.ths[f-b.nbits]) == 0:
+			continue
+		case regression:
+			g, k, ok = b.sweepRegression(b.s.off[f-b.nbits], len(b.ths[f-b.nbits]), parent)
+		default:
+			g, k, ok = b.sweepGini(b.s.off[f-b.nbits], len(b.ths[f-b.nbits]), parent)
 		}
 		if ok && g > gain {
 			feat, bin, gain = f, k, g
@@ -454,19 +533,33 @@ func (b *treeBuilder) featureOrder() []int {
 }
 
 // fillRegression builds the count, sum and sum-of-squares histograms of
-// every feature in one pass over idx, walking each row's bins in order.
-// Every (feature, bucket) slot adds the same labels in the same idx
-// order as a scan of that feature alone would. Slots of features the
-// node does not examine, and the one slot of a feature without
-// candidates, are filled and never read.
+// every feature: one pass over idx per bit word (bit f adds to slot 2f
+// when clear, 2f+1 when set), then one over the bins. Every (feature,
+// bucket) slot adds the same labels in the same idx order as a scan of
+// that feature alone would. Slots of features the node does not
+// examine, and the one slot of a float feature without candidates, are
+// filled and never read.
 func (b *treeBuilder) fillRegression(idx []int) {
-	hist, off, bins, y, nf := b.s.hist, b.s.off, b.s.bins, b.y, b.nf
+	hist, y := b.s.hist, b.y
 	clear(hist)
+	for j := 0; 64*j < b.nbits; j++ {
+		first, last, words := 128*j, 2*min(b.nbits, 64*j+64), b.s.words[j]
+		for _, i := range idx {
+			v, w := y[i], words[i]
+			for s := first; s < last; s += 2 {
+				h := &hist[s+int(w&1)]
+				w >>= 1
+				h.n++
+				h.sum += v
+				h.sq += v * v
+			}
+		}
+	}
+	off, bins, nt := b.s.off, b.s.bins, len(b.ths)
 	for _, i := range idx {
-		row := bins[i*nf : i*nf+nf]
 		v := y[i]
-		for f, k := range row {
-			h := &hist[off[f]+int(k)]
+		for k, bk := range bins[i*nt : i*nt+nt] {
+			h := &hist[off[k]+int(bk)]
 			h.n++
 			h.sum += v
 			h.sq += v * v
@@ -474,11 +567,12 @@ func (b *treeBuilder) fillRegression(idx []int) {
 	}
 }
 
-// sweepRegression sweeps feature f's histogram for its best
-// SSE-decreasing threshold and returns that threshold's bucket.
-func (b *treeBuilder) sweepRegression(f int, parent float64) (gain float64, bin int, ok bool) {
-	ths := b.ths[f]
-	h := b.s.hist[b.s.off[f] : b.s.off[f]+len(ths)+1]
+// sweepRegression sweeps the histogram of the feature whose nth
+// candidates own the slots from first (a bit's one candidate owns the
+// slots from 2f), for its best SSE-decreasing threshold, and returns
+// that threshold's bucket.
+func (b *treeBuilder) sweepRegression(first, nth int, parent float64) (gain float64, bin int, ok bool) {
+	h := b.s.hist[first : first+nth+1]
 	var totSum, totSq float64
 	tot := 0
 	for k := range h {
@@ -489,7 +583,7 @@ func (b *treeBuilder) sweepRegression(f int, parent float64) (gain float64, bin 
 	var nL int
 	var sumL, sqL float64
 	minLeaf := b.t.cfg.MinLeaf
-	for k := 0; k < len(ths); k++ {
+	for k := 0; k < nth; k++ {
 		nL += h[k].n
 		sumL += h[k].sum
 		sqL += h[k].sq
@@ -511,27 +605,37 @@ func (b *treeBuilder) sweepRegression(f int, parent float64) (gain float64, bin 
 // fillGini is fillRegression's classification counterpart: per-bucket
 // class counts.
 func (b *treeBuilder) fillGini(idx []int) {
-	cls, off, bins, y, nf, kcls := b.s.cls, b.s.off, b.s.bins, b.y, b.nf, b.t.classes
+	cls, y, kcls := b.s.cls, b.y, b.t.classes
 	clear(cls)
+	for j := 0; 64*j < b.nbits; j++ {
+		first, last, words := 128*j, 2*min(b.nbits, 64*j+64), b.s.words[j]
+		for _, i := range idx {
+			w, c := words[i], int(y[i])
+			for s := first; s < last; s += 2 {
+				cls[(s+int(w&1))*kcls+c]++
+				w >>= 1
+			}
+		}
+	}
+	off, bins, nt := b.s.off, b.s.bins, len(b.ths)
 	for _, i := range idx {
-		row := bins[i*nf : i*nf+nf]
 		c := int(y[i])
-		for f, k := range row {
-			cls[(off[f]+int(k))*kcls+c]++
+		for k, bk := range bins[i*nt : i*nt+nt] {
+			cls[(off[k]+int(bk))*kcls+c]++
 		}
 	}
 }
 
-// sweepGini is sweepRegression's classification counterpart.
-func (b *treeBuilder) sweepGini(f int, parent float64) (gain float64, bin int, ok bool) {
-	ths := b.ths[f]
+// sweepGini is sweepRegression's classification counterpart. A bit
+// feature's slots are from 2f, with one candidate.
+func (b *treeBuilder) sweepGini(first, nth int, parent float64) (gain float64, bin int, ok bool) {
 	kcls := b.t.classes
-	h := b.s.cls[b.s.off[f]*kcls : (b.s.off[f]+len(ths)+1)*kcls]
+	h := b.s.cls[first*kcls : (first+nth+1)*kcls]
 	totClass, classL := b.s.totClass, b.s.classL
 	clear(totClass)
 	clear(classL)
 	tot := 0
-	for k := 0; k <= len(ths); k++ {
+	for k := 0; k <= nth; k++ {
 		for c := 0; c < kcls; c++ {
 			tot += h[k*kcls+c]
 			totClass[c] += h[k*kcls+c]
@@ -539,7 +643,7 @@ func (b *treeBuilder) sweepGini(f int, parent float64) (gain float64, bin int, o
 	}
 	nL := 0
 	minLeaf := b.t.cfg.MinLeaf
-	for k := 0; k < len(ths); k++ {
+	for k := 0; k < nth; k++ {
 		for c := 0; c < kcls; c++ {
 			nL += h[k*kcls+c]
 			classL[c] += h[k*kcls+c]

@@ -15,7 +15,8 @@ import (
 // the format every scraper, alertmanager, and dashboard already
 // speaks. Naming follows the Prometheus conventions: the registry's
 // dotted names ("core.cycles_simulated") become underscore names under
-// a "tevot_" prefix, counters gain the "_total" suffix, histograms
+// a "tevot_" prefix, counters gain the "_total" suffix (once: a name
+// that already ends in it keeps it as it is), histograms
 // expand into cumulative "_bucket{le=...}" series plus "_sum" and
 // "_count".
 //
@@ -49,6 +50,17 @@ func promName(prefix, name string) string {
 		}
 	}
 	return b.String()
+}
+
+// promCounterName is promName with the counter suffix "_total", which a
+// registry name that already ends in it ("runner.cells_total") does not
+// get twice.
+func promCounterName(prefix, name string) string {
+	n := promName(prefix, name)
+	if strings.HasSuffix(n, "_total") {
+		return n
+	}
+	return n + "_total"
 }
 
 // promFloat renders a float64 sample value. Prometheus accepts "+Inf",
@@ -107,7 +119,7 @@ func WritePromSnapshots(w io.Writer, prefix string, snaps []LabeledSnapshot) err
 		s, extraLabels := ls.Snap, ls.Labels
 		labels := renderLabels(extraLabels)
 		for name, v := range s.Counters {
-			n, v := promName(prefix, name)+"_total", v
+			n, v := promCounterName(prefix, name), v
 			if err := add(si, n, "counter", func(w io.Writer) error {
 				_, err := fmt.Fprintf(w, "%s%s %d\n", n, labels, v)
 				return err

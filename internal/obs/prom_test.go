@@ -113,6 +113,59 @@ func TestPromNameSanitize(t *testing.T) {
 	}
 }
 
+// TestPromCounterTotalSuffixOnce: a counter whose registry name already
+// ends in "_total" is exported with one suffix, on /metrics and in the
+// labeled multi-snapshot document /cluster/metrics serves, and a
+// counter that would collide with it after the suffix is refused.
+func TestPromCounterTotalSuffixOnce(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("runner.cells_total").Add(27)
+	r.Counter("runner.cells_ok").Add(21)
+	var b strings.Builder
+	if err := r.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParseProm(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatalf("output rejected: %v\n%s", err, b.String())
+	}
+	for name, want := range map[string]float64{"tevot_runner_cells_total": 27, "tevot_runner_cells_ok_total": 21} {
+		if v, ok := PromCounterTotal(fams, name); !ok || v != want {
+			t.Errorf("%s = %v (ok=%v), want %v\n%s", name, v, ok, want, b.String())
+		}
+	}
+	if _, ok := fams["tevot_runner_cells_total_total"]; ok {
+		t.Errorf("doubled suffix exported:\n%s", b.String())
+	}
+
+	snap := r.Snapshot()
+	var merged RegistrySnapshot
+	MergeSnapshots(&merged, snap)
+	MergeSnapshots(&merged, snap)
+	b.Reset()
+	if err := WritePromSnapshots(&b, PromPrefix, []LabeledSnapshot{
+		{Labels: map[string]string{"worker": "w1"}, Snap: snap},
+		{Labels: map[string]string{"worker": "w2"}, Snap: snap},
+		{Labels: map[string]string{"aggregate": "cluster"}, Snap: merged},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fams, err = ParseProm(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatalf("cluster output rejected: %v\n%s", err, b.String())
+	}
+	if fam := fams["tevot_runner_cells_total"]; fam == nil || len(fam.Samples) != 3 {
+		t.Errorf("cluster family tevot_runner_cells_total: %+v\n%s", fam, b.String())
+	} else if v, _ := PromCounterTotal(fams, "tevot_runner_cells_total"); v != 4*27 {
+		t.Errorf("cluster samples sum to %v, want %v (two workers plus their merge)", v, 4*27)
+	}
+
+	r.Counter("runner.cells").Add(1)
+	if err := r.WriteProm(&b); err == nil {
+		t.Error("counters runner.cells and runner.cells_total both exported as tevot_runner_cells_total")
+	}
+}
+
 func TestPromFloatSpellings(t *testing.T) {
 	cases := map[float64]string{
 		math.Inf(1):  "+Inf",

@@ -61,16 +61,16 @@ go test -run 'TestLabel' ./internal/core
 echo "== paper goldens: Fig. 3 rows, Table II accuracies, Table III cells, Table IV points, Fig. 4 PSNRs, DTA digests per FU"
 go test -run 'TestFig3ShapeAndPhysics|TestTable2SmallRun|TestTable3SmallRun|TestTable4AndFig4Small|TestDTADigest' ./internal/experiments
 
-echo "== forest fit: binned split search reproduces the pinned forests, per-worker scratch (race)"
-go test -race -run 'TestForestFitDigests|TestForestDeterministicAcrossWorkerCounts' ./internal/ml
+echo "== forest fit: binned split search reproduces the pinned forests from float rows, all-float and with leading 0/1 columns as bits, and from packed rows (TEVoT-NH and application-shaped cases), per-worker scratch (race)"
+go test -race -run 'TestForestFitDigests|TestFloatRowsBitPrefix|TestFitPackedRefusesBadInput|TestForestDeterministicAcrossWorkerCounts' ./internal/ml
 
 echo "== determinism: sharded DTA bit-identity + singleflight (race)"
 go test -race -short -run \
 	'TestCharacterizeShardingDeterminism|TestCharacterizeConcurrentSharedFUnit|TestStaticSingleflight' \
 	./internal/core
 
-echo "== distributed sweep: local cluster under race, kills + forced expiry, fleet telemetry"
-go test -race -run 'TestLocalClusterByteIdentical|TestCoordinatorResumesFromJournal|TestClusterTelemetry' ./internal/dist
+echo "== distributed sweep: local cluster under race, kills + forced expiry, fleet telemetry, a worker of another protocol version refused at register"
+go test -race -run 'TestLocalClusterByteIdentical|TestCoordinatorResumesFromJournal|TestClusterTelemetry|TestRegisterRefusesOtherProtocolVersion' ./internal/dist
 
 echo "== distributed sweep smoke: real processes, SIGKILL a worker mid-run"
 sh scripts/cluster_smoke.sh
