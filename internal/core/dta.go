@@ -139,7 +139,7 @@ type CharacterizeOptions struct {
 	Workers int
 
 	// RefKernel simulates on the reference heap kernel instead of the
-	// default calendar-queue kernel. The two are bit-identical (the sim
+	// default waveform kernel. The two are bit-identical (the sim
 	// package's differential suite enforces it), so this only trades
 	// speed for an independent code path — an audit tool, not a mode.
 	// The reference kernel runs without the transition memo: the oracle

@@ -77,7 +77,7 @@ func TestCharacterizeShardingDeterminism(t *testing.T) {
 }
 
 // TestCharacterizeRefKernelEquivalence runs the same characterization on
-// the fast calendar-queue kernel and the reference heap kernel: a full
+// the fast waveform kernel and the reference heap kernel: a full
 // pipeline-level replay of the sim package's differential guarantee.
 // Sharding is exercised on both sides since each shard gets its own
 // runner of the selected kernel.

@@ -30,9 +30,16 @@ type CSR struct {
 	GateIn []int32
 	// Topo lists gate ids in topological order (inputs before readers),
 	// for sweeps that evaluate the whole netlist in one pass, such as
-	// the simulator's bitslice prepass. Nil if the netlist is cyclic —
-	// but cyclic netlists never reach a runner (NewRunner checks).
+	// the simulator's waveform kernel and bitslice prepass. Topo, TopoIn
+	// and FanoutPos are nil if the netlist is cyclic — but cyclic
+	// netlists never reach a runner (NewRunner checks).
 	Topo []int32
+	// TopoIn is GateIn in topological order: the gate at position p of
+	// Topo reads net TopoIn[p*PinsPerGate+j] on pin j (-1 if unused).
+	TopoIn []int32
+	// FanoutPos parallels FanoutEdges with the reading gate's position
+	// in Topo: FanoutPos[e] packs position<<2 | pin for edge e.
+	FanoutPos []int32
 }
 
 // PinsPerGate is the fixed per-gate input stride of CSR.GateIn: the cell
@@ -89,8 +96,16 @@ func (n *Netlist) CSR() *CSR {
 	}
 	if order, err := n.TopoOrder(); err == nil {
 		c.Topo = make([]int32, len(order))
+		c.TopoIn = make([]int32, len(c.GateIn))
+		pos := make([]int32, len(order))
 		for i, g := range order {
 			c.Topo[i] = int32(g)
+			copy(c.TopoIn[i*PinsPerGate:(i+1)*PinsPerGate], c.GateIn[int(g)*PinsPerGate:])
+			pos[g] = int32(i)
+		}
+		c.FanoutPos = make([]int32, len(c.FanoutEdges))
+		for e, edge := range c.FanoutEdges {
+			c.FanoutPos[e] = pos[edge>>2]<<2 | edge&3
 		}
 	}
 	n.csr = c

@@ -102,3 +102,48 @@ func TestCSRSharedPinGate(t *testing.T) {
 			EdgePin(c.FanoutEdges[lo]), EdgePin(c.FanoutEdges[lo+1]))
 	}
 }
+
+// TestCSRTopoView cross-checks the topological arrays against Topo,
+// GateIn and FanoutEdges: TopoIn is GateIn permuted into topological
+// order, every FanoutPos entry names its edge's gate by topological
+// position with the same pin, and a gate's inputs are driven by gates
+// that come before it.
+func TestCSRTopoView(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		nl, err := Random(RandomOptions{
+			Inputs:  4 + int(seed%4),
+			Gates:   15 + int(seed*11%50),
+			Outputs: 1 + int(seed%3),
+			Seed:    seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := nl.CSR()
+		if len(c.Topo) != nl.NumGates() || len(c.TopoIn) != len(c.GateIn) || len(c.FanoutPos) != len(c.FanoutEdges) {
+			t.Fatalf("lengths: Topo %d, TopoIn %d, FanoutPos %d", len(c.Topo), len(c.TopoIn), len(c.FanoutPos))
+		}
+		pos := make([]int, nl.NumGates())
+		for p, g := range c.Topo {
+			pos[g] = p
+			for j := 0; j < PinsPerGate; j++ {
+				if got, want := c.TopoIn[p*PinsPerGate+j], c.GateIn[int(g)*PinsPerGate+j]; got != want {
+					t.Fatalf("position %d pin %d: TopoIn = %d, want %d", p, j, got, want)
+				}
+			}
+		}
+		for p, g := range c.Topo {
+			for _, in := range nl.Gates[g].Inputs {
+				if d := nl.Nets[in].Driver; d != None && pos[d] >= p {
+					t.Fatalf("gate %d at position %d reads a net driven from position %d", g, p, pos[d])
+				}
+			}
+		}
+		for e, edge := range c.FanoutEdges {
+			fp := c.FanoutPos[e]
+			if int(fp>>2) != pos[EdgeGate(edge)] || int(fp&3) != EdgePin(edge) {
+				t.Fatalf("edge %d: FanoutPos %d, want position %d pin %d", e, fp, pos[EdgeGate(edge)], EdgePin(edge))
+			}
+		}
+	}
+}

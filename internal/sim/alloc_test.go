@@ -49,8 +49,8 @@ func steadyKernelRunner(t testing.TB, fu circuits.FU, ref bool) (*Runner, [][]bo
 
 // TestCycleSteadyStateNoAllocs locks in the allocation-free hot path for
 // both kernels: after warm-up, streaming Cycle calls reuse every
-// internal buffer — the fast kernel's calendar-queue buckets and batch
-// scratch included.
+// internal buffer — the fast kernel's waveform arena and the heap
+// kernel's heap and batch scratch included.
 func TestCycleSteadyStateNoAllocs(t *testing.T) {
 	for _, kern := range []struct {
 		name string

@@ -15,21 +15,20 @@ import (
 //
 // The window serves the memo cache's miss path. After a memo hit the
 // Runner's event state (val, and the fast kernel's packed per-gate
-// input bitsets and per-net projected bits) still reflects an older
-// vector; a subsequent miss must re-settle before simulating. Without
-// a window that settle is a full zero-delay re-evaluation
-// (Netlist.EvalInto) plus a complete input-bitset rebuild — O(gates)
-// LUT work per miss. With a window the settle becomes pure bit
-// extraction: flip exactly the nets whose lane bits differ between
-// the settled-at position and the target position, fixing each
-// reading gate's packed inputs with the same XOR-per-edge walk the
-// event kernel uses. Nets whose lane is constant across the window
-// are dropped from the dirty list up front, and gates reading only
-// constant-lane nets are pruned from the prepass entirely — the
+// input bits) still reflects an older vector; a subsequent miss must
+// re-settle before simulating. Without a window that settle is a full
+// zero-delay re-evaluation (Netlist.EvalInto) plus a complete
+// input-bitset rebuild — O(gates) LUT work per miss. With a window the
+// settle becomes pure bit extraction: flip exactly the nets whose lane
+// bits differ between the settled-at position and the target position,
+// fixing each reading gate's packed inputs with one XOR per fanout
+// edge. Nets whose lane is constant across the window are dropped from
+// the dirty list up front, and gates reading only constant-lane nets
+// are pruned from the prepass entirely — the
 // SliceStats pruned-gate counters quantify how much of the netlist
-// the window proves cold. (Event scheduling itself is untouched: a
-// cycle that misses the cache still processes its exact event set,
-// which is what keeps memo-on results bit-identical.)
+// the window proves cold. (The kernel itself is untouched: a cycle
+// that misses the cache still computes its exact transitions, which is
+// what keeps memo-on results bit-identical.)
 //
 // The prepass is exact, not approximate: zero-delay settled values are
 // free of timing, so evaluating 64 vectors as 64 bit-lanes through the
@@ -153,20 +152,20 @@ func (r *Runner) BeginWindow(vecs [][]bool) error {
 	// lane; the LUT replicates across cleared high bits (cells.Kind.LUT),
 	// so minterms with an unused pin set contribute nothing and the
 	// expansion is exact at every arity.
-	topo := csr.Topo
-	for _, gi := range topo {
-		base := int(gi) * 3 // netlist.PinsPerGate
+	for p := range r.nodes {
+		nd := &r.nodes[p]
+		pins := csr.TopoIn[p*3 : p*3+3] // netlist.PinsPerGate
 		var in0, in1, in2 uint64
-		if n := csr.GateIn[base]; n >= 0 {
+		if n := pins[0]; n >= 0 {
 			in0 = lanes[n]
 		}
-		if n := csr.GateIn[base+1]; n >= 0 {
+		if n := pins[1]; n >= 0 {
 			in1 = lanes[n]
 		}
-		if n := csr.GateIn[base+2]; n >= 0 {
+		if n := pins[2]; n >= 0 {
 			in2 = lanes[n]
 		}
-		lut := r.gates[gi].lut
+		lut := nd.lut
 		var out uint64
 		for m := uint8(0); m < 8; m++ {
 			if lut>>m&1 == 0 {
@@ -190,7 +189,7 @@ func (r *Runner) BeginWindow(vecs [][]bool) error {
 			}
 			out |= t
 		}
-		lanes[csr.GateOut[gi]] = out
+		lanes[nd.out] = out
 	}
 
 	// Dirty list: nets whose settled value changes anywhere in the
@@ -300,14 +299,11 @@ func (r *Runner) sliceSettle(target int) {
 	s.valPos = target
 }
 
-// xorFan fixes each reading gate's packed input bitset, and the net's
-// projected bit, after val[net] flipped outside event processing — the
-// settle-time counterpart of fanout, without batch marking.
+// xorFan fixes each reading gate's packed input bits after val[net]
+// flipped outside the kernel.
 func (r *Runner) xorFan(net netlist.NetID) {
-	r.ng[net] ^= 1
 	csr := r.csr
-	for e := csr.FanoutStart[net]; e < csr.FanoutStart[net+1]; e++ {
-		edge := csr.FanoutEdges[e]
-		r.gates[edge>>2].in ^= 1 << uint(edge&3)
+	for _, e := range csr.FanoutPos[csr.FanoutStart[net]:csr.FanoutStart[net+1]] {
+		r.nodes[e>>2].in ^= 1 << uint(e&3)
 	}
 }

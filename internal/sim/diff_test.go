@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tevot/internal/cells"
@@ -12,11 +13,11 @@ import (
 	"tevot/internal/sta"
 )
 
-// The differential suite: the fast calendar-queue/CSR/LUT kernel must be
-// bit-identical to the reference heap kernel on every circuit — same
-// Delay, Settled, Toggles, Events, and the same observer stream in the
-// same order. These tests are the contract that lets the fast kernel
-// replace the heap without a semantic audit of every caller.
+// The differential suite: the fast waveform kernel must be bit-identical
+// to the reference heap kernel on every circuit — same Delay, Settled,
+// Toggles, Events, and the same observer stream in the same order. These
+// tests are the contract that lets the fast kernel replace the heap
+// without a semantic audit of every caller.
 
 // obsRecord is one observer callback, for stream comparison.
 type obsRecord struct {
@@ -54,17 +55,23 @@ func compareCycles(t *testing.T, label string, cycle int, got, want *CycleResult
 	}
 }
 
-// runKernelDiff drives four runners through the same cycle sequence and
+// runKernelDiff drives five runners through the same cycle sequence and
 // fails on the first observable divergence: the fast and reference
-// kernels (with observers, comparing full transition streams), a
-// memoized fast runner, and a memoized runner fed bitslice windows.
-// Vectors alternate between streaming mode (prev == nil) and
-// explicit-prev settles to cover the fast kernel's incremental and
-// rebuilt input-bitset paths; about half the vectors repeat earlier ones
-// so the memo runners exercise their hit and post-hit re-settle paths.
-func runKernelDiff(t *testing.T, nl *netlist.Netlist, delays []float64, seed int64, cycles int) {
+// kernels (with observers, comparing full transition streams), the fast
+// kernel without an observer, a memoized fast runner, and a memoized
+// runner fed bitslice windows. Vectors alternate between streaming mode
+// (prev == nil) and explicit-prev settles to cover the fast kernel's
+// incremental and rebuilt input-bitset paths; about half the vectors
+// repeat earlier ones so the memo runners exercise their hit and
+// post-hit re-settle paths. gen draws a fresh vector; nil draws every
+// input bit at random.
+func runKernelDiff(t *testing.T, nl *netlist.Netlist, delays []float64, seed int64, cycles int, gen func(*rand.Rand) []bool) {
 	t.Helper()
 	fast, err := NewRunner(nl, delays)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewRunner(nl, delays)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,6 +111,10 @@ func runKernelDiff(t *testing.T, nl *netlist.Netlist, delays []float64, seed int
 			// make (prev, cur) transition pairs repeat within the run.
 			back := rng.Intn(min(c, 4))
 			vecs[c] = vecs[c-1-back]
+			continue
+		}
+		if gen != nil {
+			vecs[c] = gen(rng)
 			continue
 		}
 		v := make([]bool, ni)
@@ -152,6 +163,10 @@ func runKernelDiff(t *testing.T, nl *netlist.Netlist, delays []float64, seed int
 		if err != nil {
 			t.Fatal(err)
 		}
+		pr, err := plain.Cycle(prevArg, cur)
+		if err != nil {
+			t.Fatal(err)
+		}
 		mr, err := memo.Cycle(prevArg, cur)
 		if err != nil {
 			t.Fatal(err)
@@ -161,6 +176,7 @@ func runKernelDiff(t *testing.T, nl *netlist.Netlist, delays []float64, seed int
 			t.Fatal(err)
 		}
 		compareCycles(t, "fast", cycle, fr, rr)
+		compareCycles(t, "fast without observer", cycle, pr, rr)
 		compareCycles(t, "memo", cycle, mr, rr)
 		compareCycles(t, "memo+window", cycle, wr, rr)
 		if len(fastObs) != len(refObs) {
@@ -184,7 +200,11 @@ func runKernelDiff(t *testing.T, nl *netlist.Netlist, delays []float64, seed int
 
 // TestKernelDiffFUs pins kernel equivalence on all four functional units
 // across voltage/temperature corners — the circuits the characterization
-// pipeline actually simulates.
+// pipeline actually simulates. Besides random input bits it drives the
+// operand shapes of the imaging streams (8-bit pixels times small
+// signed coefficients) and 16-bit × 16-bit operands, as integers or as
+// floats by the unit; on the multipliers such cycles carry several
+// transitions per gate.
 func TestKernelDiffFUs(t *testing.T) {
 	corners := []cells.Corner{{V: 0.81, T: 100}, {V: 0.85, T: 50}, {V: 1.00, T: 0}}
 	for _, fu := range circuits.AllFUs {
@@ -195,19 +215,37 @@ func TestKernelDiffFUs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			operand := func(x int32) uint32 {
+				if fu.IsFloat() {
+					return math.Float32bits(float32(x))
+				}
+				return uint32(x)
+			}
+			imaging := func(rng *rand.Rand) []bool {
+				return circuits.EncodeOperands(operand(rng.Int31n(256)), operand(rng.Int31n(9)-4))
+			}
+			wide := func(rng *rand.Rand) []bool {
+				return circuits.EncodeOperands(operand(rng.Int31n(1<<16)), operand(rng.Int31n(1<<16)))
+			}
 			for ci, corner := range corners {
 				delays, err := sta.GateDelays(nl, corner, sta.DefaultOptions())
 				if err != nil {
 					t.Fatal(err)
 				}
-				runKernelDiff(t, nl, delays, int64(ci)*31+7, 12)
+				runKernelDiff(t, nl, delays, int64(ci)*31+7, 12, nil)
+				runKernelDiff(t, nl, delays, int64(ci)*31+8, 24, imaging)
+				runKernelDiff(t, nl, delays, int64(ci)*31+9, 24, wide)
 			}
 		})
 	}
 }
 
 // TestKernelDiffRandom fuzzes kernel equivalence over the same random
-// circuit family as the simulator's functional fuzz corpus.
+// circuit family as the simulator's functional fuzz corpus, once with
+// STA delays and once with integer delays of 1–3 ps. Integer delays make
+// exact time ties common: several pins of one gate flipping at the same
+// time, and a gate's pending output event maturing at exactly the time
+// of an input batch. STA delays almost never tie.
 func TestKernelDiffRandom(t *testing.T) {
 	corners := []cells.Corner{{V: 0.81, T: 0}, {V: 0.90, T: 50}, {V: 1.00, T: 100}}
 	for seed := int64(0); seed < 25; seed++ {
@@ -224,15 +262,19 @@ func TestKernelDiffRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runKernelDiff(t, nl, delays, seed+500, 20)
+		runKernelDiff(t, nl, delays, seed+500, 20, nil)
+		rng := rand.New(rand.NewSource(seed + 700))
+		for gi := range delays {
+			delays[gi] = float64(1 + rng.Intn(3))
+		}
+		runKernelDiff(t, nl, delays, seed+600, 40, nil)
 	}
 }
 
-// TestKernelDiffExtremeDelayRatio forces the calendar queue's overflow
-// path: a delay spread wider than the wheel's capped horizon
-// (maxD/minD >> maxBuckets) makes long-delay gates schedule events past
-// the wheel, exercising overflow tracking, migration, and the rebase
-// jump when only far-future events remain.
+// TestKernelDiffExtremeDelayRatio runs the kernels on delays five orders
+// of magnitude apart: a few long gates whose events land long after
+// every short gate has settled, on top of short ones whose times differ
+// in their last bits.
 func TestKernelDiffExtremeDelayRatio(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		nl, err := netlist.Random(netlist.RandomOptions{
@@ -248,23 +290,26 @@ func TestKernelDiffExtremeDelayRatio(t *testing.T) {
 		delays := make([]float64, nl.NumGates())
 		for gi := range delays {
 			// Mostly unit-scale delays with occasional huge outliers:
-			// ratio ~1e5, far beyond the 2^12-bucket horizon.
+			// ratio ~1e5.
 			if rng.Intn(4) == 0 {
 				delays[gi] = 1e5 * (1 + rng.Float64())
 			} else {
 				delays[gi] = 1 + rng.Float64()
 			}
 		}
-		runKernelDiff(t, nl, delays, seed+900, 20)
+		runKernelDiff(t, nl, delays, seed+900, 20, nil)
 	}
 }
 
-// TestKernelDiffStampWrap runs the fast kernel across the wrap of the
-// per-batch visit stamp against a reference runner far from it, on
-// equal gate delays so that most batches hold many events and go
-// through mark: a gate whose stamp happens to equal the wrapped value
-// must still be evaluated. Each start offset puts the wrap at another
-// batch of the run.
+// TestKernelDiffStampWrap runs the two users of the per-gate visit
+// stamp across its wrap, each against a runner far from it. The heap
+// kernel takes a stamp per time batch (newBatch); its gate delays are
+// equal, so that most batches hold many events and go through mark.
+// BeginWindow takes one per window to count the gates it prunes. A gate
+// whose stamp happens to equal the wrapped value must still be
+// evaluated, and counted. Each start offset puts the wrap at another
+// batch or window of the run. The fast kernel has no stamp: its heads
+// are cleared after every cycle.
 func TestKernelDiffStampWrap(t *testing.T) {
 	nl, err := netlist.Random(netlist.RandomOptions{Inputs: 8, Gates: 200, Outputs: 4, Seed: 3})
 	if err != nil {
@@ -274,8 +319,25 @@ func TestKernelDiffStampWrap(t *testing.T) {
 	for gi := range delays {
 		delays[gi] = 1
 	}
+	rng := rand.New(rand.NewSource(5))
+	vecs := make([][]bool, 11)
+	for c := range vecs {
+		vecs[c] = make([]bool, len(nl.PrimaryInputs))
+		for i := range vecs[c] {
+			vecs[c][i] = rng.Intn(2) == 1
+		}
+	}
+	// walk flips one input per vector, so each window's dirty nets are
+	// the cones of two inputs and most gates keep an older stamp.
+	walk := make([][]bool, 86)
+	walk[0] = vecs[0]
+	for c := 1; c < len(walk); c++ {
+		walk[c] = slices.Clone(walk[c-1])
+		i := rng.Intn(len(walk[c]))
+		walk[c][i] = !walk[c][i]
+	}
 	for off := uint32(1); off <= 40; off++ {
-		fast, err := NewRunner(nl, delays)
+		wrapped, err := NewRefRunner(nl, delays)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,30 +345,58 @@ func TestKernelDiffStampWrap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast.curStamp = math.MaxUint32 - off
-		rng := rand.New(rand.NewSource(5))
-		prev := make([]bool, len(nl.PrimaryInputs))
+		wrapped.curStamp = math.MaxUint32 - off
 		for cycle := 0; cycle < 10; cycle++ {
-			cur := make([]bool, len(prev))
-			for i := range cur {
-				cur[i] = rng.Intn(2) == 1
-			}
 			var prevArg []bool
 			if cycle == 0 {
-				prevArg = prev
+				prevArg = vecs[0]
 			}
-			fr, err := fast.Cycle(prevArg, cur)
+			wr, err := wrapped.Cycle(prevArg, vecs[cycle+1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			rr, err := ref.Cycle(prevArg, cur)
+			rr, err := ref.Cycle(prevArg, vecs[cycle+1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			compareCycles(t, fmt.Sprintf("fast (stamp offset %d)", off), cycle, fr, rr)
+			compareCycles(t, fmt.Sprintf("ref (stamp offset %d)", off), cycle, wr, rr)
 		}
-		if fast.curStamp > math.MaxUint32/2 {
-			t.Fatalf("offset %d: the stamp did not wrap (curStamp %d)", off, fast.curStamp)
+		if wrapped.curStamp > math.MaxUint32/2 {
+			t.Fatalf("offset %d: the heap kernel's stamp did not wrap (curStamp %d)", off, wrapped.curStamp)
+		}
+
+		// Windows of two cycles each over walk; 42 windows take the
+		// stamp past the wrap from every offset.
+		wrappedWin, err := NewRunner(nl, delays)
+		if err != nil {
+			t.Fatal(err)
+		}
+		win, err := NewRunner(nl, delays)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrappedWin.curStamp = math.MaxUint32 - off
+		for _, r := range []*Runner{wrappedWin, win} {
+			r.EnableMemo(0)
+			if _, err := r.Cycle(walk[0], walk[1]); err != nil {
+				t.Fatal(err)
+			}
+			for c := 2; c+2 <= len(walk); c += 2 {
+				if err := r.BeginWindow(walk[c : c+2]); err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range walk[c : c+2] {
+					if _, err := r.Cycle(nil, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if got, want := wrappedWin.SliceStats(), win.SliceStats(); got != want {
+			t.Fatalf("offset %d: window stats across the stamp wrap %+v, want %+v", off, got, want)
+		}
+		if wrappedWin.curStamp > math.MaxUint32/2 {
+			t.Fatalf("offset %d: the window stamp did not wrap (curStamp %d)", off, wrappedWin.curStamp)
 		}
 	}
 }

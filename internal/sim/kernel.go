@@ -1,232 +1,252 @@
 package sim
 
-import "tevot/internal/netlist"
+import (
+	"cmp"
+	"math"
+	"math/bits"
+	"slices"
 
-// The fast kernel: calendar-queue scheduling over the netlist's CSR
-// view with truth-table LUT gate evaluation, on packed state:
-//
-//   - gates holds one 16-byte gateRec per gate: its delay, output net,
-//     truth table and packed input values, so evaluating a gate reads
-//     one record;
-//   - ng holds one word per net, gen<<1 | projected value, and an event
-//     carries the word its push left there (event.gv), so one compare
-//     decides whether a popped event is live;
-//   - events are 16 bytes (heap.go).
-//
-// Why it is bit-identical to the reference heap kernel:
-//
-//   - Scheduling. Both kernels drain pending events in (t, net) order:
-//     the heap by its comparator, the calendar queue by ordering its
-//     first non-empty bucket by (t, net) on entry (a linear-time
-//     spread, then an insertion sort) and extracting the earliest time
-//     batch from it (see calQueue). Event timestamps are t + delay
-//     computed from the same t values in the same order, so every
-//     float is bit-equal.
-//   - Evaluation. A gate's LUT lookup (lut>>in&1) equals Kind.Eval by
-//     construction (cells.TestLUTMatchesEval); in is the packed image
-//     of val over the gate's input pins, updated by one XOR per CSR
-//     fanout edge exactly when a net transitions. Within a time batch
-//     all net transitions are applied before any gate re-evaluates, in
-//     both kernels, and the mark/stamp deduplication evaluates each
-//     gate once per batch, so the order gates appear in the batch
-//     cannot affect the outcome.
-//   - Batches of one event, the common case (on the multipliers nearly
-//     every event has its own time), skip the stamp, mark and batch
-//     list: the net's readers are evaluated straight off its CSR edges,
-//     in edge order, which is the order mark would have listed them,
-//     so pushes land in the same order. A gate reading the net on two
-//     pins has adjacent edges ((gate, pin)-sorted CSR) and is evaluated
-//     once, after both pins flip — what the batch path does.
-//   - Inertial cancellation. A re-evaluation that changes a net's
-//     projected value bumps its generation, killing any pending event;
-//     an event is applied only if its word still equals the net's. A
-//     live event always changes its net (it was pushed because its
-//     value differed from val, and only the net's own live event moves
-//     val), so the heap kernel's equal-value skip never fires here.
-//     Generations are 31 bits and the queue is empty between cycles, so
-//     a stale event could only be mistaken for live after 2³¹
-//     re-evaluations of one net within one cycle.
-//   - Projected values. At the end of every cycle each net's projected
-//     bit equals val (every live event has been applied). The settle
-//     paths keep it so: rebuildInVals after a full re-evaluation, xorFan
-//     for each net a window settle flips. The heap kernel instead copies
-//     val into proj at the start of each cycle.
-//
-// Delay, Settled, Toggles, Events and the observer stream all match;
-// the differential suite (diff_test.go) pins each of them.
+	"tevot/internal/netlist"
+)
 
-// gateRec is the fast kernel's per-gate record, 16 bytes.
-type gateRec struct {
+// The fast kernel: a waveform pass with no event queue. A combinational
+// netlist needs no global event order, because each gate's output
+// transitions depend only on its inputs' transitions. So one pass per
+// cycle, in topological order, computes every net's transitions
+// exactly:
+//
+//   - every primary input that changes gets one transition at t = 0;
+//   - a gate with a toggled input is visited once, after every gate
+//     driving it (todo is a bitset over topological positions, scanned
+//     forward; a visit sets its readers' bits, which lie ahead);
+//   - a visit merges its input nets' transition times and replays the
+//     inertial model against them, appending its output's transition
+//     times to one per-cycle arena (wave), where its readers read them.
+//
+// Per-gate state lives in one 16-byte node per gate, in topological
+// order: delay, output net, truth table and packed input bits. A visit
+// writes the gate's final input bits and its output's final value,
+// because readers read only waveforms.
+//
+// Why it is bit-identical to the reference heap kernel. The heap kernel
+// drains events in global (t, net) order, applying every event of a
+// time batch before it re-evaluates the batch's gates, and a gate's
+// output changes only through its own events. The order therefore
+// touches one gate in only three ways, and a visit reproduces each:
+//
+//   - input flips at one time form one evaluation: every pin whose next
+//     transition is at the batch time flips before the gate's one
+//     lookup, as a time batch flips them (a net read on two pins flips
+//     both);
+//   - an output event at exactly a batch's time is applied before that
+//     batch re-evaluates: the gate's one pending event matures before
+//     any input batch at or after its time;
+//   - only a re-evaluation strictly before an event can cancel it: a
+//     re-evaluation that changes the projected value cancels the
+//     pending event, or schedules one at batch time + delay if there
+//     was none. The gate has at most one pending event, and it is
+//     pending exactly while its value differs from the projected one.
+//
+// The evaluation times are the batch times of the heap kernel and each
+// scheduled time is the same float sum, so every time is bit-equal, and
+// with them Delay, Settled, Toggles and Events. The heap kernel reports
+// the primary inputs at t = 0 in input order, then every gate-driven
+// transition by (t, net); with an observer attached, the cycle is
+// replayed to it in that order. The differential suite (diff_test.go)
+// pins all of them against the heap kernel.
+
+// node is the waveform kernel's per-gate record, 16 bytes.
+type node struct {
 	delay float64
 	out   netlist.NetID
 	lut   uint8 // packed truth table (cells.Kind.LUT)
-	in    uint8 // packed input values: bit j is pin j
+	in    uint8 // packed input values at the cycle start: bit j is pin j
 }
 
-// cycleFast runs one cycle's event processing with the calendar-queue
-// kernel. The caller (Runner.Cycle) has already settled val (and with
-// it every gate's packed inputs and every net's projected bit), reset
-// the result, and seeded initOut.
-func (r *Runner) cycleFast(cur []bool) {
-	nl := r.nl
-	r.cq.reset()
+// end terminates every waveform in the arena. Times are stored as
+// float64 bits: non-negative floats order like their bit patterns, and
+// end lies above all of them, so the earliest of a gate's input heads
+// is an integer min.
+const end = ^uint64(0)
+
+// waveBase is the arena's fixed prefix: an empty waveform (index 0,
+// the head of every net without transitions and of every unused pin)
+// and the one transition at t = 0 that every changed primary input
+// shares (index 1).
+var waveBase = [...]uint64{end, 0, end}
+
+// waveCap sizes the arena once, in entries per net: a net's transitions
+// plus its end. dta-imaging's INT_MUL streams peak at 3.7 per net;
+// random multiplier vectors reach 6.8, and append grows the arena for
+// them.
+const waveCap = 4
+
+// transition is one gate-driven net transition, for observer replay.
+type transition struct {
+	t   float64
+	net netlist.NetID
+	val bool
+}
+
+// cycleWave runs one cycle with the waveform kernel. The caller
+// (Runner.Cycle) has already settled val and every node's input bits,
+// reset the result, and seeded initOut.
+func (r *Runner) cycleWave(cur []bool) {
+	nl, csr := r.nl, r.csr
+	head, todo := r.head, r.todo
+	fanStart, fanPos, topoIn := csr.FanoutStart, csr.FanoutPos, csr.TopoIn
+	w := append(r.wave[:0], waveBase[:]...)
 	events := 0
 
-	// Apply the new vector at t = 0 and seed the first gate batch.
-	r.newBatch()
 	for i, pi := range nl.PrimaryInputs {
 		if r.val[pi] != cur[i] {
-			r.ng[pi] ^= 1 // an undriven net's projection follows val
+			r.val[pi] = cur[i]
+			head[pi+1] = 1
 			events++
-			r.apply(pi, 0, cur[i])
-			r.fanout(pi)
+			for _, e := range fanPos[fanStart[pi]:fanStart[pi+1]] {
+				todo[e>>8] |= 1 << uint(e>>2&63)
+			}
 		}
 	}
-	r.evalBatch(0)
 
-	// Event loop: drain strictly increasing time batches. The calendar
-	// queue hands out events in (t, net) order through its cursor; a
-	// batch is the run of equal-t events at the cursor. next enters a
-	// bucket, and the batches inside it are drained here until it is
-	// exhausted. The bucket slice is re-fetched after each batch, whose
-	// evaluation may have pushed into it; no push happens while a batch
-	// is consumed, so the slice cannot grow under the inner loop.
-	for r.cq.next() {
-		for {
-			b := r.cq.bucket()
-			pos := r.cq.pos
-			if pos == len(b) {
-				break
-			}
-			t := b[pos].t
-			if pos+1 == len(b) || b[pos+1].t != t {
-				// A batch of one event: no stamp, mark or batch list.
-				ev := r.cq.take()
-				if ev.gv == r.ng[ev.net] {
-					events++
-					r.apply(ev.net, t, ev.val())
-					r.evalReaders(ev.net, t)
+	for wi := range todo {
+		for todo[wi] != 0 {
+			b := todo[wi]
+			todo[wi] = b & (b - 1)
+			p := wi<<6 | bits.TrailingZeros64(b)
+			nd := &r.nodes[p]
+			pins := topoIn[p*3 : p*3+3 : p*3+3]
+			i0, i1, i2 := head[pins[0]+1], head[pins[1]+1], head[pins[2]+1]
+			t0, t1, t2 := w[i0], w[i1], w[i2]
+			in, lut := nd.in, nd.lut
+			proj := lut >> in & 1
+			pend := end // the pending output event's time
+			start := len(w)
+			for {
+				tb := min(t0, t1, t2)
+				if tb == end {
+					break
 				}
-				continue
-			}
-			r.newBatch()
-			for r.cq.pos < len(b) && b[r.cq.pos].t == t {
-				ev := r.cq.take()
-				if ev.gv != r.ng[ev.net] {
-					continue // cancelled by a later re-evaluation
+				if pend <= tb {
+					w = append(w, pend)
+					pend = end
 				}
-				events++
-				r.apply(ev.net, t, ev.val())
-				r.fanout(ev.net)
+				if t0 == tb {
+					in ^= 1
+					i0++
+					t0 = w[i0]
+				}
+				if t1 == tb {
+					in ^= 2
+					i1++
+					t1 = w[i1]
+				}
+				if t2 == tb {
+					in ^= 4
+					i2++
+					t2 = w[i2]
+				}
+				if v := lut >> in & 1; v != proj {
+					proj = v
+					if pend == end {
+						pend = math.Float64bits(math.Float64frombits(tb) + nd.delay)
+					} else {
+						pend = end
+					}
+				}
 			}
-			r.evalBatch(t)
+			nd.in = in
+			if pend != end {
+				w = append(w, pend)
+			}
+			if len(w) == start {
+				continue // every change was cancelled: the output holds
+			}
+			events += len(w) - start
+			w = append(w, end)
+			out := nd.out
+			head[out+1] = int32(start)
+			r.val[out] = proj == 1
+			for _, e := range fanPos[fanStart[out]:fanStart[out+1]] {
+				todo[e>>8] |= 1 << uint(e>>2&63)
+			}
 		}
 	}
-	r.res.Events = events
-}
 
-// apply moves net to v at time t, reporting the transition when an
-// observer is attached or the net is a primary output.
-func (r *Runner) apply(net netlist.NetID, t float64, v bool) {
-	r.val[net] = v
-	if r.observer != nil || r.outIndex[net] != 0 {
-		r.report(net, t, v)
+	res := &r.res
+	res.Events = events
+	for i, po := range nl.PrimaryOutputs {
+		k := head[po+1]
+		if k == 0 || r.outIndex[po] != int32(i+1) {
+			continue
+		}
+		ts, v := res.Toggles[i], r.initOut[i]
+		for ; w[k] != end; k++ {
+			t := math.Float64frombits(w[k])
+			v = !v
+			ts = append(ts, Toggle{t, v})
+			if t > res.Delay {
+				res.Delay = t
+			}
+		}
+		res.Toggles[i] = ts
 	}
-}
-
-// report hands a transition to the observer and, when the net is a
-// primary output, records its toggle and the delay. At t = 0 such a net
-// is a primary input wired straight out: degenerate but legal.
-func (r *Runner) report(net netlist.NetID, t float64, v bool) {
 	if r.observer != nil {
-		r.observer(net, t, v)
+		r.replay(w)
 	}
-	if oi := r.outIndex[net]; oi != 0 {
-		res := &r.res
-		res.Toggles[oi-1] = append(res.Toggles[oi-1], Toggle{t, v})
-		if t > res.Delay {
-			res.Delay = t
+	clear(head)
+	r.wave = w
+}
+
+// replay hands the cycle's transitions to the observer in the heap
+// kernel's order: the changed primary inputs at t = 0 in input order,
+// then every gate-driven transition by (t, net). A net's transitions
+// alternate from its value at the cycle start, which its final value
+// and their count give.
+func (r *Runner) replay(w []uint64) {
+	for _, pi := range r.nl.PrimaryInputs {
+		if r.head[pi+1] != 0 {
+			r.observer(pi, 0, r.val[pi])
 		}
 	}
-}
-
-// evalReaders flips net's readers' input bits and re-evaluates each
-// reader at t, in CSR edge order: the batch of one event.
-func (r *Runner) evalReaders(net netlist.NetID, t float64) {
-	csr := r.csr
-	edges := csr.FanoutEdges[csr.FanoutStart[net]:csr.FanoutStart[net+1]]
-	for k, edge := range edges {
-		g := &r.gates[edge>>2]
-		g.in ^= 1 << uint(edge&3)
-		if k+1 < len(edges) && edges[k+1]>>2 == edge>>2 {
-			continue // the gate's next pin reads this net too
+	trs := r.trs[:0]
+	for p := range r.nodes {
+		n := r.nodes[p].out
+		lo := r.head[n+1]
+		if lo == 0 {
+			continue
 		}
-		if ev, ok := r.eval(g, t); ok {
-			r.cq.push(ev)
+		hi := lo
+		for w[hi] != end {
+			hi++
 		}
-	}
-}
-
-// fanout propagates a net transition to its readers: one XOR per CSR
-// edge keeps each reading gate's packed input bitset exact (a net wired
-// to two pins of a gate flips both), and mark deduplicates the gate
-// into the current evaluation batch.
-func (r *Runner) fanout(net netlist.NetID) {
-	csr := r.csr
-	for e := csr.FanoutStart[net]; e < csr.FanoutStart[net+1]; e++ {
-		edge := csr.FanoutEdges[e]
-		g := netlist.GateID(edge >> 2)
-		r.gates[g].in ^= 1 << uint(edge&3)
-		r.mark(g)
-	}
-}
-
-// evalBatch re-evaluates each gate marked at time t.
-func (r *Runner) evalBatch(t float64) {
-	for _, gi := range r.batch {
-		if ev, ok := r.eval(&r.gates[gi], t); ok {
-			r.cq.push(ev)
+		v := r.val[n] != ((hi-lo)&1 == 1) // the value at the cycle start
+		for _, tb := range w[lo:hi] {
+			v = !v
+			trs = append(trs, transition{math.Float64frombits(tb), n, v})
 		}
 	}
-}
-
-// eval re-evaluates one gate at time t by a single LUT lookup and
-// applies the inertial model: a new projected value bumps the output's
-// generation, cancelling any pending event, and is returned for
-// scheduling unless it equals the present value, in which case the
-// pulse is swallowed.
-func (r *Runner) eval(g *gateRec, t float64) (event, bool) {
-	v := uint32(g.lut >> g.in & 1)
-	w := r.ng[g.out]
-	if v == w&1 {
-		return event{}, false
+	slices.SortFunc(trs, func(a, b transition) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.net, b.net))
+	})
+	for _, tr := range trs {
+		r.observer(tr.net, tr.t, tr.val)
 	}
-	w = (w | 1) + 1 | v // next generation, projected value v
-	r.ng[g.out] = w
-	return event{t: t + g.delay, net: g.out, gv: w}, r.val[g.out] != (v == 1)
+	r.trs = trs
 }
 
-// rebuildInVals recomputes every gate's packed input bitset and every
-// net's projected bit from the current net values — needed after an
-// explicit-prev settle rewrites val outside event processing. Streaming
-// cycles keep both incremental.
+// rebuildInVals recomputes every node's packed input bits from the
+// current net values — needed after a settle rewrites val outside the
+// kernel. Streaming cycles keep them incremental.
 func (r *Runner) rebuildInVals() {
-	csr := r.csr
-	for gi := range r.gates {
-		base := gi * netlist.PinsPerGate
+	topoIn := r.csr.TopoIn
+	for p := range r.nodes {
 		var m uint8
-		for j := 0; j < netlist.PinsPerGate; j++ {
-			if in := csr.GateIn[base+j]; in >= 0 && r.val[in] {
+		for j, n := range topoIn[p*netlist.PinsPerGate : (p+1)*netlist.PinsPerGate] {
+			if n >= 0 && r.val[n] {
 				m |= 1 << uint(j)
 			}
 		}
-		r.gates[gi].in = m
-	}
-	for n, v := range r.val {
-		w := r.ng[n] &^ 1
-		if v {
-			w |= 1
-		}
-		r.ng[n] = w
+		r.nodes[p].in = m
 	}
 }

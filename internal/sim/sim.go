@@ -1,22 +1,24 @@
-// Package sim is the event-driven gate-level timing simulator: the
-// stand-in for the paper's back-annotated ModelSim runs. Given a netlist
-// and a per-gate delay annotation (from internal/sta or a parsed SDF
-// file) it simulates one clock cycle at a time — the circuit settled at
-// the previous input vector, the new vector applied at t = 0 — and
-// reports the cycle's dynamic delay (time of the last primary-output
-// toggle), the settled output values, and whether a capture register
-// clocked at any candidate period would latch a wrong value.
+// Package sim is the gate-level timing simulator: the stand-in for the
+// paper's back-annotated ModelSim runs. Given a netlist and a per-gate
+// delay annotation (from internal/sta or a parsed SDF file) it
+// simulates one clock cycle at a time — the circuit settled at the
+// previous input vector, the new vector applied at t = 0 — and reports
+// the cycle's dynamic delay (time of the last primary-output toggle),
+// the settled output values, and whether a capture register clocked at
+// any candidate period would latch a wrong value.
 //
 // Gates use the inertial delay model: a scheduled output change is
 // cancelled if the gate re-evaluates to its present value before the
 // change matures, so pulses shorter than a gate delay are swallowed, as
-// in an event-driven HDL simulator's default mode.
+// in an event-driven HDL simulator's default mode. The default kernel
+// computes each cycle gate by gate in topological order, from the
+// transition times of each gate's inputs, with no event queue
+// (kernel.go); an event-driven heap kernel is kept as its oracle.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"tevot/internal/netlist"
 )
@@ -84,8 +86,8 @@ type Observer func(net netlist.NetID, t float64, val bool)
 // It is not safe for concurrent use; create one Runner per goroutine.
 //
 // Two kernels share this state. The default (NewRunner) is the fast
-// kernel: a calendar-queue scheduler over the netlist's CSR view with
-// per-gate truth-table LUT evaluation. The reference kernel
+// kernel: one waveform pass per cycle over the gates in topological
+// order, with per-gate truth-table LUT evaluation. The reference kernel
 // (NewRefRunner) is the original binary-heap/switch-dispatch event loop,
 // kept as the differential oracle: both produce bit-identical Delay,
 // Settled, Toggles, Events, and observer streams on every circuit.
@@ -131,9 +133,11 @@ type Runner struct {
 	gen       []uint32  // ref kernel: event generation per net, in steps of two
 
 	csr   *netlist.CSR // fast kernel: flattened fanout/pin arrays
-	gates []gateRec    // fast kernel: per-gate delay, output, LUT and inputs
-	ng    []uint32     // fast kernel: per-net gen<<1 | projected value
-	cq    calQueue     // fast kernel: calendar-queue scheduler
+	nodes []node       // fast kernel: per-gate record, in topological order
+	head  []int32      // fast kernel: per net+1, its waveform's start in wave
+	wave  []uint64     // fast kernel: the cycle's transition times (kernel.go)
+	todo  []uint64     // fast kernel: gates to visit, by topological position
+	trs   []transition // fast kernel: observer replay scratch
 }
 
 // NewRunner creates a Runner using the fast kernel. delays must hold one
@@ -183,16 +187,14 @@ func newRunner(nl *netlist.Netlist, delays []float64, refKernel bool) (*Runner, 
 		return r, nil
 	}
 	r.csr = nl.CSR()
-	r.ng = make([]uint32, nl.NumNets())
-	r.gates = make([]gateRec, nl.NumGates())
-	for gi, d := range delays {
-		r.gates[gi] = gateRec{delay: d, out: nl.Gates[gi].Output, lut: nl.Gates[gi].Kind.LUT()}
+	r.nodes = make([]node, nl.NumGates())
+	for p, gi := range r.csr.Topo {
+		g := &nl.Gates[gi]
+		r.nodes[p] = node{delay: delays[gi], out: g.Output, lut: g.Kind.LUT()}
 	}
-	minD, maxD := 1.0, 1.0
-	if len(delays) > 0 {
-		minD, maxD = slices.Min(delays), slices.Max(delays)
-	}
-	r.cq.init(minD, maxD)
+	r.head = make([]int32, nl.NumNets()+1)
+	r.todo = make([]uint64, (nl.NumGates()+63)/64)
+	r.wave = make([]uint64, 0, len(waveBase)+waveCap*nl.NumNets())
 	return r, nil
 }
 
@@ -302,7 +304,7 @@ func (r *Runner) Cycle(prev, cur []bool) (*CycleResult, error) {
 	if r.refKernel {
 		r.cycleRef(cur)
 	} else {
-		r.cycleFast(cur)
+		r.cycleWave(cur)
 	}
 	r.cascadeCycles++
 	r.cascadeEvents += int64(res.Events)

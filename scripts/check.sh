@@ -48,8 +48,8 @@ echo "== recovery: failed and interrupted cells re-run on -resume (race)"
 go test -race -run 'TestFailedCellsNotCheckpointed|TestCancellationSkipsRemaining|TestCheckpointToleratesTruncatedTail' ./internal/runner
 go test -race -run 'TestFig3RunResumeReproducesUninterruptedRun' ./internal/experiments
 
-echo "== kernel equivalence: calendar-queue vs reference heap, every FU, overflow and rebase, stamp wrap; calendar-queue drain order, dense buckets included; simulator vs zero-delay evaluation"
-go test -run 'TestKernelDiffFUs|TestKernelDiffExtremeDelayRatio|TestKernelDiffStampWrap|TestCalQueue|TestFuzzSimulatorAgainstEval' ./internal/sim
+echo "== kernel equivalence: waveform vs reference heap, every FU (random, imaging-shaped and 16-bit operands), extreme delay ratios, stamp wrap (heap batches, window pruning); exact time ties on random circuits with 1-3 ps integer delays (equal-time pins, an output event at an input batch's time); simulator vs zero-delay evaluation"
+go test -run 'TestKernelDiffFUs|TestKernelDiffExtremeDelayRatio|TestKernelDiffStampWrap|TestKernelDiffRandom|TestFuzzSimulatorAgainstEval' ./internal/sim
 
 echo "== memo equivalence: transition memo + bitslice windows vs uncached kernels; per-shard drop rule; per-tier cascade counters"
 go test -run 'TestKernelDiffRandom|TestMemo|TestBeginWindowErrors' ./internal/sim
