@@ -23,27 +23,23 @@ type CSR struct {
 	// FanoutEdges packs gateID<<2 | pin per edge (pins are 0..2; the
 	// cell library's maximum arity is 3).
 	FanoutEdges []int32
-	// GateOut[g] is gate g's output net.
-	GateOut []int32
-	// GateIn holds each gate's input nets padded to PinsPerGate entries
-	// (-1 for unused pins): gate g's pin j reads net GateIn[g*PinsPerGate+j].
-	GateIn []int32
 	// Topo lists gate ids in topological order (inputs before readers),
 	// for sweeps that evaluate the whole netlist in one pass, such as
 	// the simulator's waveform kernel and bitslice prepass. Topo, TopoIn
 	// and FanoutPos are nil if the netlist is cyclic — but cyclic
 	// netlists never reach a runner (NewRunner checks).
 	Topo []int32
-	// TopoIn is GateIn in topological order: the gate at position p of
-	// Topo reads net TopoIn[p*PinsPerGate+j] on pin j (-1 if unused).
+	// TopoIn holds each gate's input nets in topological order, padded
+	// to PinsPerGate entries: the gate at position p of Topo reads net
+	// TopoIn[p*PinsPerGate+j] on pin j (-1 if unused).
 	TopoIn []int32
 	// FanoutPos parallels FanoutEdges with the reading gate's position
 	// in Topo: FanoutPos[e] packs position<<2 | pin for edge e.
 	FanoutPos []int32
 }
 
-// PinsPerGate is the fixed per-gate input stride of CSR.GateIn: the cell
-// library's maximum arity.
+// PinsPerGate is the fixed per-gate input stride of CSR.TopoIn: the
+// cell library's maximum arity.
 const PinsPerGate = 3
 
 // EdgeGate unpacks the reading gate of a CSR fanout edge.
@@ -60,11 +56,7 @@ func (n *Netlist) CSR() *CSR {
 	if n.csr != nil {
 		return n.csr
 	}
-	c := &CSR{
-		FanoutStart: make([]int32, len(n.Nets)+1),
-		GateOut:     make([]int32, len(n.Gates)),
-		GateIn:      make([]int32, len(n.Gates)*PinsPerGate),
-	}
+	c := &CSR{FanoutStart: make([]int32, len(n.Nets)+1)}
 	// Count edges per net, then fill with a running cursor. Iterating
 	// gates in id order makes each net's edge list (gate, pin)-sorted.
 	edges := 0
@@ -83,25 +75,25 @@ func (n *Netlist) CSR() *CSR {
 	cursor := make([]int32, len(n.Nets))
 	copy(cursor, c.FanoutStart[:len(n.Nets)])
 	for gi := range n.Gates {
-		g := &n.Gates[gi]
-		c.GateOut[gi] = int32(g.Output)
-		for j := 0; j < PinsPerGate; j++ {
-			c.GateIn[gi*PinsPerGate+j] = -1
-		}
-		for pin, in := range g.Inputs {
-			c.GateIn[gi*PinsPerGate+pin] = int32(in)
+		for pin, in := range n.Gates[gi].Inputs {
 			c.FanoutEdges[cursor[in]] = int32(gi)<<2 | int32(pin)
 			cursor[in]++
 		}
 	}
 	if order, err := n.TopoOrder(); err == nil {
 		c.Topo = make([]int32, len(order))
-		c.TopoIn = make([]int32, len(c.GateIn))
+		c.TopoIn = make([]int32, len(order)*PinsPerGate)
 		pos := make([]int32, len(order))
-		for i, g := range order {
-			c.Topo[i] = int32(g)
-			copy(c.TopoIn[i*PinsPerGate:(i+1)*PinsPerGate], c.GateIn[int(g)*PinsPerGate:])
-			pos[g] = int32(i)
+		for p, g := range order {
+			c.Topo[p] = int32(g)
+			pins := c.TopoIn[p*PinsPerGate : (p+1)*PinsPerGate]
+			for j := range pins {
+				pins[j] = -1
+			}
+			for j, in := range n.Gates[g].Inputs {
+				pins[j] = int32(in)
+			}
+			pos[g] = int32(p)
 		}
 		c.FanoutPos = make([]int32, len(c.FanoutEdges))
 		for e, edge := range c.FanoutEdges {

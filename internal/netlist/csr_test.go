@@ -8,9 +8,10 @@ import (
 
 // TestCSRMatchesNetlist cross-checks the flattened view against the
 // pointerful representation on a fleet of random circuits: every
-// (gate, pin) edge appears exactly once under the net it reads, gate
-// outputs and padded input pins line up, and edge lists are
-// (gate, pin)-sorted so kernels iterating them are deterministic.
+// (gate, pin) edge appears exactly once under the net it reads, Topo
+// lists every gate once and the padded input pins of TopoIn line up
+// with its gates', and edge lists are (gate, pin)-sorted so kernels
+// iterating them are deterministic.
 func TestCSRMatchesNetlist(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		nl, err := Random(RandomOptions{
@@ -29,20 +30,25 @@ func TestCSRMatchesNetlist(t *testing.T) {
 		if got, want := len(c.FanoutStart), nl.NumNets()+1; got != want {
 			t.Fatalf("FanoutStart has %d entries, want %d", got, want)
 		}
+		if len(c.Topo) != nl.NumGates() || len(c.TopoIn) != nl.NumGates()*PinsPerGate {
+			t.Fatalf("%d gates: Topo has %d, TopoIn %d", nl.NumGates(), len(c.Topo), len(c.TopoIn))
+		}
 		totalPins := 0
-		for gi := range nl.Gates {
+		listed := make([]bool, nl.NumGates())
+		for p, gi := range c.Topo {
+			if listed[gi] {
+				t.Fatalf("gate %d listed twice in Topo", gi)
+			}
+			listed[gi] = true
 			g := &nl.Gates[gi]
 			totalPins += len(g.Inputs)
-			if c.GateOut[gi] != int32(g.Output) {
-				t.Fatalf("gate %d: GateOut = %d, want %d", gi, c.GateOut[gi], g.Output)
-			}
 			for pin := 0; pin < PinsPerGate; pin++ {
 				want := int32(-1)
 				if pin < len(g.Inputs) {
 					want = int32(g.Inputs[pin])
 				}
-				if got := c.GateIn[gi*PinsPerGate+pin]; got != want {
-					t.Fatalf("gate %d pin %d: GateIn = %d, want %d", gi, pin, got, want)
+				if got := c.TopoIn[p*PinsPerGate+pin]; got != want {
+					t.Fatalf("gate %d pin %d: TopoIn = %d, want %d", gi, pin, got, want)
 				}
 			}
 		}
@@ -103,11 +109,11 @@ func TestCSRSharedPinGate(t *testing.T) {
 	}
 }
 
-// TestCSRTopoView cross-checks the topological arrays against Topo,
-// GateIn and FanoutEdges: TopoIn is GateIn permuted into topological
-// order, every FanoutPos entry names its edge's gate by topological
-// position with the same pin, and a gate's inputs are driven by gates
-// that come before it.
+// TestCSRTopoView cross-checks the topological arrays against Topo and
+// FanoutEdges: every FanoutPos entry names its edge's gate by
+// topological position with the same pin, and a gate's inputs are
+// driven by gates that come before it. TestCSRMatchesNetlist checks
+// TopoIn.
 func TestCSRTopoView(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		nl, err := Random(RandomOptions{
@@ -120,17 +126,12 @@ func TestCSRTopoView(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := nl.CSR()
-		if len(c.Topo) != nl.NumGates() || len(c.TopoIn) != len(c.GateIn) || len(c.FanoutPos) != len(c.FanoutEdges) {
-			t.Fatalf("lengths: Topo %d, TopoIn %d, FanoutPos %d", len(c.Topo), len(c.TopoIn), len(c.FanoutPos))
+		if len(c.Topo) != nl.NumGates() || len(c.FanoutPos) != len(c.FanoutEdges) {
+			t.Fatalf("lengths: Topo %d, FanoutPos %d", len(c.Topo), len(c.FanoutPos))
 		}
 		pos := make([]int, nl.NumGates())
 		for p, g := range c.Topo {
 			pos[g] = p
-			for j := 0; j < PinsPerGate; j++ {
-				if got, want := c.TopoIn[p*PinsPerGate+j], c.GateIn[int(g)*PinsPerGate+j]; got != want {
-					t.Fatalf("position %d pin %d: TopoIn = %d, want %d", p, j, got, want)
-				}
-			}
 		}
 		for p, g := range c.Topo {
 			for _, in := range nl.Gates[g].Inputs {
