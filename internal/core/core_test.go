@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 
@@ -356,11 +358,39 @@ func TestPredictDelaysConsistency(t *testing.T) {
 	}
 }
 
+// savedNode mirrors the node fields a saved forest carries; gob
+// matches them by name.
+type savedNode struct {
+	Feature     int32
+	Threshold   float64
+	Left, Right int32
+	Value       float64
+}
+
+// savedTrees decodes the trees m's forest saves, for an oracle walk
+// that shares no code with the ml package's.
+func savedTrees(t *testing.T, m *Model) [][]savedNode {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.forest.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var saved struct{ Trees []struct{ Nodes []savedNode } }
+	if err := gob.NewDecoder(&buf).Decode(&saved); err != nil {
+		t.Fatal(err)
+	}
+	trees := make([][]savedNode, len(saved.Trees))
+	for i, tr := range saved.Trees {
+		trees[i] = tr.Nodes
+	}
+	return trees
+}
+
 // TestPredictDelaysMatchPointerTrees: the packed walk behind
-// PredictDelays and PredictDelay reproduces the pointer trees on the
-// float features — the mean of every tree's Predict, added in tree
-// order — on every row of a random stream at an untrained corner, with
-// and without history.
+// PredictDelays and PredictDelay reproduces a pointer walk of the saved
+// trees on the float features — the mean of every tree's leaf, added
+// in tree order — on every row of a random stream at an untrained
+// corner, with and without history.
 func TestPredictDelaysMatchPointerTrees(t *testing.T) {
 	u, err := NewFUnit(circuits.IntAdd32)
 	if err != nil {
@@ -387,7 +417,7 @@ func TestPredictDelaysMatchPointerTrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trees := m.forest.Trees()
+		trees := savedTrees(t, m)
 		for i, got := range delays {
 			cur, prev := s.Pairs[i+1], s.Pairs[i]
 			x := features.VectorNH(c, cur)
@@ -395,8 +425,16 @@ func TestPredictDelaysMatchPointerTrees(t *testing.T) {
 				x = features.Vector(c, cur, prev)
 			}
 			want := 0.0
-			for _, tree := range trees {
-				want += tree.Predict(x)
+			for _, nodes := range trees {
+				n := nodes[0]
+				for n.Feature >= 0 {
+					if x[n.Feature] <= n.Threshold {
+						n = nodes[n.Left]
+					} else {
+						n = nodes[n.Right]
+					}
+				}
+				want += n.Value
 			}
 			want /= float64(len(trees))
 			if got != want {

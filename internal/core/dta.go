@@ -369,16 +369,20 @@ func runShards(shards []shard, fn func(*shard) error) error {
 // and declares upcoming input vectors to it in bitslice windows
 // (sim.BeginWindow): the window's one bit-parallel zero-delay sweep
 // turns each post-hit re-settle into lane extraction over the window's
-// dirty nets. If no transition repeats within memoProbeCycles, the
-// shard drops the memo and stops declaring windows. Results are
-// bit-identical either way: a cycle's outcome is a pure function of its
-// (prev, cur) transition (see sim.Runner.EnableMemo).
+// dirty nets. The memo's cap is the shard's cycle count: a shard
+// stores at most one entry per cycle, so no larger cap would keep
+// more, and the memo sizes its map by the cap, so a short shard does
+// not pre-size a 4096-entry map. If no transition repeats within
+// memoProbeCycles, the shard drops the memo and stops declaring
+// windows. Results are bit-identical either way: a cycle's outcome is
+// a pure function of its (prev, cur) transition (see
+// sim.Runner.EnableMemo).
 func (sh *shard) simulate(ctx context.Context, s *workload.Stream, clocks []float64, tr *Trace) error {
 	r := sh.r
 	memo := !r.Ref()
 	var winVecs [][]bool
 	if memo {
-		r.EnableMemo(0)
+		r.EnableMemo(min(sh.hi-sh.lo, sim.DefaultMemoSize))
 		back := make([]bool, sim.WindowMax*circuits.OperandBits)
 		winVecs = make([][]bool, sim.WindowMax)
 		for k := range winVecs {

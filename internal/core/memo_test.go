@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"tevot/internal/cells"
@@ -170,5 +171,43 @@ func TestCascadeCounters(t *testing.T) {
 		case tc.name == "random" && events != int64(tr.Events):
 			t.Errorf("random: %d cascade events, trace has %d", events, tr.Events)
 		}
+	}
+}
+
+// TestShortShardMemoMap: a shard caps its memo at its own cycle count,
+// and the memo sizes its map by the cap, so characterizing a 99-cycle
+// stream (one shard, as each training slice of Table III's reduced
+// scale is) allocates less in all (runtime.MemStats.TotalAlloc, one
+// goroutine) than the 4096-entry map a 64 Ki cap would pre-size.
+func TestShortShardMemoMap(t *testing.T) {
+	u, err := NewFUnit(circuits.IntAdd32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corner := cells.Corner{V: 0.9, T: 25}
+	stream := workload.RandomInt(100, 8)
+	if _, err := Characterize(u, corner, stream, nil); err != nil { // builds the unit's cached STA
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	tr, err := Characterize(u, corner, stream, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	got := ms.TotalAlloc - before
+	if tr.MemoMisses == 0 {
+		t.Fatal("the shard ran without its memo")
+	}
+	before = ms.TotalAlloc
+	m := make(map[string]int32, 4096)
+	runtime.ReadMemStats(&ms)
+	mapBytes := ms.TotalAlloc - before
+	runtime.KeepAlive(m)
+	t.Logf("99 cycles allocate %d bytes; a 4096-entry memo map %d", got, mapBytes)
+	if got >= mapBytes {
+		t.Fatalf("characterizing 99 cycles allocates %d bytes, no less than a 4096-entry memo map (%d)", got, mapBytes)
 	}
 }

@@ -69,7 +69,7 @@ func BenchmarkForestPredict(b *testing.B) {
 }
 
 // BenchmarkForestPredictBatch measures batched inference through the
-// compiled arena — the model-side hot path — over float rows (Table
+// compiled trees — the model-side hot path — over float rows (Table
 // II's RFC, mlcompare) and over packed rows (core.Model, serving). The
 // inline walks must be allocation-free; the goroutine fan-out above
 // them may allocate on multicore machines.
@@ -85,8 +85,8 @@ func BenchmarkForestPredictBatch(b *testing.B) {
 	}
 	dst := make([]float64, len(X))
 	if allocs := testing.AllocsPerRun(5, func() {
-		f.arena.predictRange(rowSet{float: X}, dst)
-		f.arena.predictRange(rowSet{packed: rows, nbits: 128}, dst)
+		f.compiled.predictRange(rowSet{float: X}, dst)
+		f.compiled.predictRange(rowSet{packed: rows, nbits: 128}, dst)
 	}); allocs != 0 {
 		b.Fatalf("inline batched predict allocates %.1f/op; want 0", allocs)
 	}

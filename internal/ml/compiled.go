@@ -17,81 +17,59 @@ type PackedRow struct {
 	Tail [2]float64
 }
 
-// cnode is one 16-byte node of the compiled arena. A split sends a row
-// to kid when x[feat] <= v and to kid+1 otherwise (siblings are
-// adjacent); a leaf has feat < 0 and predicts v.
+// cnode is one 16-byte compiled node. A split sends a row to kid when
+// x[feat] <= v and to kid+1 otherwise (siblings are adjacent); a leaf
+// has feat < 0 and predicts v.
 type cnode struct {
 	v    float64
 	feat int32
 	kid  int32
 }
 
-// compiledForest is the inference form of a fitted forest: every
-// tree's nodes in one arena, each tree laid out breadth-first from its
-// root so the levels every walk passes through sit together. Float
-// rows and packed rows walk the same arena.
+// compiledForest is a fitted forest's trees in the form every predict
+// entry point walks, and the only form a RandomForest keeps: each
+// tree's nodes in their own exact-size slice, laid out breadth-first
+// from the root at 0 so the levels every walk passes through sit
+// together. Float rows and packed rows walk the same nodes.
 type compiledForest struct {
-	nodes   []cnode
-	roots   []int32 // arena index of each tree's root
+	trees   [][]cnode
 	mode    Mode
 	classes int // classification: max class count over trees
 }
 
-// compile lays the pointer trees out in the arena. It keeps the nodes
-// reachable from each root (a fitted tree has no others) with their
-// thresholds and values; only their order and child links change.
-func compile(trees []*DecisionTree, mode Mode) *compiledForest {
-	total := 0
-	for _, t := range trees {
-		total += len(t.nodes)
-	}
-	cf := &compiledForest{
-		nodes: make([]cnode, 0, total),
-		roots: make([]int32, len(trees)),
-		mode:  mode,
-	}
-	var src []int32 // the pointer-tree node behind each arena slot of the tree
-	for ti, t := range trees {
-		base := int32(len(cf.nodes))
-		cf.roots[ti] = base
-		cf.classes = max(cf.classes, t.classes)
-		if len(t.nodes) == 0 {
-			cf.nodes = append(cf.nodes, cnode{feat: -1})
+// layout returns the tree in nodes (root at 0, children after their
+// parent) as compiled nodes, breadth-first from the root. It keeps the
+// nodes reachable from the root (a fitted tree has no others) with
+// their thresholds and leaf values; only their order and child links
+// change. Until slot q is laid out, its kid holds the index in nodes of
+// the node it receives.
+func layout(nodes []node) []cnode {
+	out := make([]cnode, 1, len(nodes))
+	for q := 0; q < len(out); q++ {
+		n := &nodes[out[q].kid]
+		if n.feature < 0 {
+			out[q] = cnode{v: n.value, feat: -1}
 			continue
 		}
-		src = append(src[:0], 0)
-		cf.nodes = append(cf.nodes, cnode{})
-		for q := 0; q < len(src); q++ {
-			n := &t.nodes[src[q]]
-			if n.feature < 0 {
-				cf.nodes[base+int32(q)] = cnode{v: n.value, feat: -1}
-				continue
-			}
-			kid := int32(len(cf.nodes))
-			cf.nodes = append(cf.nodes, cnode{}, cnode{})
-			src = append(src, n.left, n.right)
-			cf.nodes[base+int32(q)] = cnode{v: n.threshold, feat: n.feature, kid: kid}
-		}
+		kid := int32(len(out))
+		out = append(out, cnode{kid: n.left}, cnode{kid: n.right})
+		out[q] = cnode{v: n.threshold, feat: n.feature, kid: kid}
 	}
-	return cf
+	return out
 }
 
 // lanes is how many rows leaves walks through a tree in lockstep.
 const lanes = 8
 
-// leavesFloat adds the value of the leaf tree root reaches for each
-// float row X[k] to acc[k]. It walks up to lanes rows together, one
+// leavesFloat adds the value of the leaf the tree of nodes reaches for
+// each float row X[k] to acc[k]. It walks up to lanes rows together, one
 // level per pass, so their node loads are independent and overlap. The
 // comparison is the pointer tree's (x <= v goes left), so a NaN feature
 // goes right in both.
-func (cf *compiledForest) leavesFloat(root int32, X [][]float64, acc []float64) {
-	nodes := cf.nodes
+func leavesFloat(nodes []cnode, X [][]float64, acc []float64) {
 	for lo := 0; lo < len(X); lo += lanes {
 		g := X[lo:min(lo+lanes, len(X))]
 		var at [lanes]int32
-		for k := range g {
-			at[k] = root
-		}
 		for live := true; live; {
 			live = false
 			for k, x := range g {
@@ -116,14 +94,10 @@ func (cf *compiledForest) leavesFloat(root int32, X [][]float64, acc []float64) 
 // leavesPacked is leavesFloat over packed rows with nbits bit
 // features. A bit feature goes right exactly when it is set, which is
 // x > v for a 0/1 value whenever v lies in [0, 1) (checkPacked).
-func (cf *compiledForest) leavesPacked(root int32, rows []PackedRow, nbits int32, acc []float64) {
-	nodes := cf.nodes
+func leavesPacked(nodes []cnode, rows []PackedRow, nbits int32, acc []float64) {
 	for lo := 0; lo < len(rows); lo += lanes {
 		g := rows[lo:min(lo+lanes, len(rows))]
 		var at [lanes]int32
-		for k := range g {
-			at[k] = root
-		}
 		for live := true; live; {
 			live = false
 			for k := range g {
@@ -156,13 +130,15 @@ func (cf *compiledForest) checkPacked(nbits int) error {
 		return err
 	}
 	width := int32(nbits + len(PackedRow{}.Tail))
-	for i, n := range cf.nodes {
-		switch {
-		case n.feat < 0:
-		case n.feat >= width:
-			return fmt.Errorf("ml: node %d splits feature %d, outside a packed row of %d features", i, n.feat, width)
-		case n.feat < int32(nbits) && !(n.v >= 0 && n.v < 1):
-			return fmt.Errorf("ml: node %d splits bit feature %d at %v, outside [0, 1)", i, n.feat, n.v)
+	for ti, nodes := range cf.trees {
+		for i, n := range nodes {
+			switch {
+			case n.feat < 0:
+			case n.feat >= width:
+				return fmt.Errorf("ml: tree %d node %d splits feature %d, outside a packed row of %d features", ti, i, n.feat, width)
+			case n.feat < int32(nbits) && !(n.v >= 0 && n.v < 1):
+				return fmt.Errorf("ml: tree %d node %d splits bit feature %d at %v, outside [0, 1)", ti, i, n.feat, n.v)
+			}
 		}
 	}
 	return nil
@@ -260,13 +236,13 @@ func (s rowSet) slice(lo, hi int) rowSet {
 	return s
 }
 
-// leaves adds the value of the leaf tree root reaches for each row of s
-// to acc.
-func (cf *compiledForest) leaves(root int32, s rowSet, acc []float64) {
+// leaves adds the value of the leaf the tree of nodes reaches for each
+// row of s to acc.
+func leaves(nodes []cnode, s rowSet, acc []float64) {
 	if s.packed != nil {
-		cf.leavesPacked(root, s.packed, s.nbits, acc)
+		leavesPacked(nodes, s.packed, s.nbits, acc)
 	} else {
-		cf.leavesFloat(root, s.float, acc)
+		leavesFloat(nodes, s.float, acc)
 	}
 }
 
@@ -292,11 +268,11 @@ func (cf *compiledForest) predictRange(s rowSet, out []float64) {
 			hi := min(lo+walkBlock, n)
 			sum := out[lo:hi]
 			clear(sum)
-			for _, root := range cf.roots {
-				cf.leaves(root, s.slice(lo, hi), sum)
+			for _, nodes := range cf.trees {
+				leaves(nodes, s.slice(lo, hi), sum)
 			}
 			for j := range sum {
-				sum[j] /= float64(len(cf.roots))
+				sum[j] /= float64(len(cf.trees))
 			}
 		}
 		return
@@ -312,10 +288,10 @@ func (cf *compiledForest) predictRange(s rowSet, out []float64) {
 		hi := min(lo+walkBlock, n)
 		v := votes[:(hi-lo)*nc]
 		clear(v)
-		for _, root := range cf.roots {
+		for _, nodes := range cf.trees {
 			l := leaf[:hi-lo]
 			clear(l)
-			cf.leaves(root, s.slice(lo, hi), l)
+			leaves(nodes, s.slice(lo, hi), l)
 			for j, c := range l {
 				v[j*nc+int(c)]++
 			}

@@ -11,41 +11,12 @@ import (
 	"testing"
 )
 
-// forestDigest hashes a fitted forest's structure: per tree, every
-// node's feature, threshold bits, children and value bits, then the
-// importances. It hashes the trees, not the gob encoding, so a change to
-// the serialized config does not move it while any change to a split,
-// a leaf or an importance does.
-func forestDigest(f *RandomForest) string {
-	h := sha256.New()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	for _, t := range f.trees {
-		put(uint64(len(t.nodes)))
-		for _, n := range t.nodes {
-			put(uint64(int64(n.feature)))
-			put(math.Float64bits(n.threshold))
-			put(uint64(int64(n.left)))
-			put(uint64(int64(n.right)))
-			put(math.Float64bits(n.value))
-		}
-		put(uint64(len(t.importance)))
-		for _, v := range t.importance {
-			put(math.Float64bits(v))
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// compiledDigest hashes a fitted forest's compiled form, what every
-// prediction walks: per tree, its node count, then each node in
-// breadth-first order (feature, threshold or leaf-value bits, and first
-// child relative to the tree's root, 0 for a leaf), then the tree's
-// importances. Unlike forestDigest it leaves out the values of the
-// pointer trees' internal nodes, which no walk reads.
+// compiledDigest hashes a fitted forest as every prediction walks it
+// and Save writes it: per tree, its node count, then each compiled node
+// in breadth-first order (feature, threshold or leaf-value bits, and
+// first child, 0 for a leaf), then the tree's importances. It hashes the
+// trees, not the gob encoding, so a change to the serialized config does
+// not move it while any change to a split, a leaf or an importance does.
 func compiledDigest(f *RandomForest) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -53,24 +24,14 @@ func compiledDigest(f *RandomForest) string {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	cf := f.arena
-	for ti, root := range cf.roots {
-		end := int32(len(cf.nodes))
-		if ti+1 < len(cf.roots) {
-			end = cf.roots[ti+1]
-		}
-		nodes := cf.nodes[root:end]
+	for ti, nodes := range f.compiled.trees {
 		put(uint64(len(nodes)))
 		for _, n := range nodes {
-			kid := int32(0)
-			if n.feat >= 0 {
-				kid = n.kid - root
-			}
 			put(uint64(int64(n.feat)))
 			put(math.Float64bits(n.v))
-			put(uint64(int64(kid)))
+			put(uint64(int64(n.kid)))
 		}
-		imp := f.trees[ti].importance
+		imp := f.importance[ti]
 		put(uint64(len(imp)))
 		for _, v := range imp {
 			put(math.Float64bits(v))
@@ -176,16 +137,15 @@ func packRows(X [][]float64, nbits int) []PackedRow {
 	return rows
 }
 
-// TestForestFitDigests pins fitted forests bit for bit: each recorded
-// digest was taken from the linear-search split finder, and the binned
-// one must reproduce every tree exactly, at any worker count. Fit bins
-// a case's leading 0/1 columns as bits; each case is fitted a second
-// time with every column binned as a float, and a case with nbits > 0 a
-// third time from the same rows packed with nbits bit features
-// (FitPacked), with junk in the bits above them. All must grow the same
-// trees. A case without a recorded
-// digest pins every fit to the all-float fit at one worker. Every case
-// also pins compiledDigest, the trees as predictions walk them.
+// TestForestFitDigests pins fitted forests bit for bit, at any worker
+// count, by compiledDigest. Each digest was recorded from fits that
+// also reproduced a digest of the pointer trees: for the first four
+// cases one taken from the linear-search split finder, for the last two
+// the all-float fit's. Fit bins a case's leading 0/1 columns as bits;
+// each case is fitted a second time with every column binned as a
+// float, and a case with nbits > 0 a third time from the same rows
+// packed with nbits bit features (FitPacked), with junk in the bits
+// above them. All must grow the same trees.
 func TestForestFitDigests(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -193,17 +153,13 @@ func TestForestFitDigests(t *testing.T) {
 		cfg   ForestConfig
 		nbits int
 		want  string
-		// compiled is compiledDigest of the same forest, recorded with
-		// want from the same fits.
-		compiled string
 	}{
 		{
-			name:     "bench-regression-default",
-			data:     func() ([][]float64, []float64) { return benchData(1200, 21) },
-			cfg:      DefaultForestConfig(Regression),
-			nbits:    128,
-			want:     "cdd7beff9b5d44d97392794f796e4a7160a4b89fac767a2f433605c88df57470",
-			compiled: "329d7e249b93dc67515541357de67ab508bbbbd50f4523b1770454d53d518554",
+			name:  "bench-regression-default",
+			data:  func() ([][]float64, []float64) { return benchData(1200, 21) },
+			cfg:   DefaultForestConfig(Regression),
+			nbits: 128,
+			want:  "329d7e249b93dc67515541357de67ab508bbbbd50f4523b1770454d53d518554",
 		},
 		{
 			name: "bench-regression-limits",
@@ -214,24 +170,21 @@ func TestForestFitDigests(t *testing.T) {
 				Bootstrap: true,
 				Seed:      5,
 			},
-			nbits:    128,
-			want:     "b6857f74475b80edf24cf2168c240063cb4a3b9011325f3d002b23d48571b54c",
-			compiled: "88a4ffb80870258e23874bafb4d3c0a5a7c542ea6400e4e7d398c2a66020cc2a",
+			nbits: 128,
+			want:  "88a4ffb80870258e23874bafb4d3c0a5a7c542ea6400e4e7d398c2a66020cc2a",
 		},
 		{
-			name:     "continuous-regression",
-			data:     func() ([][]float64, []float64) { return continuousData(1500, 23) },
-			cfg:      DefaultForestConfig(Regression),
-			want:     "fe47ed7bc785759e2ed3041acd86595f7bfc88dc1ec35af0398d9c8f648fc74e",
-			compiled: "51dee39e88be494eb3c9ad37706d81e90c5c307fba1513f50c4135010f0c2770",
+			name: "continuous-regression",
+			data: func() ([][]float64, []float64) { return continuousData(1500, 23) },
+			cfg:  DefaultForestConfig(Regression),
+			want: "51dee39e88be494eb3c9ad37706d81e90c5c307fba1513f50c4135010f0c2770",
 		},
 		{
-			name:     "gini-classification",
-			data:     func() ([][]float64, []float64) { return classData(1200, 24) },
-			cfg:      DefaultForestConfig(Classification),
-			nbits:    128,
-			want:     "d4969bf78a8e0d27072be2df4f8b43cb70bc2d97f2fb329febb2600de57926ae",
-			compiled: "741b6515d98b590511d57dd504cd3f6238206b2b3430a6306400f03cc3bbd99e",
+			name:  "gini-classification",
+			data:  func() ([][]float64, []float64) { return classData(1200, 24) },
+			cfg:   DefaultForestConfig(Classification),
+			nbits: 128,
+			want:  "741b6515d98b590511d57dd504cd3f6238206b2b3430a6306400f03cc3bbd99e",
 		},
 		{
 			name: "nh-regression-limits",
@@ -242,15 +195,15 @@ func TestForestFitDigests(t *testing.T) {
 				Bootstrap: true,
 				Seed:      6,
 			},
-			nbits:    64,
-			compiled: "2a4111b348e223c5cbaf5e445bb1a133cfb2b2695a489c78998e4df0dc13a438",
+			nbits: 64,
+			want:  "2a4111b348e223c5cbaf5e445bb1a133cfb2b2695a489c78998e4df0dc13a438",
 		},
 		{
-			name:     "app-regression-default",
-			data:     func() ([][]float64, []float64) { return appData(1500, 26) },
-			cfg:      DefaultForestConfig(Regression),
-			nbits:    128,
-			compiled: "26cdd064c25e4102da481d2f097ecab332ff013249c3fadea0f9a725843e0ca1",
+			name:  "app-regression-default",
+			data:  func() ([][]float64, []float64) { return appData(1500, 26) },
+			cfg:   DefaultForestConfig(Regression),
+			nbits: 128,
+			want:  "26cdd064c25e4102da481d2f097ecab332ff013249c3fadea0f9a725843e0ca1",
 		},
 	}
 	for _, tc := range cases {
@@ -280,7 +233,6 @@ func TestForestFitDigests(t *testing.T) {
 				fit  func(*RandomForest) error
 			}{"packed", func(f *RandomForest) error { return f.FitPacked(rows, tc.nbits, y) }})
 		}
-		want := tc.want
 		for _, workers := range []int{1, 4} {
 			for _, fc := range fits {
 				cfg := tc.cfg
@@ -289,15 +241,8 @@ func TestForestFitDigests(t *testing.T) {
 				if err := fc.fit(f); err != nil {
 					t.Fatal(err)
 				}
-				got := forestDigest(f)
-				if want == "" {
-					want = got
-				}
-				if got != want {
-					t.Errorf("%s, workers %d, %s: digest %s, want %s", tc.name, workers, fc.name, got, want)
-				}
-				if got := compiledDigest(f); got != tc.compiled {
-					t.Errorf("%s, workers %d, %s: compiled digest %s, want %s", tc.name, workers, fc.name, got, tc.compiled)
+				if got := compiledDigest(f); got != tc.want {
+					t.Errorf("%s, workers %d, %s: digest %s, want %s", tc.name, workers, fc.name, got, tc.want)
 				}
 			}
 		}
@@ -395,10 +340,7 @@ func TestLoadForestWithQuantilesField(t *testing.T) {
 			t.Fatalf("row %d: loaded forest predicts %v, fresh fit %v", i, g, w)
 		}
 	}
-	if g, w := forestDigest(got), forestDigest(want); g != w {
-		t.Fatalf("loaded forest digest %s, fresh fit %s", g, w)
-	}
 	if g, w := compiledDigest(got), compiledDigest(want); g != w {
-		t.Fatalf("loaded forest compiled digest %s, fresh fit %s", g, w)
+		t.Fatalf("loaded forest digest %s, fresh fit %s", g, w)
 	}
 }

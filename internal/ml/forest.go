@@ -48,13 +48,16 @@ func DefaultForestConfig(mode Mode) ForestConfig {
 }
 
 // RandomForest is a bagged ensemble of CART trees: the model the paper
-// selects for TEVoT ("RFC" in Table II). Fitting or loading compiles
-// the ensemble into one node arena (compiledForest) that every predict
-// entry point walks allocation-free, over float rows or packed rows.
+// selects for TEVoT ("RFC" in Table II). It keeps each tree only in the
+// 16-byte compiled form (compiledForest) that every predict entry point
+// walks allocation-free, over float rows or packed rows, and Save
+// writes; fitting lays each tree out as soon as it is grown.
 type RandomForest struct {
-	cfg   ForestConfig
-	trees []*DecisionTree
-	arena *compiledForest
+	cfg      ForestConfig
+	compiled *compiledForest // nil until fitted or loaded
+	// importance[i] is tree i's per-feature impurity decrease,
+	// unnormalized.
+	importance [][]float64
 }
 
 // NewRandomForest returns an unfitted forest.
@@ -85,6 +88,10 @@ func (f *RandomForest) FitPacked(rows []PackedRow, nbits int, y []float64) error
 	return f.fit(rowSet{packed: rows, nbits: int32(nbits)}, y)
 }
 
+// fitScratches keeps fit workers' scratch between fits: a Table III
+// lane fits its forests back to back on training sets of one size.
+var fitScratches = sync.Pool{New: func() any { return new(fitScratch) }}
+
 // fit is Fit over the rows of s.
 func (f *RandomForest) fit(s rowSet, y []float64) error {
 	n := s.len()
@@ -95,7 +102,9 @@ func (f *RandomForest) fit(s rowSet, y []float64) error {
 		return fmt.Errorf("ml: %d rows but %d labels", n, len(y))
 	}
 	fitStart := time.Now()
-	f.trees = make([]*DecisionTree, f.cfg.Trees)
+	cf := &compiledForest{trees: make([][]cnode, f.cfg.Trees), mode: f.cfg.Tree.Mode}
+	importance := make([][]float64, f.cfg.Trees)
+	classes := make([]int, f.cfg.Trees)
 	errs := make([]error, f.cfg.Trees)
 
 	workers := f.cfg.Workers
@@ -103,24 +112,25 @@ func (f *RandomForest) fit(s rowSet, y []float64) error {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, f.cfg.Trees)
-	// Each worker pulls tree indices and keeps one bootstrap buffer and
-	// one fitScratch (bit words, bin matrix, histograms) for all the
-	// trees it fits.
+	// Each worker pulls tree indices and keeps one fitScratch (bootstrap
+	// buffer, bit words, bin matrix, histograms, node scratch) for all
+	// the trees it fits, taken from fitScratches.
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := new(fitScratch)
-			idx := make([]int, n)
+			sc := fitScratches.Get().(*fitScratch)
+			defer fitScratches.Put(sc)
+			sc.boot = resize(sc.boot, n)
+			idx := sc.boot
 			for {
 				ti := int(next.Add(1)) - 1
 				if ti >= f.cfg.Trees {
 					return
 				}
-				cfg := f.cfg.Tree
-				cfg.Seed = f.cfg.Seed + int64(ti)*7919
+				cfg := f.treeConfig(ti)
 				tree := NewDecisionTree(cfg)
 				if f.cfg.Bootstrap {
 					rng := rand.New(rand.NewSource(cfg.Seed))
@@ -132,8 +142,10 @@ func (f *RandomForest) fit(s rowSet, y []float64) error {
 						idx[i] = i
 					}
 				}
-				errs[ti] = tree.fitIndices(s, y, idx, sc)
-				f.trees[ti] = tree
+				if errs[ti] = tree.fitIndices(s, y, idx, sc); errs[ti] == nil {
+					cf.trees[ti] = layout(tree.nodes)
+					importance[ti], classes[ti] = tree.importance, tree.classes
+				}
 			}
 		}()
 	}
@@ -143,27 +155,38 @@ func (f *RandomForest) fit(s rowSet, y []float64) error {
 			return err
 		}
 	}
-	f.arena = compile(f.trees, f.cfg.Tree.Mode)
+	for _, c := range classes {
+		cf.classes = max(cf.classes, c)
+	}
+	f.compiled, f.importance = cf, importance
 	if d := time.Since(fitStart).Seconds(); d > 0 {
 		gFitRowsPerSec.Set(float64(n) / d)
 	}
 	return nil
 }
 
+// treeConfig is member tree ti's configuration: the forest's, with a
+// seed that depends only on ti.
+func (f *RandomForest) treeConfig(ti int) TreeConfig {
+	cfg := f.cfg.Tree
+	cfg.Seed = f.cfg.Seed + int64(ti)*7919
+	return cfg.withDefaults()
+}
+
 // Predict aggregates the member trees: mean for regression, majority
 // vote (lower class wins ties) for classification. It walks the
-// compiled arena without allocating; an unfitted forest predicts 0.
+// compiled trees without allocating; an unfitted forest predicts 0.
 func (f *RandomForest) Predict(x []float64) float64 {
 	return f.predictOne(rowSet{float: [][]float64{x}})
 }
 
 // predictOne predicts the single row of s inline.
 func (f *RandomForest) predictOne(s rowSet) float64 {
-	if f.arena == nil {
+	if f.compiled == nil {
 		return 0
 	}
 	var out [1]float64
-	f.arena.predictRange(s, out[:])
+	f.compiled.predictRange(s, out[:])
 	return out[0]
 }
 
@@ -189,10 +212,10 @@ func (f *RandomForest) PredictBatchInto(dst []float64, X [][]float64) {
 func (f *RandomForest) predictInto(dst []float64, s rowSet) {
 	start := time.Now()
 	dst = dst[:s.len()]
-	if f.arena == nil {
+	if f.compiled == nil {
 		clear(dst)
 	} else {
-		f.arena.predictBlocked(s, dst, f.cfg.Workers)
+		f.compiled.predictBlocked(s, dst, f.cfg.Workers)
 	}
 	if d := time.Since(start).Seconds(); d > 0 {
 		gPredictRowsPerSec.Set(float64(len(dst)) / d)
@@ -207,10 +230,10 @@ func (f *RandomForest) predictInto(dst []float64, s rowSet) {
 // a loaded one may not. Check once per model: the packed entry points
 // rely on it and never check per call.
 func (f *RandomForest) CheckPacked(nbits int) error {
-	if f.arena == nil {
+	if f.compiled == nil {
 		return fmt.Errorf("ml: forest is not fitted")
 	}
-	return f.arena.checkPacked(nbits)
+	return f.compiled.checkPacked(nbits)
 }
 
 // PredictPacked is Predict for one packed row with nbits bit features.
@@ -227,7 +250,7 @@ func (f *RandomForest) PredictPackedInto(dst []float64, rows []PackedRow, nbits 
 }
 
 // NumTrees reports the fitted ensemble size.
-func (f *RandomForest) NumTrees() int { return len(f.trees) }
+func (f *RandomForest) NumTrees() int { return len(f.importance) }
 
 // Importance returns the mean impurity-decrease feature importance of
 // the ensemble, normalized to sum to 1 (all zeros if no split was ever
@@ -235,12 +258,12 @@ func (f *RandomForest) NumTrees() int { return len(f.trees) }
 // forest with: which bit positions and condition features drive the
 // dynamic delay.
 func (f *RandomForest) Importance() []float64 {
-	if len(f.trees) == 0 || len(f.trees[0].importance) == 0 {
+	if len(f.importance) == 0 || len(f.importance[0]) == 0 {
 		return nil
 	}
-	total := make([]float64, len(f.trees[0].importance))
-	for _, t := range f.trees {
-		for i, v := range t.importance {
+	total := make([]float64, len(f.importance[0]))
+	for _, imp := range f.importance {
+		for i, v := range imp {
 			total[i] += v
 		}
 	}
@@ -255,6 +278,3 @@ func (f *RandomForest) Importance() []float64 {
 	}
 	return total
 }
-
-// Trees exposes the fitted member trees (for introspection in tests).
-func (f *RandomForest) Trees() []*DecisionTree { return f.trees }

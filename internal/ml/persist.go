@@ -43,8 +43,11 @@ const forestFormatVersion = 1
 // that are structurally absurd even when they fit the byte budget.
 const (
 	// MaxForestBytes is the largest serialized forest LoadForest will
-	// read. The paper's 10-tree regression forests are a few MiB; 64 MiB
-	// leaves two orders of magnitude of headroom.
+	// read. The 10-tree regression forests of the reduced-scale runs
+	// (about 74,500 nodes, some 14 bytes each) are about 1 MiB, so
+	// 64 MiB leaves over an order of magnitude of headroom. A
+	// paper-scale forest, about 2.5e8 nodes, is far over this cap and
+	// maxForestNodes: LoadForest refuses it.
 	MaxForestBytes int64 = 64 << 20
 	// maxForestTrees bounds the ensemble size on load.
 	maxForestTrees = 4096
@@ -97,10 +100,16 @@ func (c *cappedReader) ReadByte() (byte, error) {
 	}
 }
 
-func (t *DecisionTree) toDTO() treeDTO {
-	dto := treeDTO{Cfg: t.cfg, Classes: t.classes, Nodes: make([]nodeDTO, len(t.nodes)), Importance: t.importance}
-	for i, n := range t.nodes {
-		dto.Nodes[i] = nodeDTO{n.feature, n.threshold, n.left, n.right, n.value}
+// nodesToDTO writes a tree's compiled nodes as DTO nodes: a split's
+// children are kid and kid+1, and its Value, which no walk reads, is 0.
+func nodesToDTO(nodes []cnode) []nodeDTO {
+	dto := make([]nodeDTO, len(nodes))
+	for i, n := range nodes {
+		if n.feat < 0 {
+			dto[i] = nodeDTO{Feature: -1, Value: n.v}
+		} else {
+			dto[i] = nodeDTO{Feature: n.feat, Threshold: n.v, Left: n.kid, Right: n.kid + 1}
+		}
 	}
 	return dto
 }
@@ -136,19 +145,21 @@ func treeFromDTO(dto treeDTO) (*DecisionTree, error) {
 	return t, nil
 }
 
-// Save serializes the fitted forest with encoding/gob. The config's
-// Workers is how the fit ran, not what it learned, so it is saved as 0:
-// same-seed fits save the same bytes at any worker count, and a loaded
-// forest predicts with the default fan-out.
+// Save serializes the fitted forest with encoding/gob, each tree as its
+// compiled nodes in breadth-first order, with the forest's class count.
+// The config's Workers is how the fit ran, not what it learned, so it
+// is saved as 0: same-seed fits save the same bytes at any worker
+// count, and a loaded forest predicts with the default fan-out.
 func (f *RandomForest) Save(w io.Writer) error {
-	if len(f.trees) == 0 {
+	if f.compiled == nil {
 		return fmt.Errorf("ml: cannot save an unfitted forest")
 	}
 	cfg := f.cfg
 	cfg.Workers = 0
-	dto := forestDTO{Version: forestFormatVersion, Cfg: cfg, Trees: make([]treeDTO, len(f.trees))}
-	for i, t := range f.trees {
-		dto.Trees[i] = t.toDTO()
+	cf := f.compiled
+	dto := forestDTO{Version: forestFormatVersion, Cfg: cfg, Trees: make([]treeDTO, len(cf.trees))}
+	for i, nodes := range cf.trees {
+		dto.Trees[i] = treeDTO{Cfg: f.treeConfig(i), Classes: cf.classes, Nodes: nodesToDTO(nodes), Importance: f.importance[i]}
 	}
 	return gob.NewEncoder(w).Encode(dto)
 }
@@ -188,16 +199,18 @@ func LoadForest(r io.Reader) (f *RandomForest, err error) {
 	if totalNodes > maxForestNodes {
 		return nil, fmt.Errorf("ml: saved forest has %d nodes (cap %d)", totalNodes, maxForestNodes)
 	}
-	f = &RandomForest{cfg: dto.Cfg, trees: make([]*DecisionTree, len(dto.Trees))}
+	// Lay each tree out exactly as Fit does, so a shipped model predicts
+	// at full speed.
+	cf := &compiledForest{trees: make([][]cnode, len(dto.Trees)), mode: dto.Cfg.Tree.Mode}
+	f = &RandomForest{cfg: dto.Cfg, compiled: cf, importance: make([][]float64, len(dto.Trees))}
 	for i, td := range dto.Trees {
 		t, err := treeFromDTO(td)
 		if err != nil {
 			return nil, err
 		}
-		f.trees[i] = t
+		cf.trees[i] = layout(t.nodes)
+		cf.classes = max(cf.classes, t.classes)
+		f.importance[i] = t.importance
 	}
-	// Compile the loaded ensemble exactly as Fit does, so a shipped
-	// model predicts at full speed.
-	f.arena = compile(f.trees, f.cfg.Tree.Mode)
 	return f, nil
 }

@@ -75,7 +75,10 @@ type node struct {
 // fit (globalThresholds), and every distinct training row is binned
 // once among them into a uint8 matrix. Each node then builds the
 // histograms of its features and sweeps the candidates of each feature
-// it examines from its histogram.
+// it examines from its histogram. Its 32-byte nodes are the builder's
+// form, and the oracle the compiled walk is tested against: a
+// RandomForest lays each tree out in 16-byte compiled nodes as soon as
+// it is grown (layout) and keeps only those.
 type DecisionTree struct {
 	cfg        TreeConfig
 	nodes      []node
@@ -102,7 +105,8 @@ func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
 // fitIndices builds the tree on the rows of rs listed in idx (indices
 // may repeat, as in a bootstrap sample), with its working buffers taken
 // from s, which a forest worker reuses across the trees it fits. The
-// idx slice is consumed.
+// idx slice is consumed. The tree grows in s's node scratch: t.nodes
+// aliases it until the next fit on s.
 func (t *DecisionTree) fitIndices(rs rowSet, y []float64, idx []int, s *fitScratch) error {
 	if len(idx) == 0 || rs.len() == 0 {
 		return fmt.Errorf("ml: empty training set")
@@ -125,14 +129,20 @@ func (t *DecisionTree) fitIndices(rs rowSet, y []float64, idx []int, s *fitScrat
 	nf := rs.width()
 	t.importance = make([]float64, nf)
 	s.compact(idx, y)
-	t.nodes = make([]node, 0, t.maxNodes(len(s.rows), len(idx)))
+	s.vals = resize(s.vals, len(s.rows))
+	// The bound moves by under 1% between a forest's bootstraps, so with
+	// headroom a worker sizes its node scratch once.
+	if bound := t.maxNodes(len(s.rows), len(idx)); cap(s.nodes) < bound {
+		s.nodes = make([]node, 0, bound+bound/8)
+	}
+	t.nodes = s.nodes[:0]
 	b := &treeBuilder{
 		t:     t,
 		y:     s.y,
 		nf:    nf,
 		nbits: int(rs.nbits),
 		rng:   rand.New(rand.NewSource(t.cfg.Seed)),
-		ths:   globalThresholds(rs, s.rows),
+		ths:   globalThresholds(rs, s.rows, s.vals),
 		s:     s,
 	}
 	s.reset(rs, b.ths, t.classes)
@@ -145,7 +155,7 @@ func (t *DecisionTree) fitIndices(rs rowSet, y []float64, idx []int, s *fitScrat
 // side and leaves both sides at least MinLeaf samples, so the leaves
 // partition the distinct rows: at most d of them, at most n/MinLeaf, and
 // at most 2^MaxDepth. A binary tree with L leaves has 2L-1 nodes, so
-// grow's appends never reallocate.
+// grow's appends never outgrow a node slice of that capacity.
 func (t *DecisionTree) maxNodes(d, n int) int {
 	leaves := min(d, max(1, n/t.cfg.MinLeaf))
 	if md := t.cfg.MaxDepth; md > 0 && md < 62 {
@@ -158,14 +168,13 @@ func (t *DecisionTree) maxNodes(d, n int) int {
 // feature of rs (feature rs.nbits+c is entry c) once from the training
 // rows (each listed once: only the distinct values count): midpoints
 // between consecutive distinct values when there are few, else quantile
-// midpoints. One scratch buffer serves every feature — raw values,
-// distinct values, and midpoints all share its storage — and only the
-// final candidate list is copied out, exactly sized, because ths
-// outlives this call. Each feature's candidates are non-decreasing.
-func globalThresholds(rs rowSet, rows []int) [][]float64 {
+// midpoints. One scratch buffer of len(rows) serves every feature — raw
+// values, distinct values, and midpoints all share its storage — and
+// only the final candidate list is copied out, exactly sized, because
+// ths outlives this call. Each feature's candidates are non-decreasing.
+func globalThresholds(rs rowSet, rows []int, scratch []float64) [][]float64 {
 	nbits := int(rs.nbits)
 	ths := make([][]float64, rs.width()-nbits)
-	scratch := make([]float64, 0, len(rows))
 	for c := range ths {
 		vals := scratch[:0]
 		for _, i := range rows {
@@ -260,12 +269,18 @@ type binStats struct {
 // give each of their workers one and reuse it for every tree the worker
 // fits.
 type fitScratch struct {
+	// boot is a forest worker's bootstrap buffer, the idx of each tree
+	// it fits; nodes holds the tree being grown (fitIndices).
+	boot  []int
+	nodes []node
 	// pos maps a training row to its compact id; rows maps back, and y
 	// holds the compact rows' labels. Only rows the tree trains on get
 	// an id: a bootstrap of n draws holds about 0.63n distinct rows.
+	// vals is globalThresholds' scratch.
 	pos  []int
 	rows []int
 	y    []float64
+	vals []float64
 	// words[j][c] is word j of the bit features of compact row c. The
 	// fill and the partition read only its bits below nbits.
 	words [2][]uint64
@@ -362,10 +377,12 @@ func (s *fitScratch) reset(rs rowSet, ths [][]float64, classes int) {
 }
 
 // resize returns s with length n, reusing its storage when it is large
-// enough. The contents are unspecified.
+// enough. The contents are unspecified. A new slice has room for n/8
+// more: the sizes that follow a tree's distinct rows move by under 1%
+// between a forest's bootstraps, so a worker allocates them once.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, n+n/8)
 	}
 	return s[:n]
 }
