@@ -88,8 +88,8 @@ func (f *RandomForest) FitPacked(rows []PackedRow, nbits int, y []float64) error
 	return f.fit(rowSet{packed: rows, nbits: int32(nbits)}, y)
 }
 
-// fitScratches keeps fit workers' scratch between fits: a Table III
-// lane fits its forests back to back on training sets of one size.
+// fitScratches keeps fit workers' scratch between fits, so successive
+// fits of similar size reuse it.
 var fitScratches = sync.Pool{New: func() any { return new(fitScratch) }}
 
 // fit is Fit over the rows of s.

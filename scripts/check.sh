@@ -48,8 +48,9 @@ echo "== recovery: failed and interrupted cells re-run on -resume (race)"
 go test -race -run 'TestFailedCellsNotCheckpointed|TestCancellationSkipsRemaining|TestCheckpointToleratesTruncatedTail' ./internal/runner
 go test -race -run 'TestFig3RunResumeReproducesUninterruptedRun' ./internal/experiments
 
-echo "== kernel equivalence: waveform vs reference heap, every FU (random, imaging-shaped and 16-bit operands), extreme delay ratios, stamp wrap (heap batches, window pruning); exact time ties on random circuits with 1-3 ps integer delays (equal-time pins, an output event at an input batch's time); simulator vs zero-delay evaluation"
+echo "== kernel equivalence: waveform vs reference heap, every FU (random, imaging-shaped and 16-bit operands), extreme delay ratios, stamp wrap (heap batches, window pruning); exact time ties on random circuits with 1-3 ps integer delays (equal-time pins, an output event at an input batch's time); simulator vs zero-delay evaluation; the netlist's flattened view the kernel reads (TestCSR: fanout edges, topological pin table, reader positions)"
 go test -run 'TestKernelDiffFUs|TestKernelDiffExtremeDelayRatio|TestKernelDiffStampWrap|TestKernelDiffRandom|TestFuzzSimulatorAgainstEval' ./internal/sim
+go test -run 'TestCSR' ./internal/netlist
 
 echo "== memo equivalence: transition memo + bitslice windows vs uncached kernels; per-shard drop rule; per-tier cascade counters"
 go test -run 'TestKernelDiffRandom|TestMemo|TestBeginWindowErrors' ./internal/sim
@@ -61,8 +62,9 @@ go test -run 'TestLabel' ./internal/core
 echo "== paper goldens: Fig. 3 rows, Table II accuracies, Table III cells, Table IV points, Fig. 4 PSNRs, DTA digests per FU"
 go test -run 'TestFig3ShapeAndPhysics|TestTable2SmallRun|TestTable3SmallRun|TestTable4AndFig4Small|TestDTADigest' ./internal/experiments
 
-echo "== forest fit: binned split search reproduces the pinned forests from float rows, all-float and with leading 0/1 columns as bits, and from packed rows (TEVoT-NH and application-shaped cases), per-worker scratch (race)"
-go test -race -run 'TestForestFitDigests|TestFloatRowsBitPrefix|TestFitPackedRefusesBadInput|TestForestDeterministicAcrossWorkerCounts' ./internal/ml
+echo "== forest fit: binned split search reproduces the pinned forests (digests of their compiled nodes) from float rows, all-float and with leading 0/1 columns as bits, and from packed rows (TEVoT-NH and application-shaped cases), per-worker scratch (race); a file saved before trees were kept only compiled loads and predicts as a fresh fit (TestLoadForestWithQuantilesField); compiled walks equal pointer walks of the saved trees (TestCompiledForestMatchesPointerTrees, TestPredictDelaysMatchPointerTrees); allocation guards: a fit keeps one 16-byte copy of each tree (TestFitAllocatesOneNodeCopy), a 99-cycle shard sizes its memo map to itself (TestShortShardMemoMap)"
+go test -race -run 'TestForestFitDigests|TestFloatRowsBitPrefix|TestFitPackedRefusesBadInput|TestForestDeterministicAcrossWorkerCounts|TestLoadForestWithQuantilesField|TestCompiledForestMatchesPointerTrees|TestFitAllocatesOneNodeCopy' ./internal/ml
+go test -race -run 'TestPredictDelaysMatchPointerTrees|TestShortShardMemoMap' ./internal/core
 
 echo "== determinism: sharded DTA bit-identity + singleflight (race)"
 go test -race -short -run \
