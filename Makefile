@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench fuzz serve cluster cluster-smoke chaos loadgen loadgen-ab
+.PHONY: build test check bench fuzz serve cluster-smoke chaos loadgen loadgen-ab
 
 build:
 	$(GO) build ./...
@@ -40,15 +40,6 @@ loadgen:
 # comparing sustained RPS at a bounded p99.
 loadgen-ab:
 	sh scripts/loadgen_ab.sh
-
-# In-process local cluster: coordinator + CLUSTER_WORKERS workers in one
-# process, merged output at CLUSTER_OUT (byte-identical to a
-# single-process sweep of the same flags).
-CLUSTER_WORKERS ?= 3
-CLUSTER_OUT ?= fig3.dist.jsonl
-cluster:
-	$(GO) run ./cmd/tevot-sweep -cluster $(CLUSTER_WORKERS) \
-		-checkpoint $(CLUSTER_OUT).ckpt -out $(CLUSTER_OUT)
 
 # Real-process fault drill: SIGKILL a worker mid-sweep, assert the
 # merged output still matches the single-process run byte-for-byte.

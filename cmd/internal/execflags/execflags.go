@@ -1,8 +1,7 @@
-// Package execflags is the execution flag block the DTA CLIs share
-// (tevot-sweep, -train, -dta and -quality), registered once the way
+// Package execflags is the execution flag block the runner CLIs share
+// (tevot-sweep, -train and -dta), registered once the way
 // obs.RegisterFlags registers the observability block:
 //
-//	-shards N          simulation shards per characterization (0 = auto)
 //	-task-timeout D    per-task deadline on the runner (0 = none)
 //	-checkpoint path   JSONL checkpoint, written as tasks complete
 //	-resume            skip tasks already in -checkpoint
@@ -15,9 +14,10 @@
 // It also holds the end those CLIs share for a run on the runner: the
 // interrupted-run exit (resume hint, code 130) and the report tail.
 //
-// The block has no memo flag: each simulation shard keeps the
-// transition memo only while it hits (core.CharacterizeOptsContext),
-// with bit-identical results either way.
+// The block has no shard or memo flag: experiments.Lab.CharOpts sizes
+// every characterization's shards from GOMAXPROCS, and each simulation
+// shard keeps the transition memo only while it hits
+// (core.CharacterizeOptsContext), with bit-identical results either way.
 package execflags
 
 import (
@@ -35,11 +35,9 @@ import (
 type Shape int
 
 const (
-	// Sim is -shards alone: characterizations off the runner.
-	Sim Shape = iota
-	// OneTask adds -task-timeout, -checkpoint and -resume: a run of one
+	// OneTask is -task-timeout, -checkpoint and -resume: a run of one
 	// runner task.
-	OneTask
+	OneTask Shape = iota
 	// ManyTasks adds the runner's -workers pool size.
 	ManyTasks
 )
@@ -47,7 +45,6 @@ const (
 // Flags holds the parsed values of the block.
 type Flags struct {
 	Workers     int
-	Shards      int
 	TaskTimeout time.Duration
 	Checkpoint  string
 	Resume      bool
@@ -57,10 +54,6 @@ type Flags struct {
 // (the CLIs pass flag.CommandLine). Call before flag.Parse.
 func Register(fs *flag.FlagSet, shape Shape) *Flags {
 	f := &Flags{}
-	fs.IntVar(&f.Shards, "shards", 0, "simulation shards per characterization (0 = auto)")
-	if shape == Sim {
-		return f
-	}
 	fs.DurationVar(&f.TaskTimeout, "task-timeout", 0, "per-task deadline (0 = none), e.g. 5m")
 	fs.StringVar(&f.Checkpoint, "checkpoint", "", "JSONL checkpoint file (written as tasks complete)")
 	fs.BoolVar(&f.Resume, "resume", false, "skip tasks already in -checkpoint")

@@ -8,9 +8,9 @@
 // runner, so a -task-timeout deadline, Ctrl-C, or SIGTERM cancels it cleanly, and
 // -checkpoint/-resume replay a completed analysis without re-simulating.
 // Artifact writes (-sdf, -vcd, -lib) are plain file I/O and stay
-// fail-fast. The execution flags are the block shared with tevot-sweep,
-// -train and -quality (cmd/internal/execflags), less -workers: the run
-// is one task.
+// fail-fast. The execution flags are the block shared with tevot-sweep
+// and -train (cmd/internal/execflags), less -workers: the run is one
+// task. The characterization shards over GOMAXPROCS.
 //
 // Example:
 //
@@ -177,7 +177,7 @@ func main() {
 	defer stop()
 
 	shmooN := *shmoo
-	opts := core.CharacterizeOptions{Workers: ex.Shards, RefKernel: *refKern}
+	opts := core.CharacterizeOptions{RefKernel: *refKern}
 	key := fmt.Sprintf("dta/%s/v%.4f_t%g", fu, corner.V, corner.T)
 	task := runner.Task[dtaResult]{
 		Key: key,

@@ -1,13 +1,12 @@
 // Command tevot-netlist inspects and exports the gate-level netlists of
-// the functional units: composition statistics, structural Verilog, a
-// Graphviz DOT rendering, and the effect of the constant-folding /
-// dead-logic simplification pass.
+// the functional units as every flow simulates them: composition
+// statistics, structural Verilog and a Graphviz DOT rendering.
 //
 // Examples:
 //
 //	tevot-netlist -fu FP_ADD -stats
 //	tevot-netlist -fu INT_MUL -verilog intmul.v
-//	tevot-netlist -fu INT_ADD -dot add.dot -simplify
+//	tevot-netlist -fu INT_ADD -dot add.dot
 package main
 
 import (
@@ -18,7 +17,6 @@ import (
 	"sort"
 
 	"tevot/internal/circuits"
-	"tevot/internal/netlist"
 	"tevot/internal/obs"
 	"tevot/internal/verilog"
 )
@@ -27,11 +25,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tevot-netlist: ")
 	var (
-		fuName   = flag.String("fu", "INT_ADD", "functional unit: INT_ADD, INT_MUL, FP_ADD, FP_MUL")
-		stats    = flag.Bool("stats", true, "print composition statistics")
-		vPath    = flag.String("verilog", "", "write structural Verilog to this file")
-		dotPath  = flag.String("dot", "", "write a Graphviz DOT rendering to this file")
-		simplify = flag.Bool("simplify", false, "run the simplification pass and report the result")
+		fuName  = flag.String("fu", "INT_ADD", "functional unit: INT_ADD, INT_MUL, FP_ADD, FP_MUL")
+		stats   = flag.Bool("stats", true, "print composition statistics")
+		vPath   = flag.String("verilog", "", "write structural Verilog to this file")
+		dotPath = flag.String("dot", "", "write a Graphviz DOT rendering to this file")
 	)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -68,16 +65,6 @@ func main() {
 		for _, k := range kinds {
 			fmt.Printf("  %-6s %5d\n", k, counts[k])
 		}
-	}
-
-	if *simplify {
-		out, st, err := netlist.Simplify(nl)
-		if err != nil {
-			run.Fatal(err)
-		}
-		fmt.Printf("simplify: %d -> %d gates (%d folded, %d dead)\n",
-			st.GatesBefore, st.GatesAfter, st.Folded, st.Dead)
-		nl = out
 	}
 
 	if *vPath != "" {

@@ -4,9 +4,9 @@
 // each output as acceptable (PSNR >= 30 dB) or not, and reports each
 // model's estimation accuracy against the gate-level-simulation ground
 // truth — Table IV. With -outdir it also writes the Fig. 4 panel: the
-// ground-truth and per-model Sobel outputs as PNG files. -shards comes
-// from the execution block shared with tevot-sweep, -train and -dta
-// (cmd/internal/execflags); this study runs off the runner.
+// ground-truth and per-model Sobel outputs as PNG files. The study runs
+// off the runner, so it takes none of the execution flags tevot-sweep,
+// -train and -dta share.
 //
 // Example:
 //
@@ -24,7 +24,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"tevot/cmd/internal/execflags"
 	"tevot/internal/cells"
 	"tevot/internal/experiments"
 	"tevot/internal/imaging"
@@ -42,7 +41,6 @@ func main() {
 		outDir  = flag.String("outdir", "", "write Fig. 4 PNG outputs to this directory")
 		seed    = flag.Int64("seed", 1, "global seed")
 	)
-	ex := execflags.Register(flag.CommandLine, execflags.Sim)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -59,7 +57,6 @@ func main() {
 	scale.TestCycles = *cycles / 2
 	scale.AppStreamCap = *cycles
 	scale.Seed = *seed
-	scale.ShardWorkers = ex.Shards
 	scale.Corners = scale.Corners[:0]
 	for i := 0; i < *nCorner; i++ {
 		v := 0.81 + 0.19*float64(i)/math.Max(1, float64(*nCorner-1))

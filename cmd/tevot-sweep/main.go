@@ -7,9 +7,11 @@
 // cells execute on a bounded worker pool, a panicking or failing cell is
 // reported and skipped instead of killing the run, and
 // -checkpoint/-resume let an interrupted sweep (SIGINT and SIGTERM are
-// caught and flushed) pick up where it left off. The runner and shard
-// flags are the execution block shared with tevot-train, -dta and
-// -quality (cmd/internal/execflags).
+// caught and flushed) pick up where it left off. The runner flags are
+// the execution block shared with tevot-train and -dta
+// (cmd/internal/execflags). This plain mode is the one way to run a
+// sweep on one host: its pool divides the machine between cells
+// (experiments.Lab.CharOpts).
 //
 // Distributed modes (internal/dist) scale the same sweep across
 // processes with identical output bytes:
@@ -20,9 +22,8 @@
 //   - -join URL turns this process into a worker of that coordinator
 //     (the spec comes from the coordinator, so the grid flags are
 //     refused); -id names it stably, so a restarted worker releases its
-//     stale leases at once;
-//   - -cluster N runs coordinator plus N workers in one process (the
-//     drill/test mode).
+//     stale leases at once. Each worker sizes its cells' simulation
+//     shards from its own GOMAXPROCS.
 //
 // Examples:
 //
@@ -32,11 +33,10 @@
 //	tevot-sweep -grid -coordinator 127.0.0.1:7077 -checkpoint j.jsonl -out fig3.jsonl
 //	tevot-sweep -join http://127.0.0.1:7077
 //	tevot-sweep -join http://10.0.0.5:7077 -id rack3-a -task-timeout 10m
-//	tevot-sweep -cluster 3 -out fig3.jsonl
 //
 // Each mode reads only some of the flags; setting one the chosen mode
-// does not read (say -shards with -join, whose cells run with the
-// coordinator's spec) exits 2 with a message that names it.
+// does not read (say -workers with -join, whose cells run one at a time
+// with the coordinator's spec) exits 2 with a message that names it.
 package main
 
 import (
@@ -64,10 +64,9 @@ import (
 // mode's flag makes the modes mutually exclusive.
 var ignored = map[string][]string{
 	"":            {"id", "lease-ttl"},
-	"coordinator": {"workers", "task-timeout", "id", "join", "cluster"},
-	"join": {"cycles", "fu", "grid", "images", "imgsize", "workers", "shards",
-		"checkpoint", "resume", "out", "lease-ttl", "cluster"},
-	"cluster": {"workers", "id"},
+	"coordinator": {"workers", "task-timeout", "id", "join"},
+	"join": {"cycles", "fu", "grid", "images", "imgsize", "workers",
+		"checkpoint", "resume", "out", "lease-ttl"},
 }
 
 func main() {
@@ -84,7 +83,6 @@ func main() {
 		coordAddr = flag.String("coordinator", "", "run as distributed-sweep coordinator on this address (e.g. 127.0.0.1:7077)")
 		joinURL   = flag.String("join", "", "run as a worker of the coordinator at this URL (e.g. http://127.0.0.1:7077)")
 		workerID  = flag.String("id", "", "with -join: stable worker identity (default w-<hostname>-<pid>); reuse after a restart to release stale leases instantly")
-		clusterN  = flag.Int("cluster", 0, "run an in-process local cluster with this many workers")
 		outPath   = flag.String("out", "", "write merged result JSONL (canonical order; byte-identical across all modes)")
 		leaseTTL  = flag.Duration("lease-ttl", 10*time.Second, "coordinator: lease TTL (workers renew at TTL/3)")
 	)
@@ -98,8 +96,6 @@ func main() {
 		mode = "coordinator"
 	case *joinURL != "":
 		mode = "join"
-	case *clusterN > 0:
-		mode = "cluster"
 	}
 	flag.Visit(func(f *flag.Flag) {
 		if !slices.Contains(ignored[mode], f.Name) {
@@ -114,11 +110,10 @@ func main() {
 	})
 
 	spec := dist.Spec{
-		Cycles:       *cycles,
-		Images:       *images,
-		ImageSize:    *imgSize,
-		Seed:         *seed,
-		ShardWorkers: ex.Shards,
+		Cycles:    *cycles,
+		Images:    *images,
+		ImageSize: *imgSize,
+		Seed:      *seed,
 	}
 	if *fuName != "" {
 		spec.FUs = []string{*fuName}
@@ -134,9 +129,6 @@ func main() {
 		return
 	case "join":
 		workerMain(obsFlags, ex, *joinURL, *workerID, *seed)
-		return
-	case "cluster":
-		clusterMain(obsFlags, ex, spec, *clusterN, *leaseTTL, *outPath, *seed)
 		return
 	}
 
@@ -232,40 +224,5 @@ func workerMain(obsFlags *obs.Flags, ex *execflags.Flags, url, id string, seed i
 		ex.Interrupted(run, "interrupted")
 	case err != nil:
 		run.Fatal(err)
-	}
-}
-
-// clusterMain runs coordinator plus N workers inside this process.
-func clusterMain(obsFlags *obs.Flags, ex *execflags.Flags, spec dist.Spec, n int, ttl time.Duration, out string, seed int64) {
-	if out == "" {
-		log.Fatal("-cluster requires -out for the merged result") // lint:allow-raw-print (before obs.Start; no run manifest yet)
-	}
-	run, err := obsFlags.Start("tevot-sweep-cluster", seed, runner.LiveProgress)
-	if err != nil {
-		log.Fatal(err) // lint:allow-raw-print (before obs.Start; no run manifest yet)
-	}
-	defer run.Close()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	err = dist.RunLocalCluster(ctx, dist.ClusterConfig{
-		Coord: dist.CoordConfig{
-			Spec:     spec,
-			LeaseTTL: ttl,
-			Journal:  ex.Checkpoint,
-			Resume:   ex.Resume,
-			Out:      out,
-		},
-		Workers: n,
-		Worker:  dist.WorkerConfig{TaskTimeout: ex.TaskTimeout},
-	})
-	switch {
-	case errors.Is(err, context.Canceled):
-		ex.Interrupted(run, "interrupted")
-	case err != nil:
-		run.Fatal(err)
-	default:
-		fmt.Printf("cluster sweep complete: merged output at %s\n", out)
 	}
 }

@@ -12,8 +12,9 @@ import (
 
 // TestModesRefuseUnreadFlags: in every mode, a set flag that the mode
 // does not read exits 2 with a message naming it, before any work
-// starts — an operator's -shards on a -join worker must not be
-// silently replaced by the coordinator's spec.
+// starts — an operator's -workers on a -join worker, which runs one
+// leased cell at a time, or on a coordinator, which runs none, must not
+// be silently dropped.
 func TestModesRefuseUnreadFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI")
@@ -29,8 +30,8 @@ func TestModesRefuseUnreadFlags(t *testing.T) {
 	}{
 		{[]string{"-lease-ttl", "5s"}, "lease-ttl"},
 		{[]string{"-coordinator", "127.0.0.1:0", "-task-timeout", "1m"}, "task-timeout"},
-		{[]string{"-join", "http://127.0.0.1:1", "-shards", "2"}, "shards"},
-		{[]string{"-cluster", "2", "-out", filepath.Join(dir, "out.jsonl"), "-workers", "3"}, "workers"},
+		{[]string{"-join", "http://127.0.0.1:1", "-workers", "2"}, "workers"},
+		{[]string{"-coordinator", "127.0.0.1:0", "-workers", "3"}, "workers"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		cmd := exec.CommandContext(ctx, bin, append(c.args, "-run-json", "")...)

@@ -7,9 +7,9 @@
 // All modes run on the fault-tolerant runner: a failing or panicking
 // per-FU pipeline is reported and skipped instead of killing the run,
 // and -checkpoint/-resume let an interrupted paper-scale sweep (Ctrl-C
-// is caught and flushed) pick up where it left off. The runner and
-// shard flags are the execution block shared with tevot-sweep, -dta and
-// -quality (cmd/internal/execflags).
+// is caught and flushed) pick up where it left off. The runner flags are
+// the execution block shared with tevot-sweep and -dta
+// (cmd/internal/execflags).
 //
 // Examples:
 //
@@ -77,7 +77,6 @@ func main() {
 		}
 	}
 	scale.Seed = *seed
-	scale.ShardWorkers = ex.Shards
 	if *fuName != "" {
 		fu, err := circuits.ParseFU(*fuName)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -222,6 +223,35 @@ func TestLocalClusterByteIdentical(t *testing.T) {
 	}
 }
 
+// runCluster runs cfg's sweep to completion on an in-process
+// coordinator and n RunWorker goroutines sharing lab, and fails the
+// test unless the coordinator and every worker finish cleanly.
+func runCluster(ctx context.Context, t *testing.T, cfg CoordConfig, lab *experiments.Lab, n int) {
+	t.Helper()
+	coord, err := NewCoordinator(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, stop, err := coord.Start(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		wcfg := WorkerConfig{ID: fmt.Sprintf("local-%d", i), Coordinator: base, Lab: lab}
+		go func() { errs <- RunWorker(ctx, wcfg) }()
+	}
+	if err := coord.Wait(ctx); err != nil {
+		t.Fatalf("coordinator: %v (progress: %+v)", err, coord.Progress())
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+	}
+}
+
 // TestCoordinatorResumesFromJournal: a coordinator restarted on a
 // partial journal re-runs only the missing cells and still produces the
 // byte-identical merged output.
@@ -235,18 +265,12 @@ func TestCoordinatorResumesFromJournal(t *testing.T) {
 	defer cancel()
 
 	// First incarnation: run the full sweep to get a complete journal.
-	if err := RunLocalCluster(ctx, ClusterConfig{
-		Coord: CoordConfig{
-			Spec:     testSpec(),
-			LeaseTTL: 2 * time.Second,
-			Journal:  journal,
-			Out:      filepath.Join(dir, "first.jsonl"),
-		},
-		Workers: 2,
-		Worker:  WorkerConfig{Lab: lab},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	runCluster(ctx, t, CoordConfig{
+		Spec:     testSpec(),
+		LeaseTTL: 2 * time.Second,
+		Journal:  journal,
+		Out:      filepath.Join(dir, "first.jsonl"),
+	}, lab, 2)
 
 	// Simulate the coordinator dying partway: keep the header plus the
 	// first three completed cells.
@@ -322,18 +346,12 @@ func TestCompleteJournalResumeFinishesImmediately(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	if err := RunLocalCluster(ctx, ClusterConfig{
-		Coord: CoordConfig{
-			Spec:     testSpec(),
-			LeaseTTL: 2 * time.Second,
-			Journal:  journal,
-			Out:      filepath.Join(dir, "first.jsonl"),
-		},
-		Workers: 2,
-		Worker:  WorkerConfig{Lab: lab},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	runCluster(ctx, t, CoordConfig{
+		Spec:     testSpec(),
+		LeaseTTL: 2 * time.Second,
+		Journal:  journal,
+		Out:      filepath.Join(dir, "first.jsonl"),
+	}, lab, 2)
 
 	out := filepath.Join(dir, "again.jsonl")
 	coord, err := NewCoordinator(CoordConfig{

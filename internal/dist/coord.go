@@ -30,10 +30,6 @@ type CoordConfig struct {
 	// straggler once its elapsed time exceeds factor × the median
 	// completed-cell time. <= 0 disables speculation.
 	StragglerFactor float64
-	// MaxCopies bounds concurrent leases per cell (primary + speculative).
-	MaxCopies int
-	// MaxInflight caps concurrent HTTP requests (serve.Limit semantics).
-	MaxInflight int
 	// Journal is the checkpoint path ("" = no journal, in-memory only).
 	// It uses internal/runner's checkpoint format, so a killed
 	// coordinator resumes without re-running completed cells.
@@ -64,12 +60,6 @@ func (c CoordConfig) withDefaults() CoordConfig {
 	if c.StragglerFactor == 0 {
 		c.StragglerFactor = 3
 	}
-	if c.MaxCopies <= 0 {
-		c.MaxCopies = 2
-	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 64
-	}
 	if c.Linger <= 0 {
 		c.Linger = 2 * time.Second
 	}
@@ -78,6 +68,10 @@ func (c CoordConfig) withDefaults() CoordConfig {
 	}
 	return c
 }
+
+// maxInflight caps the coordinator's concurrent HTTP requests
+// (serve.Limit semantics).
+const maxInflight = 64
 
 // ErrJournalFailed marks a run aborted because the journal stopped
 // persisting accepted results. Soaks and operators branch on it: the
@@ -124,7 +118,7 @@ func NewCoordinator(cfg CoordConfig, now func() time.Time) (*Coordinator, error)
 	c := &Coordinator{
 		cfg:           cfg,
 		order:         order,
-		table:         newLeaseTable(order, cfg.LeaseTTL, cfg.StragglerFactor, cfg.MaxCopies, now),
+		table:         newLeaseTable(order, cfg.LeaseTTL, cfg.StragglerFactor, now),
 		workerMetrics: make(map[string]*obs.RegistrySnapshot),
 		done:          make(chan struct{}),
 		start:         time.Now(),
@@ -168,7 +162,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("/cluster/metrics", c.handleClusterMetrics)
 	mux.Handle("/metrics", obs.PromHandler(nil))
 	return serve.Recover("dist", mHTTPPanics.Inc,
-		serve.Limit(c.cfg.MaxInflight, mHTTPShed.Inc, mux))
+		serve.Limit(maxInflight, mHTTPShed.Inc, mux))
 }
 
 // handleClusterMetrics merges the piggybacked per-worker snapshots and

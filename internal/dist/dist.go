@@ -41,6 +41,7 @@ import (
 	"tevot/internal/circuits"
 	"tevot/internal/core"
 	"tevot/internal/experiments"
+	"tevot/internal/runner"
 )
 
 // Spec is the seed-addressed description of one distributed sweep: the
@@ -61,9 +62,6 @@ type Spec struct {
 	ImageSize int `json:"image_size"`
 	// Seed drives every stream, jitter, and sampling decision.
 	Seed int64 `json:"seed"`
-	// ShardWorkers is the per-cell simulation shard parallelism
-	// (0 = auto; sharding never changes results, only speed).
-	ShardWorkers int `json:"shard_workers,omitempty"`
 }
 
 // withDefaults fills the cheap-smoke defaults (mirroring tevot-sweep)
@@ -193,7 +191,6 @@ func (s Spec) Scale() (experiments.Scale, error) {
 	scale.Images = s.Images
 	scale.ImageSize = s.ImageSize
 	scale.Seed = s.Seed
-	scale.ShardWorkers = s.ShardWorkers
 	if len(s.FUs) > 0 {
 		scale.FUs = fus
 	}
@@ -219,6 +216,45 @@ func RunCell(ctx context.Context, lab *experiments.Lab, c Cell, opts core.Charac
 		return experiments.DelayRow{}, fmt.Errorf("dist: cell %q: %w", c.Key(), err)
 	}
 	return experiments.Fig3Cell(ctx, lab, fu, c.Dataset, c.Corner, opts)
+}
+
+// SingleProcessMerged is tevot-sweep's plain mode: it builds the
+// spec's lab, runs experiments.Fig3Run on the runner (no HTTP, no
+// leases), and writes the canonical merged JSONL the coordinator writes
+// to out ("" skips it).
+// Those bytes are the reference distributed runs are compared against.
+// As with Fig3Run, failed cells are reported in the Report and left out
+// of the rows and the file; an interrupted run writes no file.
+func SingleProcessMerged(ctx context.Context, spec Spec, cfg runner.Config, out string) ([]experiments.DelayRow, *runner.Report, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, nil, err
+	}
+	spec = spec.withDefaults()
+	scale, err := spec.Scale()
+	if err != nil {
+		return nil, nil, err
+	}
+	lab, err := experiments.NewLab(scale)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows, rep, err := experiments.Fig3Run(ctx, lab, spec.Corners, cfg)
+	if err != nil || out == "" {
+		return rows, rep, err
+	}
+	order, err := spec.Cells()
+	if err != nil {
+		return rows, rep, err
+	}
+	results := make(map[string]json.RawMessage, len(rows))
+	for _, r := range rows {
+		raw, err := MarshalRow(r)
+		if err != nil {
+			return rows, rep, err
+		}
+		results[experiments.Fig3CellKey(r.FU, r.Dataset, r.Corner)] = raw
+	}
+	return rows, rep, WriteMergedFile(out, order, results)
 }
 
 // HashValue is the content hash workers attach to results and the

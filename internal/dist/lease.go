@@ -35,6 +35,10 @@ import (
 // forever.
 const maxIssuesPerCell = 32
 
+// maxCopies bounds concurrent leases per cell: the primary and one
+// speculative copy.
+const maxCopies = 2
+
 var (
 	// errLeaseGone tells a renewing/reporting worker its lease has been
 	// expired and possibly re-issued; the worker abandons the cell.
@@ -104,14 +108,13 @@ type workerEntry struct {
 
 // leaseTable tracks every cell and worker of one run.
 type leaseTable struct {
-	order     []string
-	cells     map[string]*cellEntry
-	leases    map[string]*lease
-	workers   map[string]*workerEntry
-	ttl       time.Duration
-	factor    float64 // straggler factor
-	maxCopies int
-	now       func() time.Time
+	order   []string
+	cells   map[string]*cellEntry
+	leases  map[string]*lease
+	workers map[string]*workerEntry
+	ttl     time.Duration
+	factor  float64 // straggler factor
+	now     func() time.Time
 
 	leaseSeq  int64
 	doneCount int
@@ -124,19 +127,18 @@ type leaseTable struct {
 	start      time.Time
 }
 
-func newLeaseTable(order []Cell, ttl time.Duration, factor float64, maxCopies int, now func() time.Time) *leaseTable {
+func newLeaseTable(order []Cell, ttl time.Duration, factor float64, now func() time.Time) *leaseTable {
 	if now == nil {
 		now = time.Now
 	}
 	t := &leaseTable{
-		cells:     make(map[string]*cellEntry, len(order)),
-		leases:    map[string]*lease{},
-		workers:   map[string]*workerEntry{},
-		ttl:       ttl,
-		factor:    factor,
-		maxCopies: maxCopies,
-		now:       now,
-		start:     now(),
+		cells:   make(map[string]*cellEntry, len(order)),
+		leases:  map[string]*lease{},
+		workers: map[string]*workerEntry{},
+		ttl:     ttl,
+		factor:  factor,
+		now:     now,
+		start:   now(),
 	}
 	for _, c := range order {
 		k := c.Key()
@@ -287,7 +289,7 @@ func (t *leaseTable) stragglerCandidate(worker string) *cellEntry {
 	var bestElapsed time.Duration
 	for _, k := range t.order {
 		e := t.cells[k]
-		if e.status != cellLeased || len(e.leases) >= t.maxCopies {
+		if e.status != cellLeased || len(e.leases) >= maxCopies {
 			continue
 		}
 		var oldest time.Time

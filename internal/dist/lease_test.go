@@ -29,7 +29,7 @@ func testCells(n int) []Cell {
 }
 
 func testTable(n int, clk *fakeClock) *leaseTable {
-	return newLeaseTable(testCells(n), 10*time.Second, 3, 2, clk.now)
+	return newLeaseTable(testCells(n), 10*time.Second, 3, clk.now)
 }
 
 func val(s string) json.RawMessage { return json.RawMessage(fmt.Sprintf("{%q:1}", s)) }

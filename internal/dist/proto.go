@@ -25,8 +25,9 @@ import (
 // workers speak. The coordinator refuses at register a worker that
 // sends another version, or none (builds before the field), so a worker
 // of another build exits before it computes a cell whose result the
-// coordinator would refuse. Bump it with any change to the wire types.
-const protocolVersion = 1
+// coordinator would refuse. Bump it with any change to the wire types
+// (2: Spec lost shard_workers; each worker sizes its own shards).
+const protocolVersion = 2
 
 type registerRequest struct {
 	Worker  string `json:"worker"`

@@ -18,7 +18,7 @@ import (
 )
 
 // WorkerConfig configures one worker process (or goroutine, in the
-// in-process local-cluster mode).
+// in-process clusters that tests and chaos soaks build).
 type WorkerConfig struct {
 	// ID identifies the worker to the coordinator. Re-using an ID after
 	// a restart releases the previous incarnation's leases immediately.

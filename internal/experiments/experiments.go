@@ -37,37 +37,26 @@ type Scale struct {
 	Seed int64
 	// FUs restricts the functional units (nil = all four).
 	FUs []circuits.FU
-	// ShardWorkers is the per-characterization shard parallelism
-	// (core.CharacterizeOptions.Workers). 0 = auto, resolved by
-	// Lab.CharOpts: GOMAXPROCS divided by the cell-level worker count a
-	// sweep passes it — the pool size for many-cell grids (Fig. 3), 1
-	// for the few-cell sweeps (Tables II and III, model saving), whose
-	// cells each get the whole machine.
-	ShardWorkers int
 }
 
-// CharOpts resolves the two-level worker budget: with W cell-level
-// workers already running characterizations concurrently, each cell gets
-// GOMAXPROCS/W simulation shards (at least 1). An explicit
-// Scale.ShardWorkers overrides the division.
+// CharOpts is the one rule that sizes simulation shards: with
+// cellWorkers cells characterizing concurrently, each cell gets
+// GOMAXPROCS/cellWorkers shards, at least 1. cellWorkers <= 0 is the
+// runner's default pool of GOMAXPROCS cells, so 1 shard. Sharding never
+// changes results, only speed; an operator who wants fewer cores sets
+// GOMAXPROCS.
 //
-// Many-cell grids pass their pool size, so cells × shards fill the
-// machine without oversubscribing it. Sweeps with a few unequal cells
-// pass 1: each cell may then use every core, and the cores a finished
-// cell frees go to the cells still simulating instead of idling.
-func (l *Lab) CharOpts(cellWorkers int) core.CharacterizeOptions {
-	w := l.Scale.ShardWorkers
-	if w == 0 {
-		cw := cellWorkers
-		if cw <= 0 {
-			cw = runtime.GOMAXPROCS(0)
-		}
-		w = runtime.GOMAXPROCS(0) / cw
-		if w < 1 {
-			w = 1
-		}
+// Many-cell grids (Fig. 3) pass their pool size, so cells × shards
+// fill the machine without oversubscribing it. Sweeps with a few
+// unequal cells (Tables II and III, model saving, a dist worker's one
+// cell at a time) pass 1: each cell may then use every core, and the
+// cores a finished cell frees go to the cells still simulating instead
+// of idling.
+func (*Lab) CharOpts(cellWorkers int) core.CharacterizeOptions {
+	if cellWorkers <= 0 {
+		return core.CharacterizeOptions{Workers: 1}
 	}
-	return core.CharacterizeOptions{Workers: w}
+	return core.CharacterizeOptions{Workers: max(1, runtime.GOMAXPROCS(0)/cellWorkers)}
 }
 
 // Small returns a laptop-scale configuration that exercises every code

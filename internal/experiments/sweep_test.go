@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -136,18 +137,22 @@ func TestTable3RunReportAccounting(t *testing.T) {
 }
 
 // TestTable3RunShardingInvariant: Table3Run gives each per-FU lane the
-// whole machine's shards, and the cells must not depend on the shard
-// count. An explicit 4 shards every characterization on any host.
+// whole machine's shards (CharOpts(1) reads GOMAXPROCS), and the cells
+// must not depend on the shard count: GOMAXPROCS 1 and 4 shard every
+// characterization 1 and 4 ways on any host.
 func TestTable3RunShardingInvariant(t *testing.T) {
 	scale := tinyScale()
 	scale.TrainCycles, scale.TestCycles, scale.AppStreamCap = 300, 200, 300
 	scale.FUs = []circuits.FU{circuits.IntAdd32, circuits.FPAdd32}
-	run := func(shards int) []Table3Cell {
-		s := scale
-		s.ShardWorkers = shards
-		lab, err := NewLab(s)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	run := func(procs int) []Table3Cell {
+		runtime.GOMAXPROCS(procs)
+		lab, err := NewLab(scale)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if got := lab.CharOpts(1).Workers; got != procs {
+			t.Fatalf("GOMAXPROCS %d: CharOpts(1) gives %d shards", procs, got)
 		}
 		cells3, rep, err := Table3Run(context.Background(), lab, runner.Config{})
 		if err == nil {
@@ -164,6 +169,24 @@ func TestTable3RunShardingInvariant(t *testing.T) {
 	}
 	if !reflect.DeepEqual(one, four) {
 		t.Fatalf("cells differ between 1 and 4 shards:\n%v\n%v", one, four)
+	}
+}
+
+// TestCharOpts pins the one rule that sizes simulation shards:
+// CharOpts(w) is max(1, GOMAXPROCS/w), and 1 for w <= 0 (the runner's
+// default pool of GOMAXPROCS cells).
+func TestCharOpts(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var lab Lab
+	for _, c := range []struct{ procs, cellWorkers, want int }{
+		{1, 1, 1}, {1, 4, 1}, {1, 0, 1},
+		{4, 1, 4}, {4, 2, 2}, {4, 3, 1}, {4, 8, 1}, {4, 0, 1}, {4, -1, 1},
+		{6, 4, 1}, {8, 3, 2},
+	} {
+		runtime.GOMAXPROCS(c.procs)
+		if got := lab.CharOpts(c.cellWorkers); got != (core.CharacterizeOptions{Workers: c.want}) {
+			t.Errorf("GOMAXPROCS %d: CharOpts(%d) = %+v, want Workers %d", c.procs, c.cellWorkers, got, c.want)
+		}
 	}
 }
 

@@ -66,10 +66,11 @@ echo "== forest fit: binned split search reproduces the pinned forests (digests 
 go test -race -run 'TestForestFitDigests|TestFloatRowsBitPrefix|TestFitPackedRefusesBadInput|TestForestDeterministicAcrossWorkerCounts|TestLoadForestWithQuantilesField|TestCompiledForestMatchesPointerTrees|TestFitAllocatesOneNodeCopy' ./internal/ml
 go test -race -run 'TestPredictDelaysMatchPointerTrees|TestShortShardMemoMap' ./internal/core
 
-echo "== determinism: sharded DTA bit-identity + singleflight (race)"
+echo "== determinism: sharded DTA bit-identity + singleflight (race); the one shard rule (CharOpts) and Table III cells equal at GOMAXPROCS 1 and 4"
 go test -race -short -run \
 	'TestCharacterizeShardingDeterminism|TestCharacterizeConcurrentSharedFUnit|TestStaticSingleflight' \
 	./internal/core
+go test -run 'TestCharOpts|TestTable3RunShardingInvariant' ./internal/experiments
 
 echo "== distributed sweep: local cluster under race, kills + forced expiry, fleet telemetry, a worker of another protocol version refused at register"
 go test -race -run 'TestLocalClusterByteIdentical|TestCoordinatorResumesFromJournal|TestClusterTelemetry|TestRegisterRefusesOtherProtocolVersion' ./internal/dist
